@@ -7,11 +7,17 @@ cover the pair statistics:
 
   * scan_pairs      an optimized engine: eta(D1, D2) equals the smaller of
                     n(D2) and the first prime q | D2, q < n(D2), with
-                    chi_{D1}(q) = -1, so per-D2 contributions reduce to
-                    prefix counts and cumulative chi tables;
+                    chi_{D1}(q) = -1. That depends on D2 only through the
+                    set of such q (its qmask signature), so the D2 are
+                    grouped by signature, each group builds one cumulative
+                    table over its D1 prefix, and each D2 reads its sum at
+                    prefix[D2];
   * decomposition_audit
                     a definitional engine: every pair's eta is rescanned
                     prime by prime straight from the sign rule.
+
+The sign-pattern count (density_lt) uses the same grouped prefix-table
+kernel, with the set of pattern primes dividing D2 as the signature.
 
 Their agreement on sum(eta) at equal x is asserted by the test suite. Pair
 iteration order is canonical (D2 by table order, D1 by table order within
@@ -24,12 +30,20 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import log
 from typing import Iterable
 
 import numpy as np
 
-from .arith import DiscriminantTable, kronecker, least_nonresidue, sieve_fundamental, sieve_primes
+from .arith import (
+    DiscriminantTable,
+    is_prime,
+    kronecker,
+    least_nonresidue,
+    sieve_fundamental,
+    sieve_primes,
+)
 from .constants import (
     ZETA2_HI,
     ZETA2_LO,
@@ -134,8 +148,9 @@ class ScanContext:
     qmask: np.ndarray                    # int64 bitmask over cache_primes
     cache_primes: tuple[int, ...]
     chi: dict[int, np.ndarray] = field(default_factory=dict)
-    negcum: dict[int, np.ndarray] = field(default_factory=dict)
-    eqcum: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    # unused and always empty; kept because the benchmark's context_bytes reads them
+    negcum: dict = field(default_factory=dict)
+    eqcum: dict = field(default_factory=dict)
 
     @property
     def entries(self) -> np.ndarray:
@@ -149,20 +164,6 @@ class ScanContext:
         if p not in self.chi:
             self.chi[p] = _chi_values(self.table.entries, p)
         return self.chi[p]
-
-    def neg_cumulative(self, q: int) -> np.ndarray:
-        """negcum[c] = #{first c entries D1 : chi_{D1}(q) = -1}."""
-        if q not in self.negcum:
-            neg = (self.chi_array(q) == -1).astype(np.int32)
-            self.negcum[q] = np.concatenate([[0], np.cumsum(neg, dtype=np.int32)])
-        return self.negcum[q]
-
-    def eq_cumulative(self, q: int, sign: int) -> np.ndarray:
-        key = (q, sign)
-        if key not in self.eqcum:
-            eq = (self.chi_array(q) == sign).astype(np.int32)
-            self.eqcum[key] = np.concatenate([[0], np.cumsum(eq, dtype=np.int32)])
-        return self.eqcum[key]
 
 
 def build_context(x: int) -> ScanContext:
@@ -190,12 +191,11 @@ def build_context(x: int) -> ScanContext:
         qmask=qmask,
         cache_primes=cache_primes,
     )
-    # eagerly build the per-prime caches touched by pair scans, so forked
-    # workers inherit them instead of rebuilding
-    used = np.bitwise_or.reduce(qmask) if len(qmask) else 0
+    # warm the chi caches the pair scan reads, so forked workers inherit them
+    used = int(np.bitwise_or.reduce(qmask)) if len(qmask) else 0
     for i, q in enumerate(cache_primes):
         if (used >> i) & 1:
-            ctx.neg_cumulative(q)
+            ctx.chi_array(q)
     return ctx
 
 
@@ -329,12 +329,45 @@ def _run_chunked(fn, fn_args: tuple, n_items: int, workers: int) -> list:
 # scan_pairs: optimized eta aggregation
 # ---------------------------------------------------------------------------
 
+def _grouped_prefix_sums(sig: np.ndarray, c: np.ndarray, columns, k: int) -> np.ndarray:
+    """Sum k per-D1 columns over each D2's D1 prefix, one table per signature.
+
+    D2 j has signature sig[j] and prefix length c[j]. columns(s, m) returns k
+    arrays over the first m D1 entries for signature s; it is called once per
+    distinct signature, with m the longest prefix in that group. Returns
+    out with out[r, j] = columns(sig[j], m)[r][:c[j]].sum().
+    """
+    out = np.zeros((k, len(sig)), dtype=np.int64)
+    if len(sig) == 0:
+        return out
+    order = np.argsort(sig, kind="stable")
+    for grp in np.split(order, np.flatnonzero(np.diff(sig[order])) + 1):
+        cg = c[grp]
+        m = int(cg.max())
+        for r, col in enumerate(columns(int(sig[grp[0]]), m)):
+            cum = np.concatenate([[0], np.cumsum(col, dtype=np.int64)])
+            out[r, grp] = cum[cg]
+    return out
+
+
+def _first_negative_columns(ctx: ScanContext, mask: int, m: int):
+    """Over the first m D1: the first q in mask with chi_{D1}(q) = -1 (else 0),
+    and whether there is no such q."""
+    value = np.zeros(m, dtype=np.int64)
+    none = np.ones(m, dtype=bool)
+    for b, q in enumerate(ctx.cache_primes):
+        if (mask >> b) & 1:
+            hit = none & (ctx.chi_array(q)[:m] == -1)
+            value[hit] = q
+            none &= ~hit
+    return value, none
+
+
 def _scan_chunk(ctx: ScanContext, cap: int, bounds: tuple[int, int]):
     lo, hi = bounds
     entries = ctx.entries[lo:hi]
     n2 = ctx.nvals[lo:hi].astype(np.int64)
     c = ctx.prefix[lo:hi]
-    mask = ctx.qmask[lo:hi]
 
     pairs_total = int(c.sum())
     is_one = entries == 1
@@ -346,43 +379,12 @@ def _scan_chunk(ctx: ScanContext, cap: int, bounds: tuple[int, int]):
         j = int(np.nonzero(over_cap)[0][0])
         raise CapExceededError(int(ctx.entries[0]), int(entries[j]), cap)
 
-    sum_eta = 0
-    # D2 with no divisor prime below n(D2): eta = n(D2) for every D1
-    plain = included & (mask == 0)
-    sum_eta += int(np.dot(n2[plain], c[plain]))
-
-    special = np.nonzero(included & (mask != 0))[0]
-    if special.size:
-        m = mask[special]
-        single = (m & (m - 1)) == 0
-        # single-q groups, handled with cumulative chi tables
-        for bit in range(len(ctx.cache_primes)):
-            grp = special[single & (m == (np.int64(1) << bit))]
-            if grp.size == 0:
-                continue
-            q = ctx.cache_primes[bit]
-            cg = c[grp]
-            neg = ctx.neg_cumulative(q)[cg].astype(np.int64)
-            n2g = n2[grp]
-            sum_eta += int(q * neg.sum() + np.dot(n2g, cg) - np.dot(n2g, neg))
-        # multi-q D2: walk the divisor primes in order over the D1 prefix
-        for j in np.nonzero(~single)[0]:
-            i = special[j]
-            ci = int(c[i])
-            bits = int(m[j])
-            alive = np.ones(ci, dtype=bool)
-            b = 0
-            while bits:
-                if bits & 1:
-                    q = ctx.cache_primes[b]
-                    hit = alive & (ctx.chi_array(q)[:ci] == -1)
-                    k = int(hit.sum())
-                    if k:
-                        sum_eta += q * k
-                        alive &= ~hit
-                bits >>= 1
-                b += 1
-            sum_eta += int(n2[i]) * int(alive.sum())
+    # eta = first q in qmask with chi_{D1}(q) = -1, else n(D2)
+    inc = np.nonzero(included)[0]
+    value, none = _grouped_prefix_sums(
+        ctx.qmask[lo:hi][inc], c[inc], partial(_first_negative_columns, ctx), 2
+    )
+    sum_eta = int(value.sum()) + int(np.dot(n2[inc], none))
     return pairs_total, pairs_excluded, sum_eta
 
 
@@ -562,8 +564,10 @@ def density_lemma(x: int, p: int, ctx: ScanContext | None = None) -> DensityRepo
     """Observed vs predicted proportions of chi_D(p) over |D| <= x.
 
     Predictions: p/(2p+2) for +1 and -1, 1/(p+1) for 0; rows sum to one
-    exactly on both sides.
+    exactly on both sides. A non-prime p is rejected.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if ctx is None:
         ctx = build_context(x)
     chi = ctx.chi_array(p)
@@ -631,48 +635,32 @@ def density_pollack(
     )
 
 
+def _pattern_columns(ctx: ScanContext, pattern, moved: int, m: int):
+    """Over the first m D1: whether chi_{D1}(p) = want for every pattern
+    prime p dividing moved."""
+    ok = np.ones(m, dtype=bool)
+    for p, want in pattern:
+        if moved % p == 0:
+            ok &= ctx.chi_array(p)[:m] == want
+    return (ok,)
+
+
 def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
     lo, hi = bounds
     c = ctx.prefix[lo:hi]
-    pairs_total = int(c.sum())
-
-    chi2 = {p: ctx.chi_array(p)[lo:hi] for p, _ in pattern}
-    # D2 for which no pattern prime divides D2: the sign at every pattern
-    # prime is chi_{D2}(p), constant in D1
-    nonzero_all = np.ones(hi - lo, dtype=bool)
-    match_all = np.ones(hi - lo, dtype=bool)
+    # a pattern prime p | D2 moves its constraint to chi_{D1}(p); any other
+    # pattern prime fixes the sign at chi_{D2}(p), constant in D1. The
+    # signature is the product of the moved primes, a divisor of |D2|.
+    moved = np.ones(hi - lo, dtype=np.int64)
+    live = np.ones(hi - lo, dtype=bool)
     for p, want in pattern:
-        nonzero_all &= chi2[p] != 0
-        match_all &= chi2[p] == want
-    matched = int(c[nonzero_all & match_all].sum())
-
-    # D2 divisible by at least one pattern prime: those constraints move to
-    # chi_{D1} and are counted over the D1 prefix
-    special = np.nonzero(~nonzero_all)[0]
-    for j in special:
-        ci = int(c[j])
-        if ci == 0:
-            continue
-        ok = True
-        moved: list[tuple[int, int]] = []
-        for p, want in pattern:
-            v = int(chi2[p][j])
-            if v == 0:
-                moved.append((p, want))
-            elif v != want:
-                ok = False
-                break
-        if not ok:
-            continue
-        if len(moved) == 1:
-            p, want = moved[0]
-            matched += int(ctx.eq_cumulative(p, want)[ci])
-        else:
-            m = np.ones(ci, dtype=bool)
-            for p, want in moved:
-                m &= ctx.chi_array(p)[:ci] == want
-            matched += int(m.sum())
-    return pairs_total, matched
+        chi2 = ctx.chi_array(p)[lo:hi]
+        moved[chi2 == 0] *= p
+        live &= (chi2 == 0) | (chi2 == want)
+    (matched,) = _grouped_prefix_sums(
+        moved[live], c[live], partial(_pattern_columns, ctx, pattern), 1
+    )
+    return int(c.sum()), int(matched.sum())
 
 
 def density_lt(
@@ -685,7 +673,8 @@ def density_lt(
     sign at each pattern prime equals the requested value.
 
     The prediction is the product of 1/(p+1)^2 over zero-sign constraints
-    and p(p+2)/(2(p+1)^2) over nonzero ones. Repeated primes are rejected.
+    and p(p+2)/(2(p+1)^2) over nonzero ones. Non-prime and repeated primes
+    are rejected.
     """
     pat = tuple((int(p), int(s)) for p, s in pattern)
     if not pat:
@@ -694,13 +683,14 @@ def density_lt(
     if len(set(seen)) != len(seen):
         raise ValueError(f"pattern repeats a prime: {seen}")
     for p, s in pat:
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         if s not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {s}")
     if ctx is None:
         ctx = build_context(x)
-    for p, want in pat:
+    for p, _ in pat:
         ctx.chi_array(p)
-        ctx.eq_cumulative(p, want)
     parts = _run_chunked(_lt_chunk, (ctx, pat), len(ctx.entries), workers)
     pairs_total = sum(p[0] for p in parts)
     matched = sum(p[1] for p in parts)

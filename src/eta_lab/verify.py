@@ -345,18 +345,15 @@ def _crit_10_erdos() -> tuple[bool, str]:
 
 
 def _crit_11_determinism() -> tuple[bool, str]:
-    import subprocess
-    import sys
     import tempfile
+
+    from .cli import main
 
     outputs = []
     with tempfile.TemporaryDirectory() as td:
         for w in (1, 4, 8):
             out = Path(td) / f"scan_w{w}.csv"
-            cmd = [
-                sys.executable,
-                "-m",
-                "eta_lab.cli",
+            rc = main([
                 "scan",
                 "--x",
                 "100000",
@@ -367,10 +364,9 @@ def _crit_11_determinism() -> tuple[bool, str]:
                 "--no-timestamp",
                 "--output",
                 str(out),
-            ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                return False, f"workers={w} exited {proc.returncode}: {proc.stderr.strip()[:200]}"
+            ])
+            if rc != 0:
+                return False, f"workers={w} exited {rc}"
             outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]
     return ok, f"cmd_scan x=1e5 byte-identical across workers 1/4/8: {ok} ({len(outputs[0])} bytes)"

@@ -8,8 +8,14 @@ only logarithmically and sit 7-18 percent away at x = 10^5; the exact
 counts behind it are golden-pinned instead (see notes in eta_lab.verify).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import eta_lab
 from eta_lab.verify import run_criteria
 
 
@@ -74,3 +80,19 @@ def test_criterion_10_least_nonresidue_average(results):
 
 def test_criterion_11_worker_byte_determinism(results):
     _assert_pass(results[11])
+
+
+def test_criterion_11_passes_with_eta_lab_only_on_sys_path(tmp_path):
+    # the package is importable only through the child's own sys.path entry
+    src = Path(eta_lab.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from eta_lab.verify import _crit_11_determinism; "
+        "ok, detail = _crit_11_determinism(); print(detail); sys.exit(0 if ok else 1)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

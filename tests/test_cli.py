@@ -2,16 +2,31 @@
 byte determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import eta_lab
 from eta_lab.cli import main
 
 SCAN_HEADER = (
     "x,pairs_total,pairs_excluded,sum_eta,avg_eta,ref_theta,ref_combined,"
     "ref_Theta,delta_theta,delta_combined,delta_Theta"
 )
+
+
+def run_module(args):
+    """Run `python -m eta_lab.cli` with this eta_lab first on the child's path."""
+    src = str(Path(eta_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "eta_lab.cli", *args], env=env, capture_output=True, text=True
+    )
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -135,6 +150,14 @@ class TestDensitiesCommand:
         rc, _ = run_cli(["densities", "--x", "2000"], tmp_path)
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lemma", "4"], ["--lemma", "1"], ["--lemma", "0"], ["--lt", "4:1"], ["--lt", "9:0"]],
+    )
+    def test_non_prime_p_exits_1(self, tmp_path, flags):
+        rc, _ = run_cli(["densities", "--x", "1000"] + flags, tmp_path)
+        assert rc == 1
+
 
 class TestAuditCommand:
     def test_text_output(self, tmp_path):
@@ -146,27 +169,15 @@ class TestAuditCommand:
 
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "eta_lab.cli", "frobnicate"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 1
+        assert run_module(["frobnicate"]).returncode == 1
 
     def test_missing_required_flag_exits_1(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "eta_lab.cli", "scan"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module(["scan"])
         assert proc.returncode == 1
+        assert "--x" in proc.stderr
 
     def test_version_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "eta_lab.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module(["--version"])
         assert proc.returncode == 0
         assert "eta-lab" in proc.stdout
 

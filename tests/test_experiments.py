@@ -168,7 +168,16 @@ class TestDensityPollack:
 
 
 class TestDensityLT:
-    @pytest.mark.parametrize("pattern", [[(2, 0)], [(2, -1)], [(2, 1), (3, -1)]])
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            [(2, 0)],
+            [(2, -1)],
+            [(2, 1), (3, -1)],
+            [(2, 0), (3, 0)],
+            [(3, 0), (5, 0), (7, 1)],
+        ],
+    )
     def test_exact_counts_match_brute_force(self, pattern):
         x = 1000
         ds = brute_discriminants(x)
