@@ -39,8 +39,8 @@ from .experiments import (
 )
 from .newform import (
     DEFAULT_ETA_CAP,
+    EtaResult,
     NewformPair,
-    eta,
     eta_sign_trace,
     q_expansion,
     sigma_coefficient,
@@ -76,6 +76,24 @@ def _add_common(p: _Parser) -> None:
                    help="omit the timestamp for byte-deterministic output")
 
 
+# Peak RSS growth per unit of x, measured with resource.getrusage on
+# `scan --x X` at 1e5, 1e6 and 1e7 (73, 77 and 80 bytes on a 2-vCPU x86-64
+# host, Python 3.11, numpy 2.4), times 1.5 for margin.
+_BYTES_PER_X = 120
+
+
+def _mem_available() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None if unreadable."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
 def _check_x(x: int) -> int:
     if x < 1:
         raise ValueError("--x must be >= 1")
@@ -83,6 +101,12 @@ def _check_x(x: int) -> int:
         raise ValueError(
             f"--x {x} exceeds {MAX_X}: the sieve and chi tables would need "
             "multiple GB; shard the range or raise the limit in source"
+        )
+    available = _mem_available()
+    if available is not None and x * _BYTES_PER_X > available:
+        raise ValueError(
+            f"--x {x} needs about {x * _BYTES_PER_X / 2**30:.1f} GiB, but only "
+            f"{available / 2**30:.1f} GiB of memory is available"
         )
     return x
 
@@ -169,8 +193,15 @@ def _cmd_constants(args) -> int:
 
 def _cmd_eta(args) -> int:
     pair = NewformPair(args.d1, args.d2)
-    res = eta(pair, args.cap)
+    if args.cap < 2:
+        raise ValueError(f"cap must be >= 2, got {args.cap}")
     trace = eta_sign_trace(pair, args.cap)
+    if trace and trace[-1][1] == -1:
+        res = EtaResult.found(trace[-1][0])
+    elif pair.d2 == 1:
+        res = EtaResult.never()
+    else:
+        res = EtaResult.cap_exceeded(args.cap)
     payload = {"kind": "eta", "d1": args.d1, "d2": args.d2, "cap": args.cap,
                "result": res, "trace": trace}
     _emit(args, "eta", {"d1": args.d1, "d2": args.d2, "cap": args.cap}, payload)

@@ -25,12 +25,30 @@ p_{k+1} <= 1.2 p_k once p_k >= 25):
 
 For erdos the ratio bound is simply p_{k+1}/(2 p_k) <= 3/5. Everything is
 exact rational arithmetic end to end; no rounding mode can leak in.
+
+Evaluation. All seven enclosures for one K (the five series, combined =
+Theta*(1-beta)+alpha and mu = combined - theta) come from one integer pass:
+
+  * theta has its own running product and Theta, alpha, beta share one;
+    each product is carried as an unreduced integer numerator and
+    denominator, and its final value also feeds the tails;
+  * each partial sum is a backward Horner fold over unreduced integers,
+    N/D <- a/b + (c/d) * N/D, i.e. N, D = a*d*D + b*c*N, b*d*D, where a/b
+    is the head and c/d the product factor at p_k; erdos is the integer
+    n <- 2n + p_k over 2^K;
+  * every result is reduced to lowest terms once, by Fraction(N, D).
+
+Rationals are unique in lowest terms, so the results are identical to
+summing series_terms, the per-term definition kept for the tests. The pass
+is memoised per process, keyed by the tuple (p_1, ..., p_K), and the public
+functions read from it; nothing is computed at import time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, log
 
 from .arith import PrimeTable, sieve_primes
@@ -60,28 +78,37 @@ ZETA2_LO = Fraction(1644934066848226436472415166646, 10**30)
 ZETA2_HI = Fraction(1644934066848226436472415166647, 10**30)
 
 
-def _head_theta(p: Fraction) -> Fraction:
-    return p * p * (p + 2) / (2 * (p + 1) ** 2)
+# Heads h(p) and product factors f(p) as (numerator, denominator) pairs of
+# polynomials in p: integer pairs for a prime p, Fraction pairs for the
+# rational tail argument 6 p_K / 5.
+
+def _head_theta(p):
+    return p * p * (p + 2), 2 * (p + 1) ** 2
 
 
-def _head_Theta(p: Fraction) -> Fraction:
-    return p * p / (2 * (p + 1))
+def _head_Theta(p):
+    return p * p, 2 * (p + 1)
 
 
-def _head_alpha(p: Fraction) -> Fraction:
-    return p * p / (2 * (p + 1) ** 2)
+def _head_alpha(p):
+    return p * p, 2 * (p + 1) ** 2
 
 
-def _head_beta(p: Fraction) -> Fraction:
-    return p / (2 * (p + 1) ** 2)
+def _head_beta(p):
+    return p, 2 * (p + 1) ** 2
 
 
-def _factor_theta(p: int) -> Fraction:
-    return Fraction(2 + p * (p + 2), 2 * (p + 1) ** 2)
+def _factor_theta(p):
+    return 2 + p * (p + 2), 2 * (p + 1) ** 2
 
 
-def _factor_shared(p: int) -> Fraction:
-    return Fraction(p + 2, 2 * (p + 1))
+def _factor_shared(p):
+    return p + 2, 2 * (p + 1)
+
+
+def _ratio(pair) -> Fraction:
+    num, den = pair
+    return Fraction(num) / den
 
 
 _HEADS = {
@@ -98,6 +125,8 @@ _FACTORS = {
 }
 # heads increase with p except beta's, which decreases for p > 1
 _HEAD_INCREASING = {"theta": True, "Theta": True, "alpha": True, "beta": False}
+# series sharing one running product, evaluated together in one pass
+_PRODUCT_GROUPS = ((_factor_theta, ("theta",)), (_factor_shared, ("Theta", "alpha", "beta")))
 
 
 @dataclass(frozen=True)
@@ -142,6 +171,10 @@ def default_primes(k_terms: int) -> PrimeTable:
 def _check(name: str, k_terms: int, primes: PrimeTable) -> None:
     if name not in SERIES_NAMES:
         raise ValueError(f"unknown series {name!r}, expected one of {SERIES_NAMES}")
+    _check_terms(k_terms, primes)
+
+
+def _check_terms(k_terms: int, primes: PrimeTable) -> None:
     if k_terms < 1:
         raise ValueError(f"k_terms must be >= 1, got {k_terms}")
     if len(primes) < k_terms:
@@ -151,7 +184,11 @@ def _check(name: str, k_terms: int, primes: PrimeTable) -> None:
 
 
 def series_terms(name: str, k_terms: int, primes: PrimeTable) -> list[Fraction]:
-    """Exact terms term_1..term_K, running product carried incrementally."""
+    """Exact terms term_1..term_K, straight from the definition.
+
+    The reference the one-pass evaluation is tested against; nothing else
+    in the package sums these.
+    """
     _check(name, k_terms, primes)
     if name == "erdos":
         return [Fraction(primes.p(k), 2**k) for k in range(1, k_terms + 1)]
@@ -161,17 +198,112 @@ def series_terms(name: str, k_terms: int, primes: PrimeTable) -> list[Fraction]:
     prod = Fraction(1)
     for k in range(1, k_terms + 1):
         p = primes.p(k)
-        out.append(head(Fraction(p)) * prod)
-        prod *= factor(p)
+        out.append(_ratio(head(p)) * prod)
+        prod *= _ratio(factor(p))
     return out
+
+
+@dataclass(frozen=True)
+class _Evaluation:
+    """Everything the public functions read for one K."""
+
+    sums: dict[str, Fraction]           # the five partial sums
+    values: dict[str, RigorousValue]    # the seven enclosures; empty if p_K < 25
+
+
+def _horner_pass(ps: tuple[int, ...], factor, names: tuple[str, ...]):
+    """Partial sums of the named series sharing `factor`, and the product.
+
+    One backward pass p_K, ..., p_1 over unreduced integers: each sum
+    N/D = sum_k h(p_k) prod_{j<k} f(p_j) is folded Horner-style as
+    N/D <- h(p_k) + f(p_k) * N/D, and the running product
+    prod_{k<=K} f(p_k) is carried alongside. Each result is reduced once.
+    """
+    heads = [_HEADS[n] for n in names]
+    acc = [list(h(ps[-1])) for h in heads]
+    num, den = factor(ps[-1])
+    for p in reversed(ps[:-1]):
+        c, d = factor(p)
+        num *= c
+        den *= d
+        for s, head in zip(acc, heads):
+            a, b = head(p)
+            s[0], s[1] = a * d * s[1] + b * c * s[0], b * d * s[1]
+    sums = {n: Fraction(s[0], s[1]) for n, s in zip(names, acc)}
+    return sums, Fraction(num, den)
+
+
+def _tail(name: str, p_K: int, prod: Fraction) -> Fraction:
+    """Geometric tail bound after p_K, given prod_{k<=K} of the series' factor."""
+    ratio = Fraction(36, 25) * _ratio(_FACTORS[name](p_K))
+    assert ratio < 1
+    head_arg = Fraction(6 * p_K, 5) if _HEAD_INCREASING[name] else Fraction(p_K)
+    return _ratio(_HEADS[name](head_arg)) * prod / (1 - ratio)
+
+
+@lru_cache(maxsize=16)
+def _evaluate(ps: tuple[int, ...]) -> _Evaluation:
+    """The partial sums and enclosures for the primes ps = (p_1..p_K).
+
+    Memoised per process on the primes themselves, so any prime table
+    holding the same first K primes shares the entry.
+    """
+    k_terms, p_K = len(ps), ps[-1]
+    sums: dict[str, Fraction] = {}
+    products: dict[str, Fraction] = {}
+    for factor, names in _PRODUCT_GROUPS:
+        group_sums, prod = _horner_pass(ps, factor, names)
+        sums.update(group_sums)
+        products.update(dict.fromkeys(names, prod))
+    erdos = 0
+    for p in ps:
+        erdos = 2 * erdos + p
+    sums["erdos"] = Fraction(erdos, 2**k_terms)
+    if p_K < 25:
+        return _Evaluation(sums=sums, values={})
+
+    tails = {name: _tail(name, p_K, products[name]) for name in products}
+    # erdos: term ratio p_{k+1}/(2 p_k) <= 3/5, first tail term <= (6/5) p_K / 2^(K+1)
+    tails["erdos"] = Fraction(6 * p_K, 5) / 2 ** (k_terms + 1) / (1 - Fraction(3, 5))
+    values = {
+        name: RigorousValue(name=name, k_terms=k_terms, lo=sums[name], hi=sums[name] + tails[name])
+        for name in SERIES_NAMES
+    }
+    big, al, be, th = values["Theta"], values["alpha"], values["beta"], values["theta"]
+    if not (0 <= be.lo <= be.hi <= 1):
+        raise ValueError("beta enclosure escaped [0, 1]; raise k_terms")
+    comb = RigorousValue(
+        name="combined",
+        k_terms=k_terms,
+        lo=big.lo * (1 - be.hi) + al.lo,
+        hi=big.hi * (1 - be.lo) + al.hi,
+    )
+    values["combined"] = comb
+    values["mu"] = RigorousValue(
+        name="mu", k_terms=k_terms, lo=comb.lo - th.hi, hi=comb.hi - th.lo
+    )
+    return _Evaluation(sums=sums, values=values)
+
+
+def _evaluation(k_terms: int, primes: PrimeTable, tail: bool = True) -> _Evaluation:
+    """The memoised evaluation for the first k_terms primes of the table.
+
+    With tail set, requires p_K >= 25 so Nagura's prime-gap theorem gives
+    p_{k+1} <= 1.2 p_k for all k >= K.
+    """
+    _check_terms(k_terms, primes)
+    p_K = primes.p(k_terms)
+    if tail and p_K < 25:
+        raise ValueError(
+            f"tail bound needs p_K >= 25 (K >= 10); got p_{k_terms} = {p_K}"
+        )
+    return _evaluate(primes.primes[:k_terms])
 
 
 def partial_sum(name: str, k_terms: int, primes: PrimeTable) -> Fraction:
     """Exact partial sum of the named series through k_terms terms."""
-    total = Fraction(0)
-    for term in series_terms(name, k_terms, primes):
-        total += term
-    return total
+    _check(name, k_terms, primes)
+    return _evaluation(k_terms, primes, tail=False).sums[name]
 
 
 def tail_bound(name: str, k_terms: int, primes: PrimeTable) -> Fraction:
@@ -181,25 +313,7 @@ def tail_bound(name: str, k_terms: int, primes: PrimeTable) -> Fraction:
     p_{k+1} <= 1.2 p_k for all k >= K.
     """
     _check(name, k_terms, primes)
-    p_K = primes.p(k_terms)
-    if p_K < 25:
-        raise ValueError(
-            f"tail bound needs p_K >= 25 (K >= 10); got p_{k_terms} = {p_K}"
-        )
-    if name == "erdos":
-        ratio = Fraction(3, 5)
-        first_ub = Fraction(6 * p_K, 5) / 2 ** (k_terms + 1)
-        return first_ub / (1 - ratio)
-    factor = _FACTORS[name]
-    ratio = Fraction(36, 25) * factor(p_K)
-    assert ratio < 1
-    prod = Fraction(1)
-    for k in range(1, k_terms + 1):
-        prod *= factor(primes.p(k))
-    head = _HEADS[name]
-    head_arg = Fraction(6 * p_K, 5) if _HEAD_INCREASING[name] else Fraction(p_K)
-    first_ub = head(head_arg) * prod
-    return first_ub / (1 - ratio)
+    return _evaluation(k_terms, primes).values[name].width
 
 
 def rigorous_constant(
@@ -208,9 +322,8 @@ def rigorous_constant(
     """[partial_sum, partial_sum + tail_bound] for the named constant."""
     if primes is None:
         primes = default_primes(k_terms)
-    lo = partial_sum(name, k_terms, primes)
-    hi = lo + tail_bound(name, k_terms, primes)
-    return RigorousValue(name=name, k_terms=k_terms, lo=lo, hi=hi)
+    _check(name, k_terms, primes)
+    return _evaluation(k_terms, primes).values[name]
 
 
 def combined_constant(
@@ -219,14 +332,7 @@ def combined_constant(
     """Enclosure of Theta*(1-beta)+alpha by interval arithmetic."""
     if primes is None:
         primes = default_primes(k_terms)
-    big = rigorous_constant("Theta", k_terms, primes)
-    al = rigorous_constant("alpha", k_terms, primes)
-    be = rigorous_constant("beta", k_terms, primes)
-    if not (0 <= be.lo <= be.hi <= 1):
-        raise ValueError("beta enclosure escaped [0, 1]; raise k_terms")
-    lo = big.lo * (1 - be.hi) + al.lo
-    hi = big.hi * (1 - be.lo) + al.hi
-    return RigorousValue(name="combined", k_terms=k_terms, lo=lo, hi=hi)
+    return _evaluation(k_terms, primes).values["combined"]
 
 
 def mu_constant(
@@ -236,11 +342,7 @@ def mu_constant(
     eta average contributed by unboundedly large primes."""
     if primes is None:
         primes = default_primes(k_terms)
-    comb = combined_constant(k_terms, primes)
-    th = rigorous_constant("theta", k_terms, primes)
-    return RigorousValue(
-        name="mu", k_terms=k_terms, lo=comb.lo - th.hi, hi=comb.hi - th.lo
-    )
+    return _evaluation(k_terms, primes).values["mu"]
 
 
 # ---------------------------------------------------------------------------
@@ -334,5 +436,5 @@ def least_negative_density(k: int, primes: PrimeTable) -> Fraction:
     p = primes.p(k)
     out = Fraction(p, 2 * (p + 1))
     for j in range(1, k):
-        out *= _factor_shared(primes.p(j))
+        out *= _ratio(_factor_shared(primes.p(j)))
     return out

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import eta_lab
+from eta_lab import cli
 from eta_lab.cli import main
+from eta_lab.newform import NewformPair, eta, sigma_sign_at_prime
 
 SCAN_HEADER = (
     "x,pairs_total,pairs_excluded,sum_eta,avg_eta,ref_theta,ref_combined,"
@@ -76,6 +78,43 @@ class TestScanCommand:
         assert rc == 1
 
 
+class TestMemoryRefusal:
+    """--x is refused up front when its estimated footprint exceeds MemAvailable."""
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran for a refused x")
+
+        for name in ("scan_pairs", "build_context", "decomposition_audit"):
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["scan"], ["audit"], ["densities", "--lemma", "3"]],
+    )
+    def test_refused_before_any_sieve(self, tmp_path, monkeypatch, no_engine, args):
+        monkeypatch.setattr(cli, "_mem_available", lambda: 10**6)
+        rc, _ = run_cli([args[0], "--x", "100000", *args[1:]], tmp_path)
+        assert rc == 1
+
+    def test_unreadable_meminfo_never_refuses(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_mem_available", lambda: None)
+        assert cli._check_x(cli.MAX_X) == cli.MAX_X
+        rc, _ = run_cli(["scan", "--x", "1000", "--K", "20"], tmp_path)
+        assert rc == 0
+
+    def test_desk_scale_fits_a_small_machine(self, monkeypatch):
+        monkeypatch.setattr(cli, "_mem_available", lambda: 2 * 2**30)
+        assert cli._check_x(10**7) == 10**7
+        with pytest.raises(ValueError):
+            cli._check_x(10**8)
+
+    def test_reader_returns_bytes_or_none(self):
+        got = cli._mem_available()
+        assert got is None or (isinstance(got, int) and got > 0)
+
+
 class TestSingleValueCommands:
     def test_eta_text_trace(self, tmp_path):
         rc, text = run_cli(["eta", "5", "-3", "--no-timestamp"], tmp_path)
@@ -91,6 +130,24 @@ class TestSingleValueCommands:
         rc, text = run_cli(["eta", "-4", "-8", "--cap", "3", "--no-timestamp"], tmp_path)
         assert rc == 2
         assert "cap 3 exceeded" in text
+
+    @pytest.mark.parametrize("d1,d2", [(5, -3), (-4, -8), (1, -23), (-3, 1)])
+    def test_eta_json_at_cap_2_matches_eta(self, tmp_path, d1, d2):
+        rc, text = run_cli(
+            ["eta", str(d1), str(d2), "--cap", "2", "--format", "json", "--no-timestamp"],
+            tmp_path,
+        )
+        pair = NewformPair(d1, d2)
+        want = eta(pair, 2)
+        assert rc == (2 if want.status == "cap_exceeded" else 0)
+        got = json.loads(text)["payload"]
+        assert (got["status"], got["eta"]) == (want.status, want.prime)
+        trace = [] if d2 == 1 else [{"p": 2, "sign": sigma_sign_at_prime(pair, 2)}]
+        assert got["trace"] == trace
+
+    def test_eta_cap_below_2_exits_1(self, tmp_path):
+        rc, _ = run_cli(["eta", "-3", "1", "--cap", "1"], tmp_path)
+        assert rc == 1
 
     def test_eta_never(self, tmp_path):
         rc, text = run_cli(["eta", "-3", "1", "--no-timestamp"], tmp_path)

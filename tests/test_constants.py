@@ -6,6 +6,7 @@ import pytest
 
 from eta_lab.constants import (
     SERIES_NAMES,
+    _evaluate,
     ZETA2_HI,
     ZETA2_LO,
     RigorousValue,
@@ -75,6 +76,69 @@ class TestPartialSums:
             expected = p * pair_sign_probability(p, -1) * prod
             assert terms[k - 1] == expected, k
             prod *= pair_sign_probability(p, 0) + pair_sign_probability(p, 1)
+
+
+class TestOnePassExactness:
+    """The one-pass integer evaluation against the per-term definition."""
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 37, 200])
+    def test_partial_sums_equal_summed_terms(self, k):
+        for name in SERIES_NAMES:
+            assert partial_sum(name, k, PRIMES) == sum(series_terms(name, k, PRIMES)), name
+
+    @pytest.mark.parametrize("k", [10, 50, 1000])
+    def test_tails_equal_head_bound_times_product(self, k):
+        heads = {
+            "theta": lambda p: p * p * (p + 2) / (2 * (p + 1) ** 2),
+            "Theta": lambda p: p * p / (2 * (p + 1)),
+            "alpha": lambda p: p * p / (2 * (p + 1) ** 2),
+            "beta": lambda p: p / (2 * (p + 1) ** 2),
+        }
+        factors = {
+            "theta": lambda p: Fraction(2 + p * (p + 2), 2 * (p + 1) ** 2),
+            "Theta": lambda p: Fraction(p + 2, 2 * (p + 1)),
+        }
+        factors["alpha"] = factors["beta"] = factors["Theta"]
+        p_k = PRIMES.p(k)
+        grow = Fraction(6 * p_k, 5)
+        for name, head in heads.items():
+            prod = Fraction(1)
+            for j in range(1, k + 1):
+                prod *= factors[name](PRIMES.p(j))
+            first = head(grow if name != "beta" else Fraction(p_k)) * prod
+            ratio = Fraction(36, 25) * factors[name](p_k)
+            assert tail_bound(name, k, PRIMES) == first / (1 - ratio), name
+        erdos_first = grow / 2 ** (k + 1)
+        assert tail_bound("erdos", k, PRIMES) == erdos_first / (1 - Fraction(3, 5))
+
+    def test_second_call_is_read_from_the_memo(self):
+        first = combined_constant(77, PRIMES)
+        hits = _evaluate.cache_info().hits
+        again = combined_constant(77, PRIMES)
+        assert again == first and again is first
+        assert _evaluate.cache_info().hits == hits + 1
+        theta = rigorous_constant("theta", 77, PRIMES)
+        assert theta is rigorous_constant("theta", 77, default_primes(77))
+
+    def test_memo_is_keyed_by_primes_not_table(self):
+        # a table holding more primes shares the entry for the same first K
+        assert partial_sum("Theta", 40, default_primes(40)) is partial_sum("Theta", 40, PRIMES)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rigorous_constant("gamma", 50, PRIMES),
+            lambda: rigorous_constant("Theta", 0, PRIMES),
+            lambda: combined_constant(0, PRIMES),
+            lambda: mu_constant(9, PRIMES),
+            lambda: combined_constant(5000, default_primes(10)),
+            lambda: tail_bound("erdos", 9, PRIMES),
+            lambda: partial_sum("alpha", 0, PRIMES),
+        ],
+    )
+    def test_argument_errors_survive(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestTailBounds:

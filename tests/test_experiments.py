@@ -1,10 +1,11 @@
 """Pair scans, audits, densities, averages: exact cross-checks at small x."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from eta_lab.arith import is_fundamental, iter_primes, kronecker
+from eta_lab.arith import is_fundamental, iter_primes, kronecker, least_nonresidue, sieve_primes
 from eta_lab.experiments import (
     CapExceededError,
     build_context,
@@ -133,6 +134,23 @@ class TestDensityLemma:
             assert row.count == sum(1 for d in ds if kronecker(d, 2) == sign)
             assert row.total == len(ds)
 
+    @pytest.mark.parametrize("p", [3, 7, 1009, 1223, 1000003])
+    def test_chi_table_matches_kronecker(self, ctx2000, p):
+        # p <= len(entries) builds the residue table from squares; larger p
+        # applies Euler's criterion to the distinct residues only
+        chi = ctx2000.chi_array(p)
+        assert [int(c) for c in chi] == [kronecker(int(d), p) for d in ctx2000.entries]
+
+    def test_large_prime_costs_what_the_input_costs(self):
+        p = 10_000_019
+        ctx = build_context(1000)
+        start = time.perf_counter()
+        rep = density_lemma(1000, p, ctx)
+        assert time.perf_counter() - start < 2.0
+        ds = [int(d) for d in ctx.entries]
+        for row, sign in zip(rep.rows, (1, -1, 0)):
+            assert row.count == sum(1 for d in ds if kronecker(d, p) == sign)
+
     def test_rows_sum_to_one_exactly(self, ctx2000):
         for p in (2, 3, 5):
             rep = density_lemma(2000, p, ctx2000)
@@ -251,6 +269,15 @@ class TestAverages:
         rep = average_n1(10)
         assert rep.average == Fraction(7, 3)
         assert rep.count == 3
+
+    def test_average_n1_matches_scalar_oracle(self):
+        odd = sieve_primes(20000).primes[1:]
+        n1 = [least_nonresidue(p) for p in odd]
+        xs = list(range(3, 200)) + list(range(200, 20000, 911)) + [19997, 20000]
+        for x in xs:
+            count = sum(1 for p in odd if p <= x)
+            rep = average_n1(x)
+            assert (rep.total, rep.count) == (sum(n1[:count]), count), x
 
     def test_average_nd_matches_scalar(self, ctx2000):
         rep = average_nd(2000, ctx2000)
