@@ -215,13 +215,6 @@ def is_fundamental(d: int) -> bool:
     return False
 
 
-def check_fundamental(d: int) -> int:
-    """Validate d as a fundamental discriminant, returning it unchanged."""
-    if not is_fundamental(d):
-        raise ValueError(f"{d} is not a fundamental discriminant")
-    return d
-
-
 @dataclass(frozen=True, eq=False)
 class DiscriminantTable:
     """All fundamental discriminants D with |D| <= bound.

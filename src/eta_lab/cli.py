@@ -76,9 +76,10 @@ def _add_common(p: _Parser) -> None:
                    help="omit the timestamp for byte-deterministic output")
 
 
-# Peak RSS growth per unit of x, measured with resource.getrusage on
-# `scan --x X` at 1e5, 1e6 and 1e7 (73, 77 and 80 bytes on a 2-vCPU x86-64
-# host, Python 3.11, numpy 2.4), times 1.5 for margin.
+# Peak RSS growth per unit of x over the 35 MB of `scan --x 1`, measured
+# with resource.getrusage on `scan --x X` at 1e5, 1e6 and 1e7 (78, 78 and
+# 79 bytes on a 2-vCPU x86-64 host, Python 3.11, numpy 2.4), times 1.5 for
+# margin.
 _BYTES_PER_X = 120
 
 

@@ -19,6 +19,12 @@ cover the pair statistics:
 The sign-pattern count (density_lt) uses the same grouped prefix-table
 kernel, with the set of pattern primes dividing D2 as the signature.
 
+Both engines read one sign pass: for p = 2, 3, 5, ... up to max n(D),
+build_context computes chi_D(p) over the whole table once and takes n(D)
+(the first p with chi = -1), the qmask bit (D still without a -1 and
+chi = 0, i.e. p | D) and the cached chi column from it. average_n1 runs the
+same pass over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
+
 Their agreement on sum(eta) at equal x is asserted by the test suite. Pair
 iteration order is canonical (D2 by table order, D1 by table order within
 the |D1| <= x/|D2| prefix), and all aggregates are integers, so reports are
@@ -39,6 +45,7 @@ import numpy as np
 from .arith import (
     DiscriminantTable,
     is_prime,
+    iter_primes,
     kronecker,
     sieve_fundamental,
     sieve_primes,
@@ -118,24 +125,22 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
     return np.array(signs, dtype=np.int8)[inverse.reshape(-1)]
 
 
-def _least_negative_table(entries: np.ndarray) -> np.ndarray:
-    """n(D) per entry by synchronized prime passes; 0 marks D = 1."""
-    n = np.zeros(len(entries), dtype=np.int32)
-    alive = np.nonzero(entries != 1)[0]
-    sieve = sieve_primes(256)
-    idx = 0
-    while alive.size:
-        if idx >= len(sieve.primes):
-            sieve = sieve_primes(min(_N_SCAN_LIMIT, sieve.limit * 4))
-            if idx >= len(sieve.primes):
-                raise RuntimeError("n(D) scan exhausted its prime budget")
-        p = sieve.primes[idx]
-        idx += 1
-        chi = _chi_values(entries[alive], p)
-        hit = chi == -1
-        n[alive[hit]] = p
-        alive = alive[~hit]
-    return n
+def _sign_pass(entries: np.ndarray):
+    """One pass over the primes p = 2, 3, 5, ... for an array of discriminants.
+
+    Yields (p, chi, alive): chi = chi_D(p) over every entry, and alive marks
+    the D != 1 with no -1 at any prime below p. Stops once every D != 1 has
+    met a -1, so the last p yielded is max n(D).
+    """
+    alive = entries != 1
+    for p in iter_primes(_N_SCAN_LIMIT):
+        if not alive.any():
+            return
+        chi = _chi_values(entries, p)
+        yield p, chi, alive
+        alive = alive & (chi != -1)
+    if alive.any():
+        raise RuntimeError("n(D) scan exhausted its prime budget")
 
 
 @dataclass(eq=False)
@@ -173,36 +178,38 @@ class ScanContext:
 
 
 def build_context(x: int) -> ScanContext:
-    """Sieve |D| <= x and precompute n(D), prefix counts and chi caches."""
+    """Sieve |D| <= x and derive n(D), the qmask and the chi cache from one
+    sign pass, plus the prefix counts."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     table = sieve_fundamental(x)
     entries = table.entries
     abs_values = table.abs_values
-    nvals = _least_negative_table(entries)
-    max_n = int(nvals.max()) if len(nvals) else 0
-    cache_primes = tuple(p for p in sieve_primes(max(2, max_n)).primes if p < max_n)
-    if len(cache_primes) > 63:
-        raise RuntimeError("qmask would need more than 63 prime bits")
+    nvals = np.zeros(len(entries), dtype=np.int32)
     qmask = np.zeros(len(entries), dtype=np.int64)
-    for i, q in enumerate(cache_primes):
-        divides = np.mod(abs_values, q) == 0
-        qmask |= ((divides & (nvals > q)).astype(np.int64)) << i
+    chi: dict[int, np.ndarray] = {}
+    passed: list[int] = []
+    for i, (p, chi_p, alive) in enumerate(_sign_pass(entries)):
+        if i > 63:
+            raise RuntimeError("qmask would need more than 63 prime bits")
+        nvals[alive & (chi_p == -1)] = p
+        # for fundamental D, p | D exactly when chi_D(p) = 0
+        divides = alive & (chi_p == 0)
+        if divides.any():
+            qmask |= divides.astype(np.int64) << i
+            # the pair scan reads this chi; caching it here lets forked workers inherit it
+            chi[p] = chi_p
+        passed.append(p)
     prefix = np.searchsorted(abs_values, x // abs_values, side="right").astype(np.int64)
-    ctx = ScanContext(
+    return ScanContext(
         x=x,
         table=table,
         nvals=nvals,
         prefix=prefix,
         qmask=qmask,
-        cache_primes=cache_primes,
+        cache_primes=tuple(passed[:-1]),  # the primes below max n(D)
+        chi=chi,
     )
-    # warm the chi caches the pair scan reads, so forked workers inherit them
-    used = int(np.bitwise_or.reduce(qmask)) if len(qmask) else 0
-    for i, q in enumerate(cache_primes):
-        if (used >> i) & 1:
-            ctx.chi_array(q)
-    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,7 @@ class CountReport:
 @dataclass(frozen=True)
 class HarmonicReport:
     x: int
-    value: Fraction
+    residue: int                 # exact sum of 1/|D| modulo HARMONIC_MODULUS
     reference: float
     ratio: float
 
@@ -604,7 +611,8 @@ def density_pollack(
 
     D = 1 (no negative value exists) is excluded from both numerator and
     denominator; the exclusion is reported. A warning flags any k whose
-    prime exceeds (log x)^(1/3), the uniform range of the prediction.
+    prime exceeds (log x)^(1/3), the uniform range of the prediction. An x
+    with no D != 1 (x < 3) is rejected.
     """
     if ctx is None:
         ctx = build_context(x)
@@ -613,6 +621,8 @@ def density_pollack(
     primes = default_primes(k_max)
     nv = ctx.nvals[ctx.entries != 1]
     total = len(nv)
+    if total == 0:
+        raise ValueError(f"no fundamental discriminant D != 1 with |D| <= {x}")
     rows = []
     warnings = []
     uniform_bound = log(x) ** (1 / 3) if x > 1 else 0.0
@@ -736,35 +746,42 @@ def pair_count_check(x: int, ctx: ScanContext | None = None) -> CountReport:
     return CountReport(x=x, observed=observed, reference=reference, ratio=observed / reference)
 
 
-def _pairwise_tree_sum(terms: list) -> object:
-    while len(terms) > 1:
-        nxt = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
-        if len(terms) % 2:
-            nxt.append(terms[-1])
-        terms = nxt
-    return terms[0]
+# A prime above every accepted x, so each |D| is invertible modulo it.
+HARMONIC_MODULUS = 2**61 - 1
+
+
+def _float_of_reciprocal_sum(values: list[int]) -> float:
+    """The correctly rounded float of sum(1/a): each floor(2^k/a) loses less
+    than 1, so the sum lies in [S, S + n] / 2^k, S = sum(2^k // a). k grows
+    until both ends round to the same float."""
+    k = 128
+    while True:
+        scale = 1 << k
+        s = sum(scale // a for a in values)
+        lo, hi = s / scale, (s + len(values)) / scale
+        if lo == hi:
+            return lo
+        k *= 2
 
 
 def harmonic_sum_check(x: int, ctx: ScanContext | None = None) -> HarmonicReport:
-    """Exact sum of 1/|D| over fundamental |D| <= x vs log x / zeta(2).
+    """Sum of 1/|D| over fundamental |D| <= x vs log x / zeta(2).
 
-    Balanced-tree accumulation keeps the exact rational tractable; gmpy2
-    is used when installed (the result is identical, only faster).
+    The exact rational is represented by its residue modulo HARMONIC_MODULUS
+    (the sum of the modular inverses of |D|) and the ratio is computed from a
+    proven integer enclosure, so no exact rational is ever built.
     """
     if ctx is None:
         ctx = build_context(x)
-    abs_vals = [int(a) for a in ctx.abs_values]
-    try:
-        import gmpy2
-
-        total = _pairwise_tree_sum([gmpy2.mpq(1, a) for a in abs_vals])
-        value = Fraction(int(total.numerator), int(total.denominator))
-    except ImportError:
-        value = _pairwise_tree_sum([Fraction(1, a) for a in abs_vals])
+    abs_vals = ctx.abs_values.tolist()
+    residue = sum(pow(a, -1, HARMONIC_MODULUS) for a in abs_vals) % HARMONIC_MODULUS
     zeta2 = float((ZETA2_LO + ZETA2_HI) / 2)
     reference = log(x) / zeta2
     return HarmonicReport(
-        x=x, value=value, reference=reference, ratio=float(value) / reference
+        x=x,
+        residue=residue,
+        reference=reference,
+        ratio=_float_of_reciprocal_sum(abs_vals) / reference,
     )
 
 
@@ -804,8 +821,10 @@ def average_n1(x: int, k_terms: int = 1000, digits: int = 12) -> AverageReport:
     odd = np.array(sieve_primes(x).primes[1:], dtype=np.int64)
     # p* = +-p = 1 mod 4 is a fundamental discriminant and, by quadratic
     # reciprocity (with (2/p) set by p mod 8), n(p*) = n_1(p)
-    n1 = _least_negative_table(np.where(odd % 4 == 1, odd, -odd))
-    total = int(n1.sum(dtype=np.int64))
+    n1 = np.zeros(len(odd), dtype=np.int64)
+    for p, chi, alive in _sign_pass(np.where(odd % 4 == 1, odd, -odd)):
+        n1[alive & (chi == -1)] = p
+    total = int(n1.sum())
     count = len(n1)
     avg = Fraction(total, count)
     ref = rigorous_constant("erdos", k_terms)

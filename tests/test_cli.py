@@ -215,6 +215,12 @@ class TestDensitiesCommand:
         rc, _ = run_cli(["densities", "--x", "1000"] + flags, tmp_path)
         assert rc == 1
 
+    @pytest.mark.parametrize("x,k_max", [("1", "4"), ("2", "1")])
+    def test_pollack_without_any_d_exits_1(self, tmp_path, capsys, x, k_max):
+        rc, _ = run_cli(["densities", "--x", x, "--pollack", k_max], tmp_path)
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+
 
 class TestAuditCommand:
     def test_text_output(self, tmp_path):

@@ -2,10 +2,13 @@
 
 import time
 from fractions import Fraction
+from math import log
 
+import numpy as np
 import pytest
 
 from eta_lab.arith import is_fundamental, iter_primes, kronecker, least_nonresidue, sieve_primes
+from eta_lab.constants import ZETA2_HI, ZETA2_LO
 from eta_lab.experiments import (
     CapExceededError,
     build_context,
@@ -21,6 +24,9 @@ from eta_lab.experiments import (
 )
 from eta_lab.newform import least_negative_prime
 from eta_lab.verify import brute_force_pair_sum
+
+
+ZETA2_MID = float((ZETA2_LO + ZETA2_HI) / 2)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +63,16 @@ class TestContext:
                 if (int(ctx.qmask[i]) >> b) & 1
             }
             assert got == expected, d
+
+    @pytest.mark.parametrize("x", [1, 10, 500, 2000])
+    def test_chi_cache_is_kronecker_at_the_used_qmask_bits(self, x):
+        ctx = build_context(x)
+        used = int(np.bitwise_or.reduce(ctx.qmask))
+        assert sorted(ctx.chi) == [
+            q for b, q in enumerate(ctx.cache_primes) if (used >> b) & 1
+        ]
+        for q, chi in ctx.chi.items():
+            assert chi.tolist() == [kronecker(int(d), q) for d in ctx.entries], q
 
     def test_prefix_counts(self, ctx2000):
         for i in range(0, len(ctx2000.entries), 97):
@@ -241,20 +257,27 @@ class TestCountsAndHarmonic:
         brute = sum(1 for d2 in ds for d1 in ds if abs(d1 * d2) <= x)
         assert pair_count_check(x).observed == brute
 
-    def test_harmonic_exact_at_x10(self):
-        rep = harmonic_sum_check(10)
-        assert rep.value == Fraction(457, 210)
-
-    def test_harmonic_monotone(self):
-        vals = [harmonic_sum_check(x).value for x in (10, 50, 200, 1000)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_harmonic_tree_equals_plain_fold(self):
-        ds = brute_discriminants(3000)
+    @staticmethod
+    def _fold_report(x):
+        """Residue modulo 2^61 - 1 and ratio of a plain Fraction fold of 1/|D|."""
         fold = Fraction(0)
-        for d in ds:
+        for d in brute_discriminants(x):
             fold += Fraction(1, abs(d))
-        assert harmonic_sum_check(3000).value == fold
+        modulus = 2**61 - 1
+        residue = fold.numerator * pow(fold.denominator, -1, modulus) % modulus
+        return fold, residue, float(fold) / (log(x) / ZETA2_MID)
+
+    def test_harmonic_exact_at_x10(self):
+        fold, residue, ratio = self._fold_report(10)
+        assert fold == Fraction(457, 210)
+        rep = harmonic_sum_check(10)
+        assert (rep.residue, rep.ratio) == (residue, ratio)
+
+    def test_harmonic_matches_plain_fold(self):
+        for x in (10, 50, 200, 1000, 3000):
+            _, residue, ratio = self._fold_report(x)
+            rep = harmonic_sum_check(x)
+            assert (rep.residue, rep.ratio) == (residue, ratio), x
 
 
 class TestAverages:
