@@ -14,7 +14,6 @@ Submodules:
 __version__ = "0.1.0"
 
 from .arith import (
-    PrimeTable,
     DiscriminantTable,
     sieve_primes,
     kronecker,
@@ -48,7 +47,6 @@ from .constants import (
 )
 
 __all__ = [
-    "PrimeTable",
     "DiscriminantTable",
     "sieve_primes",
     "kronecker",

@@ -3,6 +3,8 @@
 Conventions used throughout the package:
 
   * Signs are plain ints restricted to {-1, 0, +1}.
+  * Primes come as plain increasing tuples of ints: the kth prime p_k is
+    primes[k - 1].
   * D = 1 counts as a fundamental discriminant (the trivial character);
     statistics that are undefined at D = 1 exclude it explicitly.
   * The Kronecker symbol (D/n) is defined for every integer D and every
@@ -14,12 +16,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 import numpy as np
 
 __all__ = [
-    "PrimeTable",
     "DiscriminantTable",
     "sieve_primes",
     "iter_primes",
@@ -36,81 +38,38 @@ __all__ = [
 # Primes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes <= limit, 1-based: p(1) = 2, p(2) = 3, ...
+def sieve_primes(limit: int) -> tuple[int, ...]:
+    """All primes <= `limit`, in increasing order, by the sieve of Eratosthenes.
 
-    Immutable after construction; safe for concurrent readers.
+    Raises ValueError for limit < 2.
     """
-
-    limit: int
-    primes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def p(self, k: int) -> int:
-        """The kth prime (1-based)."""
-        if k < 1:
-            raise ValueError(f"prime index must be >= 1, got {k}")
-        if k > len(self.primes):
-            raise ValueError(
-                f"prime table up to {self.limit} holds only "
-                f"{len(self.primes)} primes, index {k} requested"
-            )
-        return self.primes[k - 1]
-
-
-def _prime_sieve(limit: int) -> bytearray:
-    """Boolean sieve: sieve[i] == 1 iff i is prime, 0 <= i <= limit."""
+    if limit < 2:
+        raise ValueError(f"sieve limit must be >= 2, got {limit}")
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             start = p * p
             sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
-    return sieve
-
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to `limit` inclusive.
-
-    Raises ValueError for limit < 2.
-    """
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    sieve = _prime_sieve(limit)
-    return PrimeTable(limit=limit, primes=tuple(i for i, v in enumerate(sieve) if v))
+    return tuple(compress(range(limit + 1), sieve))
 
 
 def iter_primes(limit: int):
-    """Yield primes <= limit in increasing order, sieving in growing blocks.
+    """Yield primes <= limit in increasing order, sieving over doubling limits.
 
-    Stateless; cheap when the consumer stops early (block sizes double
-    starting at 256), which is the normal case for first-sign scans.
+    Each round re-sieves up to twice the previous limit (starting at 256)
+    and yields only the primes it adds. Stateless; cheap when the consumer
+    stops early, which is the normal case for first-sign scans.
     """
-    lo = 2
-    size = 256
-    while lo <= limit:
-        hi = min(limit, lo + size - 1)
-        block = sieve_primes(hi).primes if lo == 2 else _segment(lo, hi)
-        yield from block
-        lo = hi + 1
-        size *= 2
-
-
-def _segment(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi] via a segmented sieve."""
-    base = sieve_primes(isqrt(hi)).primes if hi >= 4 else ()
-    seg = bytearray([1]) * (hi - lo + 1)
-    for p in base:
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        for m in range(start, hi + 1, p):
-            seg[m - lo] = 0
-    return [lo + i for i, v in enumerate(seg) if v and lo + i >= 2]
+    if limit < 2:
+        return
+    seen, hi = 0, 256
+    while True:
+        primes = sieve_primes(min(hi, limit))
+        yield from primes[seen:]
+        if hi >= limit:
+            return
+        seen, hi = len(primes), 2 * hi
 
 
 def is_prime(n: int) -> bool:
@@ -253,7 +212,7 @@ def sieve_fundamental(bound: int) -> DiscriminantTable:
         raise ValueError(f"bound must be >= 1, got {bound}")
     sf = np.ones(bound + 1, dtype=bool)
     sf[0] = False
-    for p in sieve_primes(max(2, isqrt(bound))).primes:
+    for p in sieve_primes(max(2, isqrt(bound))):
         if p * p > bound:
             break
         sf[p * p :: p * p] = False

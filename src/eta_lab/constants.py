@@ -39,9 +39,10 @@ Theta*(1-beta)+alpha and mu = combined - theta) come from one integer pass:
   * every result is reduced to lowest terms once, by Fraction(N, D).
 
 Rationals are unique in lowest terms, so the results are identical to
-summing series_terms, the per-term definition kept for the tests. The pass
-is memoised per process, keyed by the tuple (p_1, ..., p_K), and the public
-functions read from it; nothing is computed at import time.
+summing series_terms, the per-term definition kept for the tests. A
+truncation is fixed by K alone: the pass sieves the first K primes itself,
+is memoised per process keyed by K, and the public functions read from it;
+nothing is computed at import time.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, log
 
-from .arith import PrimeTable, sieve_primes
+from .arith import sieve_primes
 
 __all__ = [
     "SERIES_NAMES",
@@ -154,50 +155,40 @@ class RigorousValue:
         return self.lo <= x <= self.hi
 
 
-def default_primes(k_terms: int) -> PrimeTable:
-    """A prime table holding at least k_terms primes."""
+def default_primes(k_terms: int) -> tuple[int, ...]:
+    """The first k_terms primes p_1 < ... < p_K."""
     if k_terms < 1:
         raise ValueError("k_terms must be >= 1")
     limit = 64
     if k_terms > 16:
         limit = int(k_terms * (log(k_terms) + log(log(k_terms)) + 1.1)) + 16
     while True:
-        table = sieve_primes(limit)
-        if len(table) >= k_terms:
-            return table
+        primes = sieve_primes(limit)
+        if len(primes) >= k_terms:
+            return primes[:k_terms]
         limit *= 2
 
 
-def _check(name: str, k_terms: int, primes: PrimeTable) -> None:
+def _check_name(name: str) -> None:
     if name not in SERIES_NAMES:
         raise ValueError(f"unknown series {name!r}, expected one of {SERIES_NAMES}")
-    _check_terms(k_terms, primes)
 
 
-def _check_terms(k_terms: int, primes: PrimeTable) -> None:
-    if k_terms < 1:
-        raise ValueError(f"k_terms must be >= 1, got {k_terms}")
-    if len(primes) < k_terms:
-        raise ValueError(
-            f"prime table holds {len(primes)} primes, {k_terms} needed"
-        )
-
-
-def series_terms(name: str, k_terms: int, primes: PrimeTable) -> list[Fraction]:
+def series_terms(name: str, k_terms: int) -> list[Fraction]:
     """Exact terms term_1..term_K, straight from the definition.
 
     The reference the one-pass evaluation is tested against; nothing else
     in the package sums these.
     """
-    _check(name, k_terms, primes)
+    _check_name(name)
+    primes = default_primes(k_terms)
     if name == "erdos":
-        return [Fraction(primes.p(k), 2**k) for k in range(1, k_terms + 1)]
+        return [Fraction(p, 2**k) for k, p in enumerate(primes, 1)]
     head = _HEADS[name]
     factor = _FACTORS[name]
     out: list[Fraction] = []
     prod = Fraction(1)
-    for k in range(1, k_terms + 1):
-        p = primes.p(k)
+    for p in primes:
         out.append(_ratio(head(p)) * prod)
         prod *= _ratio(factor(p))
     return out
@@ -242,13 +233,11 @@ def _tail(name: str, p_K: int, prod: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=16)
-def _evaluate(ps: tuple[int, ...]) -> _Evaluation:
-    """The partial sums and enclosures for the primes ps = (p_1..p_K).
-
-    Memoised per process on the primes themselves, so any prime table
-    holding the same first K primes shares the entry.
-    """
-    k_terms, p_K = len(ps), ps[-1]
+def _evaluate(k_terms: int) -> _Evaluation:
+    """The partial sums and enclosures through the first k_terms primes,
+    memoised per process on K."""
+    ps = default_primes(k_terms)
+    p_K = ps[-1]
     sums: dict[str, Fraction] = {}
     products: dict[str, Fraction] = {}
     for factor, names in _PRODUCT_GROUPS:
@@ -285,64 +274,50 @@ def _evaluate(ps: tuple[int, ...]) -> _Evaluation:
     return _Evaluation(sums=sums, values=values)
 
 
-def _evaluation(k_terms: int, primes: PrimeTable, tail: bool = True) -> _Evaluation:
-    """The memoised evaluation for the first k_terms primes of the table.
+def _evaluation(k_terms: int, tail: bool = True) -> _Evaluation:
+    """The memoised evaluation for K = k_terms.
 
     With tail set, requires p_K >= 25 so Nagura's prime-gap theorem gives
     p_{k+1} <= 1.2 p_k for all k >= K.
     """
-    _check_terms(k_terms, primes)
-    p_K = primes.p(k_terms)
-    if tail and p_K < 25:
-        raise ValueError(
-            f"tail bound needs p_K >= 25 (K >= 10); got p_{k_terms} = {p_K}"
-        )
-    return _evaluate(primes.primes[:k_terms])
+    ev = _evaluate(k_terms)
+    if tail and not ev.values:
+        p_K = default_primes(k_terms)[-1]
+        raise ValueError(f"tail bound needs p_K >= 25 (K >= 10); got p_{k_terms} = {p_K}")
+    return ev
 
 
-def partial_sum(name: str, k_terms: int, primes: PrimeTable) -> Fraction:
+def partial_sum(name: str, k_terms: int) -> Fraction:
     """Exact partial sum of the named series through k_terms terms."""
-    _check(name, k_terms, primes)
-    return _evaluation(k_terms, primes, tail=False).sums[name]
+    _check_name(name)
+    return _evaluation(k_terms, tail=False).sums[name]
 
 
-def tail_bound(name: str, k_terms: int, primes: PrimeTable) -> Fraction:
+def tail_bound(name: str, k_terms: int) -> Fraction:
     """Exact rational T with sum_{k > k_terms} term_k <= T.
 
     Requires p_K >= 25 so Nagura's prime-gap theorem gives
     p_{k+1} <= 1.2 p_k for all k >= K.
     """
-    _check(name, k_terms, primes)
-    return _evaluation(k_terms, primes).values[name].width
+    _check_name(name)
+    return _evaluation(k_terms).values[name].width
 
 
-def rigorous_constant(
-    name: str, k_terms: int = 1000, primes: PrimeTable | None = None
-) -> RigorousValue:
+def rigorous_constant(name: str, k_terms: int = 1000) -> RigorousValue:
     """[partial_sum, partial_sum + tail_bound] for the named constant."""
-    if primes is None:
-        primes = default_primes(k_terms)
-    _check(name, k_terms, primes)
-    return _evaluation(k_terms, primes).values[name]
+    _check_name(name)
+    return _evaluation(k_terms).values[name]
 
 
-def combined_constant(
-    k_terms: int = 1000, primes: PrimeTable | None = None
-) -> RigorousValue:
+def combined_constant(k_terms: int = 1000) -> RigorousValue:
     """Enclosure of Theta*(1-beta)+alpha by interval arithmetic."""
-    if primes is None:
-        primes = default_primes(k_terms)
-    return _evaluation(k_terms, primes).values["combined"]
+    return _evaluation(k_terms).values["combined"]
 
 
-def mu_constant(
-    k_terms: int = 1000, primes: PrimeTable | None = None
-) -> RigorousValue:
+def mu_constant(k_terms: int = 1000) -> RigorousValue:
     """Enclosure of mu = (Theta*(1-beta)+alpha) - theta, the part of the
     eta average contributed by unboundedly large primes."""
-    if primes is None:
-        primes = default_primes(k_terms)
-    return _evaluation(k_terms, primes).values["mu"]
+    return _evaluation(k_terms).values["mu"]
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +403,13 @@ def pair_sign_probability(p: int, sign: int) -> Fraction:
     raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
 
 
-def least_negative_density(k: int, primes: PrimeTable) -> Fraction:
+def least_negative_density(k: int) -> Fraction:
     """Limit proportion of fundamental discriminants with n(D) = p_k:
     p_k/(2(p_k+1)) * prod_{j<k} (p_j+2)/(2(p_j+1))."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = primes.p(k)
+    *below, p = default_primes(k)
     out = Fraction(p, 2 * (p + 1))
-    for j in range(1, k):
-        out *= _ratio(_factor_shared(primes.p(j)))
+    for q in below:
+        out *= _ratio(_factor_shared(q))
     return out

@@ -425,11 +425,10 @@ def scan_pairs(
     included = pairs_total - pairs_excluded
     avg = Fraction(sum_eta, included) if included else Fraction(0)
 
-    primes = default_primes(k_terms)
     refs = {
-        "theta": rigorous_constant("theta", k_terms, primes),
-        "combined": combined_constant(k_terms, primes),
-        "Theta": rigorous_constant("Theta", k_terms, primes),
+        "theta": rigorous_constant("theta", k_terms),
+        "combined": combined_constant(k_terms),
+        "Theta": rigorous_constant("Theta", k_terms),
     }
     return PairScanReport(
         x=x,
@@ -534,7 +533,7 @@ def decomposition_audit(
     if ctx is None:
         ctx = build_context(x)
     max_n = int(ctx.nvals.max()) if len(ctx.nvals) else 2
-    scan_primes = sieve_primes(max(2, max_n)).primes
+    scan_primes = sieve_primes(max(2, max_n))
     parts = _run_chunked(
         _audit_chunk, (ctx, cap, scan_primes), len(ctx.entries), workers
     )
@@ -618,7 +617,6 @@ def density_pollack(
         ctx = build_context(x)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    primes = default_primes(k_max)
     nv = ctx.nvals[ctx.entries != 1]
     total = len(nv)
     if total == 0:
@@ -626,11 +624,10 @@ def density_pollack(
     rows = []
     warnings = []
     uniform_bound = log(x) ** (1 / 3) if x > 1 else 0.0
-    for k in range(1, k_max + 1):
-        p = primes.p(k)
+    for k, p in enumerate(default_primes(k_max), 1):
         cnt = int((nv == p).sum())
         obs = Fraction(cnt, total)
-        pred = least_negative_density(k, primes)
+        pred = least_negative_density(k)
         rows.append(
             DensityRow(
                 label=f"n(D)=p_{k}={p}",
@@ -730,13 +727,19 @@ def density_lt(
 # Counts, harmonic sum, averages
 # ---------------------------------------------------------------------------
 
+def _check_log_scale(x: int) -> None:
+    if x < 2:
+        raise ValueError(f"x must be >= 2 so the log x reference is nonzero, got {x}")
+
+
 def pair_count_check(x: int, ctx: ScanContext | None = None) -> CountReport:
     """#{ordered pairs : |D1*D2| <= x} against the x log x / zeta(2)^2 scale.
 
     Convergence is logarithmically slow; the ratio column is informational
     and regression-tested against a golden band, never against zeta(2)
-    itself.
+    itself. An x < 2, where the scale is 0, is rejected.
     """
+    _check_log_scale(x)
     if ctx is None:
         ctx = build_context(x)
     # iterate D1, prefix-count the admissible D2 range
@@ -768,13 +771,19 @@ def harmonic_sum_check(x: int, ctx: ScanContext | None = None) -> HarmonicReport
     """Sum of 1/|D| over fundamental |D| <= x vs log x / zeta(2).
 
     The exact rational is represented by its residue modulo HARMONIC_MODULUS
-    (the sum of the modular inverses of |D|) and the ratio is computed from a
-    proven integer enclosure, so no exact rational is ever built.
+    and the ratio is computed from a proven integer enclosure, so no exact
+    rational is ever built. The residue folds the sum as one fraction n/d
+    modulo the prime, n/d + 1/a = (n*a + d)/(d*a), and inverts d once. An
+    x < 2, where the reference log x / zeta(2) is 0, is rejected.
     """
+    _check_log_scale(x)
     if ctx is None:
         ctx = build_context(x)
     abs_vals = ctx.abs_values.tolist()
-    residue = sum(pow(a, -1, HARMONIC_MODULUS) for a in abs_vals) % HARMONIC_MODULUS
+    num, den = 0, 1
+    for a in abs_vals:
+        num, den = (num * a + den) % HARMONIC_MODULUS, den * a % HARMONIC_MODULUS
+    residue = num * pow(den, -1, HARMONIC_MODULUS) % HARMONIC_MODULUS
     zeta2 = float((ZETA2_LO + ZETA2_HI) / 2)
     reference = log(x) / zeta2
     return HarmonicReport(
@@ -788,12 +797,17 @@ def harmonic_sum_check(x: int, ctx: ScanContext | None = None) -> HarmonicReport
 def average_nd(
     x: int, ctx: ScanContext | None = None, k_terms: int = 1000, digits: int = 12
 ) -> AverageReport:
-    """Average of n(D) over fundamental |D| <= x, D != 1, against Theta."""
+    """Average of n(D) over fundamental |D| <= x, D != 1, against Theta.
+
+    An x with no D != 1 (x < 3) is rejected.
+    """
     if ctx is None:
         ctx = build_context(x)
     nv = ctx.nvals[ctx.entries != 1]
     total = int(nv.sum())
     count = len(nv)
+    if count == 0:
+        raise ValueError(f"no fundamental discriminant D != 1 with |D| <= {x}")
     avg = Fraction(total, count)
     ref = rigorous_constant("Theta", k_terms)
     return AverageReport(
@@ -818,7 +832,7 @@ def average_n1(x: int, k_terms: int = 1000, digits: int = 12) -> AverageReport:
     """
     if x < 3:
         raise ValueError("x must be >= 3 so at least one odd prime enters")
-    odd = np.array(sieve_primes(x).primes[1:], dtype=np.int64)
+    odd = np.array(sieve_primes(x)[1:], dtype=np.int64)
     # p* = +-p = 1 mod 4 is a fundamental discriminant and, by quadratic
     # reciprocity (with (2/p) set by p mod 8), n(p*) = n_1(p)
     n1 = np.zeros(len(odd), dtype=np.int64)

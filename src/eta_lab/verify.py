@@ -37,7 +37,6 @@ from .arith import (
 )
 from .constants import (
     combined_constant,
-    default_primes,
     least_negative_density,
     render_decimal,
     rigorous_constant,
@@ -126,10 +125,9 @@ def brute_force_pair_sum(x: int) -> tuple[int, int, int]:
 
 def _crit_1_constants() -> tuple[bool, str]:
     t0 = time.time()
-    primes = default_primes(1000)
-    th = rigorous_constant("theta", 1000, primes)
-    big = rigorous_constant("Theta", 1000, primes)
-    comb = combined_constant(1000, primes)
+    th = rigorous_constant("theta", 1000)
+    big = rigorous_constant("Theta", 1000)
+    comb = combined_constant(1000)
     elapsed = time.time() - t0
     th_s = render_decimal(th, 10)
     big_s = render_decimal(big, 10)
@@ -148,7 +146,7 @@ def _crit_1_constants() -> tuple[bool, str]:
 
 
 def _crit_2_oracles() -> tuple[bool, str]:
-    primes = [p for p in sieve_primes(500).primes if p != 2]
+    primes = sieve_primes(500)[1:]
     bad = 0
     for p in primes:
         for d in range(-500, 501):
@@ -158,7 +156,7 @@ def _crit_2_oracles() -> tuple[bool, str]:
 
     rng = random.Random(20240917)
     fundos = [d for a in range(1, 1001) for d in (-a, a) if is_fundamental(d)]
-    sign_primes = sieve_primes(50).primes
+    sign_primes = sieve_primes(50)
     pair_checks = 0
     for _ in range(10_000):
         d1 = rng.choice(fundos)
@@ -241,8 +239,7 @@ def _crit_4_lemma(ctx6: ScanContext) -> tuple[bool, str]:
 
 
 def _crit_5_pollack(ctx6: ScanContext) -> tuple[bool, str]:
-    primes = default_primes(4)
-    k1 = least_negative_density(1, primes)
+    k1 = least_negative_density(1)
     rep = density_pollack(ctx6.x, 4, ctx6)
     worst = max(row.relative_error for row in rep.rows)
     ok = k1 == Fraction(1, 3) and worst < Fraction(2, 100)

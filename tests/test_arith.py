@@ -26,29 +26,23 @@ def trial_division_primes(limit):
 
 class TestSievePrimes:
     def test_small(self):
-        assert sieve_primes(10).primes == (2, 3, 5, 7)
-        assert sieve_primes(2).primes == (2,)
+        assert sieve_primes(10) == (2, 3, 5, 7)
+        assert sieve_primes(2) == (2,)
 
     def test_against_trial_division(self):
-        table = sieve_primes(100)
-        assert list(table.primes) == trial_division_primes(100)
-        assert len(table) == 25
-        assert table.p(25) == 97
-
-    def test_one_based_indexing(self):
-        table = sieve_primes(30)
-        assert table.p(1) == 2 and table.p(2) == 3
-        with pytest.raises(ValueError):
-            table.p(0)
-        with pytest.raises(ValueError):
-            table.p(len(table) + 1)
+        primes = sieve_primes(100)
+        assert list(primes) == trial_division_primes(100)
+        assert len(primes) == 25
+        assert primes[-1] == 97
 
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
             sieve_primes(1)
 
-    def test_iter_primes_blocks_match_sieve(self):
-        assert list(iter_primes(2000)) == list(sieve_primes(2000).primes)
+    # edges of the doubling rounds 256, 512, 1024, ...
+    @pytest.mark.parametrize("limit", [1, 2, 3, 255, 256, 257, 511, 512, 513, 2000])
+    def test_iter_primes_blocks_match_sieve(self, limit):
+        assert list(iter_primes(limit)) == trial_division_primes(limit)
 
 
 class TestKronecker:
@@ -70,7 +64,7 @@ class TestKronecker:
             kronecker(5, -3)
 
     def test_matches_euler_criterion_oracle(self):
-        for p in sieve_primes(100).primes:
+        for p in sieve_primes(100):
             if p == 2:
                 continue
             for d in range(-100, 101):
@@ -169,5 +163,5 @@ class TestLeastNonresidue:
                 least_nonresidue(bad)
 
     def test_always_prime_up_to_1e5(self):
-        for p in sieve_primes(100_000).primes[1:]:
+        for p in sieve_primes(100_000)[1:]:
             assert is_prime(least_nonresidue(p))

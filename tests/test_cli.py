@@ -115,6 +115,27 @@ class TestMemoryRefusal:
         assert got is None or (isinstance(got, int) and got > 0)
 
 
+class TestKRefusal:
+    """--K above MAX_K is refused before any sieve or series pass."""
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran for a refused K")
+
+        for name in ("scan_pairs", "rigorous_constant", "combined_constant", "mu_constant"):
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.mark.parametrize("args", [["constants"], ["scan", "--x", "1000"]])
+    def test_refused_before_any_sieve(self, tmp_path, capsys, no_engine, args):
+        rc, _ = run_cli([*args, "--K", str(cli.MAX_K + 1)], tmp_path)
+        assert rc == 1
+        assert f"exceeds {cli.MAX_K}" in capsys.readouterr().err
+
+    def test_bound_is_inclusive(self):
+        assert cli._check_k(cli.MAX_K) == cli.MAX_K
+
+
 class TestSingleValueCommands:
     def test_eta_text_trace(self, tmp_path):
         rc, text = run_cli(["eta", "5", "-3", "--no-timestamp"], tmp_path)

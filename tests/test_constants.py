@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from eta_lab.arith import sieve_primes
 from eta_lab.constants import (
     SERIES_NAMES,
     _evaluate,
@@ -28,27 +29,22 @@ PRIMES = default_primes(2300)
 
 class TestPartialSums:
     def test_single_term_values(self):
-        assert partial_sum("Theta", 1, PRIMES) == Fraction(2, 3)
-        assert partial_sum("alpha", 1, PRIMES) == Fraction(2, 9)
-        assert partial_sum("beta", 1, PRIMES) == Fraction(1, 9)
-        assert partial_sum("theta", 1, PRIMES) == Fraction(8, 9)
+        assert partial_sum("Theta", 1) == Fraction(2, 3)
+        assert partial_sum("alpha", 1) == Fraction(2, 9)
+        assert partial_sum("beta", 1) == Fraction(1, 9)
+        assert partial_sum("theta", 1) == Fraction(8, 9)
 
     def test_erdos_three_terms(self):
-        assert partial_sum("erdos", 3, PRIMES) == Fraction(19, 8)
+        assert partial_sum("erdos", 3) == Fraction(19, 8)
 
     def test_strictly_increasing_in_k(self):
         for name in SERIES_NAMES:
-            sums = [partial_sum(name, k, PRIMES) for k in range(1, 31)]
+            sums = [partial_sum(name, k) for k in range(1, 31)]
             assert all(a < b for a, b in zip(sums, sums[1:])), name
-
-    def test_insufficient_primes_rejected(self):
-        small = default_primes(10)
-        with pytest.raises(ValueError):
-            partial_sum("Theta", 10_000, small)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            partial_sum("gamma", 5, PRIMES)
+            partial_sum("gamma", 5)
 
     def test_evaluation_order_does_not_matter(self):
         # left fold vs balanced tree: identical exact rationals
@@ -61,7 +57,7 @@ class TestPartialSums:
             return terms[0]
 
         for name in SERIES_NAMES:
-            terms = series_terms(name, 120, PRIMES)
+            terms = series_terms(name, 120)
             fold = Fraction(0)
             for t in terms:
                 fold += t
@@ -69,10 +65,10 @@ class TestPartialSums:
 
     def test_heuristic_identity_for_theta_terms(self):
         # theta's kth term is p_k * P(sign=-1 at p_k) * prod_{j<k} P(sign 0 or +1)
-        terms = series_terms("theta", 50, PRIMES)
+        terms = series_terms("theta", 50)
         prod = Fraction(1)
         for k in range(1, 51):
-            p = PRIMES.p(k)
+            p = PRIMES[k - 1]
             expected = p * pair_sign_probability(p, -1) * prod
             assert terms[k - 1] == expected, k
             prod *= pair_sign_probability(p, 0) + pair_sign_probability(p, 1)
@@ -84,7 +80,7 @@ class TestOnePassExactness:
     @pytest.mark.parametrize("k", [1, 2, 10, 37, 200])
     def test_partial_sums_equal_summed_terms(self, k):
         for name in SERIES_NAMES:
-            assert partial_sum(name, k, PRIMES) == sum(series_terms(name, k, PRIMES)), name
+            assert partial_sum(name, k) == sum(series_terms(name, k)), name
 
     @pytest.mark.parametrize("k", [10, 50, 1000])
     def test_tails_equal_head_bound_times_product(self, k):
@@ -99,41 +95,44 @@ class TestOnePassExactness:
             "Theta": lambda p: Fraction(p + 2, 2 * (p + 1)),
         }
         factors["alpha"] = factors["beta"] = factors["Theta"]
-        p_k = PRIMES.p(k)
+        p_k = PRIMES[k - 1]
         grow = Fraction(6 * p_k, 5)
         for name, head in heads.items():
             prod = Fraction(1)
             for j in range(1, k + 1):
-                prod *= factors[name](PRIMES.p(j))
+                prod *= factors[name](PRIMES[j - 1])
             first = head(grow if name != "beta" else Fraction(p_k)) * prod
             ratio = Fraction(36, 25) * factors[name](p_k)
-            assert tail_bound(name, k, PRIMES) == first / (1 - ratio), name
+            assert tail_bound(name, k) == first / (1 - ratio), name
         erdos_first = grow / 2 ** (k + 1)
-        assert tail_bound("erdos", k, PRIMES) == erdos_first / (1 - Fraction(3, 5))
+        assert tail_bound("erdos", k) == erdos_first / (1 - Fraction(3, 5))
 
     def test_second_call_is_read_from_the_memo(self):
-        first = combined_constant(77, PRIMES)
+        first = combined_constant(77)
         hits = _evaluate.cache_info().hits
-        again = combined_constant(77, PRIMES)
+        again = combined_constant(77)
         assert again == first and again is first
         assert _evaluate.cache_info().hits == hits + 1
-        theta = rigorous_constant("theta", 77, PRIMES)
-        assert theta is rigorous_constant("theta", 77, default_primes(77))
+        assert rigorous_constant("theta", 77) is rigorous_constant("theta", 77)
 
-    def test_memo_is_keyed_by_primes_not_table(self):
-        # a table holding more primes shares the entry for the same first K
-        assert partial_sum("Theta", 40, default_primes(40)) is partial_sum("Theta", 40, PRIMES)
+    def test_default_primes_are_exactly_the_first_k(self):
+        assert default_primes(1) == (2,)
+        assert default_primes(10) == sieve_primes(29)
+        assert len(PRIMES) == 2300 and PRIMES == sieve_primes(PRIMES[-1])
+
+    def test_memo_is_keyed_by_k(self):
+        assert partial_sum("Theta", 40) is partial_sum("Theta", 40)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: rigorous_constant("gamma", 50, PRIMES),
-            lambda: rigorous_constant("Theta", 0, PRIMES),
-            lambda: combined_constant(0, PRIMES),
-            lambda: mu_constant(9, PRIMES),
-            lambda: combined_constant(5000, default_primes(10)),
-            lambda: tail_bound("erdos", 9, PRIMES),
-            lambda: partial_sum("alpha", 0, PRIMES),
+            lambda: rigorous_constant("gamma", 50),
+            lambda: rigorous_constant("Theta", 0),
+            lambda: combined_constant(0),
+            lambda: mu_constant(9),
+            lambda: least_negative_density(0),
+            lambda: tail_bound("erdos", 9),
+            lambda: partial_sum("alpha", 0),
         ],
     )
     def test_argument_errors_survive(self, call):
@@ -144,19 +143,19 @@ class TestOnePassExactness:
 class TestTailBounds:
     def test_requires_p_k_at_least_25(self):
         with pytest.raises(ValueError):
-            tail_bound("Theta", 9, PRIMES)  # p_9 = 23
-        tail_bound("Theta", 10, PRIMES)  # p_10 = 29: fine
+            tail_bound("Theta", 9)  # p_9 = 23
+        tail_bound("Theta", 10)  # p_10 = 29: fine
 
     def test_bounds_dominate_deeper_partial_sums(self):
         for name in SERIES_NAMES:
             for k in (10, 50, 120):
-                shallow = partial_sum(name, k, PRIMES)
-                deep = partial_sum(name, k + 1000, PRIMES)
-                assert shallow < deep <= shallow + tail_bound(name, k, PRIMES), (name, k)
+                shallow = partial_sum(name, k)
+                deep = partial_sum(name, k + 1000)
+                assert shallow < deep <= shallow + tail_bound(name, k), (name, k)
 
     def test_monotone_in_k(self):
         for name in SERIES_NAMES:
-            bounds = [tail_bound(name, k, PRIMES) for k in range(20, 80)]
+            bounds = [tail_bound(name, k) for k in range(20, 80)]
             assert all(b <= a for a, b in zip(bounds, bounds[1:])), name
 
 
@@ -164,33 +163,33 @@ class TestEnclosures:
     def test_nesting(self):
         for name in SERIES_NAMES:
             for k in (50, 100, 200):
-                outer = rigorous_constant(name, k, PRIMES)
-                inner = rigorous_constant(name, 2 * k, PRIMES)
+                outer = rigorous_constant(name, k)
+                inner = rigorous_constant(name, 2 * k)
                 assert outer.lo <= inner.lo and inner.hi <= outer.hi, (name, k)
 
     def test_reference_decimals_at_k1000(self):
-        th = rigorous_constant("theta", 1000, PRIMES)
-        big = rigorous_constant("Theta", 1000, PRIMES)
-        comb = combined_constant(1000, PRIMES)
+        th = rigorous_constant("theta", 1000)
+        big = rigorous_constant("Theta", 1000)
+        comb = combined_constant(1000)
         assert render_decimal(th, 10) == "3.9750223902"
         assert render_decimal(big, 10) == "4.9809473396"
         assert render_decimal(comb, 14) == "4.63255603509332"
         assert comb.width < Fraction(1, 10**14)
 
     def test_erdos_enclosure(self):
-        enc = rigorous_constant("erdos", 120, PRIMES)
-        deep = partial_sum("erdos", 2200, PRIMES)
+        enc = rigorous_constant("erdos", 120)
+        deep = partial_sum("erdos", 2200)
         assert enc.lo < deep < enc.hi
         assert render_decimal(enc, 12) == "3.674643966011"
-        assert render_decimal(rigorous_constant("erdos", 1000, PRIMES), 14) == "3.67464396601132"
+        assert render_decimal(rigorous_constant("erdos", 1000), 14) == "3.67464396601132"
 
     def test_mu_rendering(self):
-        mu = mu_constant(1000, PRIMES)
+        mu = mu_constant(1000)
         assert render_decimal(mu, 10) == "0.6575336448"
 
     def test_wider_interval_still_contains(self):
-        comb50 = combined_constant(50, PRIMES)
-        comb1000 = combined_constant(1000, PRIMES)
+        comb50 = combined_constant(50)
+        comb1000 = combined_constant(1000)
         assert comb50.width > comb1000.width
         assert comb50.lo <= comb1000.lo and comb1000.hi <= comb50.hi
 
@@ -236,10 +235,10 @@ class TestPredictions:
         assert pair_sign_probability(3, -1) == Fraction(15, 32)
 
     def test_least_negative_density_k1_is_one_third(self):
-        assert least_negative_density(1, PRIMES) == Fraction(1, 3)
+        assert least_negative_density(1) == Fraction(1, 3)
 
     def test_least_negative_densities_subprobability(self):
-        total = sum(least_negative_density(k, PRIMES) for k in range(1, 26))
+        total = sum(least_negative_density(k) for k in range(1, 26))
         assert total < 1
 
     def test_zeta2_enclosure_against_mpmath(self):

@@ -280,6 +280,17 @@ class TestCountsAndHarmonic:
             assert (rep.residue, rep.ratio) == (residue, ratio), x
 
 
+@pytest.mark.parametrize(
+    "fn,x",
+    [(average_nd, 1), (average_nd, 2), (pair_count_check, 1), (harmonic_sum_check, 1)],
+    ids=["average_nd-1", "average_nd-2", "pair_count_check-1", "harmonic_sum_check-1"],
+)
+def test_small_x_is_refused(fn, x):
+    # no D != 1 to average over, or a log x reference of 0
+    with pytest.raises(ValueError):
+        fn(x)
+
+
 class TestAverages:
     def test_average_nd_at_x10(self):
         # n over {-3, -4, 5, -7, 8, -8} is [2, 3, 2, 3, 3, 5]:
@@ -294,7 +305,7 @@ class TestAverages:
         assert rep.count == 3
 
     def test_average_n1_matches_scalar_oracle(self):
-        odd = sieve_primes(20000).primes[1:]
+        odd = sieve_primes(20000)[1:]
         n1 = [least_nonresidue(p) for p in odd]
         xs = list(range(3, 200)) + list(range(200, 20000, 911)) + [19997, 20000]
         for x in xs:

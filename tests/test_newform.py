@@ -104,7 +104,7 @@ class TestSignRule:
         assert sigma_sign_at_prime(NewformPair(-4, -8), 3) == 1
 
     def test_matches_actual_coefficient_sign(self):
-        primes = sieve_primes(50).primes
+        primes = sieve_primes(50)
         for pair in sample_pairs(300):
             for p in primes:
                 rule = sigma_sign_at_prime(pair, p)
@@ -133,7 +133,7 @@ class TestEta:
 
     def test_soundness_rescan(self):
         # found prime has sign -1, all earlier primes 0 or +1
-        primes = sieve_primes(200).primes
+        primes = sieve_primes(200)
         for pair in sample_pairs(200, seed=77):
             res = eta(pair)
             if not res.is_found:
