@@ -26,6 +26,7 @@ __all__ = [
     "sieve_primes",
     "iter_primes",
     "is_prime",
+    "MR_LIMIT",
     "kronecker",
     "legendre_oracle",
     "is_fundamental",
@@ -72,17 +73,37 @@ def iter_primes(limit: int):
         seen, hi = len(primes), 2 * hi
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below psi_12, the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_LIMIT = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality; adequate for the scan ranges used here."""
+    """Deterministic Miller-Rabin primality test, exact for n < MR_LIMIT
+    (about 3.18e23). A larger n raises ValueError."""
+    if n >= MR_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {MR_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -180,12 +201,13 @@ class DiscriminantTable:
 
     `entries` is ordered by increasing |D|, negative member first on ties.
     `abs_values` is the parallel array of |D| (non-decreasing), which makes
-    prefix counts a binary search.
+    prefix counts a binary search. Both are int32, since every accepted
+    bound is below 2^31.
     """
 
     bound: int
-    entries: np.ndarray        # int64, canonical order
-    abs_values: np.ndarray     # int64, |entries|, non-decreasing
+    entries: np.ndarray        # int32, canonical order
+    abs_values: np.ndarray     # int32, |entries|, non-decreasing
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -205,11 +227,16 @@ class DiscriminantTable:
 def sieve_fundamental(bound: int) -> DiscriminantTable:
     """Enumerate fundamental discriminants with |D| <= bound.
 
-    Squarefree sieve (multiples of p^2 struck), no per-element trial
-    factorization; one byte per integer up to `bound`.
+    Squarefree sieve (multiples of p^2 struck), then one bool slot per
+    candidate: slot 2y holds D = -y and slot 2y + 1 holds D = +y, so the
+    set slots come out of np.flatnonzero already in canonical order, with
+    no sort. Temporaries: three bool bytes per integer up to `bound`, and the
+    int64 positions of the set slots.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    if bound >= 2**31:
+        raise ValueError(f"bound must be below 2^31, got {bound}")
     sf = np.ones(bound + 1, dtype=bool)
     sf[0] = False
     for p in sieve_primes(max(2, isqrt(bound))):
@@ -217,27 +244,27 @@ def sieve_fundamental(bound: int) -> DiscriminantTable:
             break
         sf[p * p :: p * p] = False
 
-    y = np.arange(bound + 1, dtype=np.int64)
-    r4 = y & 3
-    m = y >> 2
-    mr4 = m & 3
-    sf_m = sf[m]
-    # D = +y: y = 1 mod 4 squarefree, or y = 4m with m = 2,3 mod 4 squarefree
-    plus = ((r4 == 1) & sf) | ((r4 == 0) & ((mr4 == 2) | (mr4 == 3)) & sf_m)
-    # D = -y: -y = 1 mod 4 means y = 3 mod 4; -y = 4(-m) needs -m = 2,3 mod 4,
-    # i.e. m = 1,2 mod 4
-    minus = ((r4 == 3) & sf) | ((r4 == 0) & ((mr4 == 1) | (mr4 == 2)) & sf_m)
-    plus[0] = minus[0] = False
+    slots = np.zeros(2 * (bound + 1), dtype=bool)
+    # D = y = 1 mod 4 and D = -y = 1 mod 4 (y = 3 mod 4), y squarefree
+    slots[3::8] = sf[1::4]
+    slots[6::8] = sf[3::4]
+    # D = 4m (slot 8m + 1) with m = 2, 3 mod 4, and D = -4m (slot 8m) with
+    # -m = 2, 3 mod 4, i.e. m = 2, 1 mod 4; m squarefree
+    m = sf[: bound // 4 + 1]
+    slots[17::32] = m[2::4]
+    slots[25::32] = m[3::4]
+    slots[8::32] = m[1::4]
+    slots[16::32] = m[2::4]
+    del sf, m
 
-    pos = y[plus]
-    neg = -y[minus]
-    entries = np.concatenate([pos, neg])
-    # increasing |D|, negative first on ties
-    order = np.argsort(2 * np.abs(entries) + (entries > 0), kind="stable")
-    entries = entries[order]
-    return DiscriminantTable(
-        bound=bound, entries=entries, abs_values=np.abs(entries)
-    )
+    index = np.flatnonzero(slots)
+    del slots
+    positive = (index & 1).astype(bool)
+    index >>= 1
+    abs_values = index.astype(np.int32)
+    del index
+    entries = np.where(positive, abs_values, -abs_values)
+    return DiscriminantTable(bound=bound, entries=entries, abs_values=abs_values)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,9 @@ MAX_X = 10**8
 # The exact series pass grows quadratically in K: 0.05, 0.15, 0.9 and 3.8 s
 # at K = 1000, 2000, 4000 and 8000 on a 2-vCPU x86-64 host, Python 3.11.
 MAX_K = 10_000
+# The tail bounds need p_K >= 25 (Nagura's prime gaps), and p_10 = 29 is the
+# first such prime.
+MIN_K = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,10 +82,10 @@ def _add_common(p: _Parser) -> None:
 
 
 # Peak RSS growth per unit of x over the 35 MB of `scan --x 1`, measured
-# with resource.getrusage on `scan --x X` at 1e5, 1e6 and 1e7 (78, 78 and
-# 79 bytes on a 2-vCPU x86-64 host, Python 3.11, numpy 2.4), times 1.5 for
-# margin.
-_BYTES_PER_X = 120
+# with os.wait4 on `scan --x X` at 1e5, 1e6 and 1e7 (24, 26 and 26 bytes on
+# a 2-vCPU x86-64 host, Python 3.11, numpy 2.4), times 1.5 for margin.
+# `scan --x 1e8` peaked at 2.4 GiB there, 26 bytes per unit.
+_BYTES_PER_X = 40
 
 
 def _mem_available() -> int | None:
@@ -115,6 +118,8 @@ def _check_x(x: int) -> int:
 
 
 def _check_k(k: int) -> int:
+    if k < MIN_K:
+        raise ValueError(f"--K {k} is below {MIN_K}: the tail bounds need p_K >= 25")
     if k > MAX_K:
         raise ValueError(
             f"--K {k} exceeds {MAX_K}: the exact series pass grows quadratically "

@@ -20,10 +20,16 @@ The sign-pattern count (density_lt) uses the same grouped prefix-table
 kernel, with the set of pattern primes dividing D2 as the signature.
 
 Both engines read one sign pass: for p = 2, 3, 5, ... up to max n(D),
-build_context computes chi_D(p) over the whole table once and takes n(D)
-(the first p with chi = -1), the qmask bit (D still without a -1 and
-chi = 0, i.e. p | D) and the cached chi column from it. average_n1 runs the
+build_context computes chi_D(p) only over the D still without a -1 (an
+index array that shrinks at every prime) and takes n(D) (the first p with
+chi = -1) and the qmask bit (chi = 0, i.e. p | D) from it. For each used
+bit q it then stores chi_{D1}(q) over the first max{prefix[D2] : q in
+qmask(D2)} entries only, the part the pair kernel can read; full chi
+columns are built lazily, for the densities alone. average_n1 runs the
 same pass over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
+
+The context is int32 (entries, |D|, prefix counts), uint8 (n(D), at most
+103 below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8).
 
 Their agreement on sum(eta) at equal x is asserted by the test suite. Pair
 iteration order is canonical (D2 by table order, D1 by table order within
@@ -110,36 +116,38 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
         out[odd & ((m8 == 1) | (m8 == 7))] = 1
         out[odd & ((m8 == 3) | (m8 == 5))] = -1
         return out
-    residues = np.mod(d, p)
     if p <= len(d):
         # residue table from the squares 1^2..((p-1)/2)^2, vectorised
         tab = np.full(p, -1, dtype=np.int8)
         tab[0] = 0
         r = np.arange(1, (p + 1) // 2, dtype=np.int64)
         tab[r * r % p] = 1
-        return tab[residues]
-    # p exceeds the input: Euler's criterion on its distinct residues only
-    distinct, inverse = np.unique(residues, return_inverse=True)
+        return tab[np.mod(d, p)]
+    # p exceeds the input (and may exceed any fixed-width integer): Euler's
+    # criterion per entry, in Python integers
     e = (p - 1) // 2
-    signs = [0 if a == 0 else (1 if pow(a, e, p) == 1 else -1) for a in distinct.tolist()]
-    return np.array(signs, dtype=np.int8)[inverse.reshape(-1)]
+    powers = (pow(a, e, p) for a in d.tolist())
+    return np.array([0 if r == 0 else (1 if r == 1 else -1) for r in powers], dtype=np.int8)
 
 
 def _sign_pass(entries: np.ndarray):
     """One pass over the primes p = 2, 3, 5, ... for an array of discriminants.
 
-    Yields (p, chi, alive): chi = chi_D(p) over every entry, and alive marks
-    the D != 1 with no -1 at any prime below p. Stops once every D != 1 has
-    met a -1, so the last p yielded is max n(D).
+    Yields (p, alive, chi): alive is the int32 index array of the D != 1
+    with no -1 at any prime below p, and chi = chi_D(p) at those positions
+    only. Stops once every D != 1 has met a -1, so the last p yielded is
+    max n(D).
     """
-    alive = entries != 1
+    alive = np.arange(len(entries), dtype=np.int32)[entries != 1]
+    d = entries[alive]
     for p in iter_primes(_N_SCAN_LIMIT):
-        if not alive.any():
+        if len(alive) == 0:
             return
-        chi = _chi_values(entries, p)
-        yield p, chi, alive
-        alive = alive & (chi != -1)
-    if alive.any():
+        chi = _chi_values(d, p)
+        yield p, alive, chi
+        keep = chi != -1
+        alive, d = alive[keep], d[keep]
+    if len(alive):
         raise RuntimeError("n(D) scan exhausted its prime budget")
 
 
@@ -150,14 +158,20 @@ class ScanContext:
     qmask bit i is set for an entry D iff cache_primes[i] divides D and is
     below n(D); those are exactly the primes at which a pair (D1, D) can go
     negative before n(D) does.
+
+    prefix_chi belongs to the pair kernel: for each used qmask prime q it
+    holds chi_{D1}(q) over the first max{prefix[D2] : q in qmask(D2)}
+    entries only. chi and chi_array hold full-length columns, built on
+    first use; a truncated column never enters them.
     """
 
     x: int
     table: DiscriminantTable
-    nvals: np.ndarray                    # int32; n(D), 0 at D = 1
-    prefix: np.ndarray                   # int64; #{D1 : |D1| <= x/|D|}
-    qmask: np.ndarray                    # int64 bitmask over cache_primes
+    nvals: np.ndarray                    # uint8; n(D), 0 at D = 1
+    prefix: np.ndarray                   # int32; #{D1 : |D1| <= x/|D|}
+    qmask: np.ndarray                    # uint32 bitmask over cache_primes
     cache_primes: tuple[int, ...]
+    prefix_chi: dict[int, np.ndarray]
     chi: dict[int, np.ndarray] = field(default_factory=dict)
     # unused and always empty; kept because the benchmark's context_bytes reads them
     negcum: dict = field(default_factory=dict)
@@ -178,29 +192,29 @@ class ScanContext:
 
 
 def build_context(x: int) -> ScanContext:
-    """Sieve |D| <= x and derive n(D), the qmask and the chi cache from one
-    sign pass, plus the prefix counts."""
+    """Sieve |D| <= x, count the prefixes, and derive n(D), the qmask and the
+    kernel's chi columns from one sign pass over the D still alive."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     table = sieve_fundamental(x)
     entries = table.entries
     abs_values = table.abs_values
-    nvals = np.zeros(len(entries), dtype=np.int32)
-    qmask = np.zeros(len(entries), dtype=np.int64)
-    chi: dict[int, np.ndarray] = {}
+    prefix = np.searchsorted(abs_values, x // abs_values, side="right").astype(np.int32)
+    nvals = np.zeros(len(entries), dtype=np.uint8)
+    qmask = np.zeros(len(entries), dtype=np.uint32)
+    prefix_chi: dict[int, np.ndarray] = {}
     passed: list[int] = []
-    for i, (p, chi_p, alive) in enumerate(_sign_pass(entries)):
-        if i > 63:
-            raise RuntimeError("qmask would need more than 63 prime bits")
-        nvals[alive & (chi_p == -1)] = p
+    for bit, (p, alive, chi_p) in enumerate(_sign_pass(entries)):
+        nvals[alive[chi_p == -1]] = p
         # for fundamental D, p | D exactly when chi_D(p) = 0
-        divides = alive & (chi_p == 0)
-        if divides.any():
-            qmask |= divides.astype(np.int64) << i
-            # the pair scan reads this chi; caching it here lets forked workers inherit it
-            chi[p] = chi_p
+        divides = alive[chi_p == 0]
+        if len(divides):
+            if bit >= 32:
+                raise RuntimeError("qmask would need more than 32 prime bits")
+            qmask[divides] |= np.uint32(1 << bit)
+            # the pair kernel reads chi_{D1}(p) only within these D2's prefixes
+            prefix_chi[p] = _chi_values(entries[: int(prefix[divides].max())], p)
         passed.append(p)
-    prefix = np.searchsorted(abs_values, x // abs_values, side="right").astype(np.int64)
     return ScanContext(
         x=x,
         table=table,
@@ -208,7 +222,7 @@ def build_context(x: int) -> ScanContext:
         prefix=prefix,
         qmask=qmask,
         cache_primes=tuple(passed[:-1]),  # the primes below max n(D)
-        chi=chi,
+        prefix_chi=prefix_chi,
     )
 
 
@@ -342,25 +356,28 @@ def _run_chunked(fn, fn_args: tuple, n_items: int, workers: int) -> list:
 # scan_pairs: optimized eta aggregation
 # ---------------------------------------------------------------------------
 
-def _grouped_prefix_sums(sig: np.ndarray, c: np.ndarray, columns, k: int) -> np.ndarray:
-    """Sum k per-D1 columns over each D2's D1 prefix, one table per signature.
+def _grouped_prefix_sums(sig: np.ndarray, c: np.ndarray, columns, weights) -> list[int]:
+    """Sum per-D1 columns over each D2's D1 prefix, one table per signature.
 
-    D2 j has signature sig[j] and prefix length c[j]. columns(s, m) returns k
-    arrays over the first m D1 entries for signature s; it is called once per
-    distinct signature, with m the longest prefix in that group. Returns
-    out with out[r, j] = columns(sig[j], m)[r][:c[j]].sum().
+    D2 j has signature sig[j] and prefix length c[j]. columns(s, m) returns
+    one array per entry of weights, over the first m D1 entries for
+    signature s; it is called once per distinct signature, with m the longest
+    prefix in that group. weights[r] is None (weight 1) or a per-D2 integer
+    array. Returns totals with totals[r] = sum over j of
+    weights[r][j] * columns(sig[j], m)[r][:c[j]].sum().
     """
-    out = np.zeros((k, len(sig)), dtype=np.int64)
+    totals = [0] * len(weights)
     if len(sig) == 0:
-        return out
+        return totals
     order = np.argsort(sig, kind="stable")
     for grp in np.split(order, np.flatnonzero(np.diff(sig[order])) + 1):
         cg = c[grp]
         m = int(cg.max())
         for r, col in enumerate(columns(int(sig[grp[0]]), m)):
-            cum = np.concatenate([[0], np.cumsum(col, dtype=np.int64)])
-            out[r, grp] = cum[cg]
-    return out
+            cum = np.concatenate([[0], np.cumsum(col, dtype=np.int64)])[cg]
+            w = weights[r]
+            totals[r] += int(cum.sum() if w is None else np.dot(cum, w[grp]))
+    return totals
 
 
 def _first_negative_columns(ctx: ScanContext, mask: int, m: int):
@@ -370,7 +387,7 @@ def _first_negative_columns(ctx: ScanContext, mask: int, m: int):
     none = np.ones(m, dtype=bool)
     for b, q in enumerate(ctx.cache_primes):
         if (mask >> b) & 1:
-            hit = none & (ctx.chi_array(q)[:m] == -1)
+            hit = none & (ctx.prefix_chi[q][:m] == -1)
             value[hit] = q
             none &= ~hit
     return value, none
@@ -379,7 +396,7 @@ def _first_negative_columns(ctx: ScanContext, mask: int, m: int):
 def _scan_chunk(ctx: ScanContext, cap: int, bounds: tuple[int, int]):
     lo, hi = bounds
     entries = ctx.entries[lo:hi]
-    n2 = ctx.nvals[lo:hi].astype(np.int64)
+    n2 = ctx.nvals[lo:hi]
     c = ctx.prefix[lo:hi]
 
     pairs_total = int(c.sum())
@@ -392,12 +409,15 @@ def _scan_chunk(ctx: ScanContext, cap: int, bounds: tuple[int, int]):
         j = int(np.nonzero(over_cap)[0][0])
         raise CapExceededError(int(ctx.entries[0]), int(entries[j]), cap)
 
-    # eta = first q in qmask with chi_{D1}(q) = -1, else n(D2)
-    inc = np.nonzero(included)[0]
-    value, none = _grouped_prefix_sums(
-        ctx.qmask[lo:hi][inc], c[inc], partial(_first_negative_columns, ctx), 2
+    # eta = first q in qmask with chi_{D1}(q) = -1, else n(D2); with qmask 0
+    # that is n(D2) for each of the c D1
+    qmask = ctx.qmask[lo:hi]
+    plain = included & (qmask == 0)
+    grouped = np.nonzero(included & (qmask != 0))[0]
+    hits, misses = _grouped_prefix_sums(
+        qmask[grouped], c[grouped], partial(_first_negative_columns, ctx), (None, n2[grouped])
     )
-    sum_eta = int(value.sum()) + int(np.dot(n2[inc], none))
+    sum_eta = int(np.dot(n2[plain].astype(np.int64), c[plain])) + hits + misses
     return pairs_total, pairs_excluded, sum_eta
 
 
@@ -668,12 +688,17 @@ def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
     live = np.ones(hi - lo, dtype=bool)
     for p, want in pattern:
         chi2 = ctx.chi_array(p)[lo:hi]
-        moved[chi2 == 0] *= p
-        live &= (chi2 == 0) | (chi2 == want)
+        zero = chi2 == 0
+        if zero.any():  # never for p > x, which may not fit int64
+            moved[zero] *= p
+        live &= zero | (chi2 == want)
+    # where no pattern prime moves, D2 alone fixes every sign: all c D1 match
+    fixed = live & (moved == 1)
+    rest = live & (moved != 1)
     (matched,) = _grouped_prefix_sums(
-        moved[live], c[live], partial(_pattern_columns, ctx, pattern), 1
+        moved[rest], c[rest], partial(_pattern_columns, ctx, pattern), (None,)
     )
-    return int(c.sum()), int(matched.sum())
+    return int(c.sum()), int(c[fixed].sum()) + matched
 
 
 def density_lt(
@@ -836,8 +861,8 @@ def average_n1(x: int, k_terms: int = 1000, digits: int = 12) -> AverageReport:
     # p* = +-p = 1 mod 4 is a fundamental discriminant and, by quadratic
     # reciprocity (with (2/p) set by p mod 8), n(p*) = n_1(p)
     n1 = np.zeros(len(odd), dtype=np.int64)
-    for p, chi, alive in _sign_pass(np.where(odd % 4 == 1, odd, -odd)):
-        n1[alive & (chi == -1)] = p
+    for p, alive, chi in _sign_pass(np.where(odd % 4 == 1, odd, -odd)):
+        n1[alive[chi == -1]] = p
     total = int(n1.sum())
     count = len(n1)
     avg = Fraction(total, count)

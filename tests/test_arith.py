@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from eta_lab.arith import (
+    MR_LIMIT,
     is_fundamental,
     is_prime,
     iter_primes,
@@ -43,6 +45,35 @@ class TestSievePrimes:
     @pytest.mark.parametrize("limit", [1, 2, 3, 255, 256, 257, 511, 512, 513, 2000])
     def test_iter_primes_blocks_match_sieve(self, limit):
         assert list(iter_primes(limit)) == trial_division_primes(limit)
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_1e5(self):
+        assert [n for n in range(10**5) if is_prime(n)] == trial_division_primes(10**5 - 1)
+
+    # psi_k, the least strong pseudoprime to the first k prime bases, for
+    # k = 1..9; psi_10 = psi_11 = psi_12 = MR_LIMIT
+    @pytest.mark.parametrize(
+        "n",
+        [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+         341550071728321, 3825123056546413051],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize(
+        "n,prime",
+        [(2**61 - 1, True), (10**18 + 3, True), (2**64 - 59, True), (10**23 + 117, True),
+         (MR_LIMIT - 20, True),  # the largest prime below the limit
+         ((10**9 + 7) * (10**9 + 9), False), ((2**61 - 1) * 100003, False)],
+    )
+    def test_large_n(self, n, prime):
+        assert is_prime(n) is prime
+
+    @pytest.mark.parametrize("n", [MR_LIMIT, MR_LIMIT + 1, 10**30])
+    def test_refuses_n_beyond_the_proven_range(self, n):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 class TestKronecker:
@@ -117,12 +148,24 @@ class TestFundamental:
         assert list(table) == [1, -3, -4, 5, -7, -8, 8]
         assert len(table) == 7
 
+    def test_table_matches_brute_force_for_every_small_bound(self):
+        for x in range(1, 301):
+            table = sieve_fundamental(x)
+            brute = [d for a in range(1, x + 1) for d in (-a, a) if is_fundamental(d)]
+            assert table.entries.dtype == table.abs_values.dtype == np.int32
+            assert table.entries.tolist() == brute, x
+            assert table.abs_values.tolist() == [abs(d) for d in brute], x
+
     def test_table_x1(self):
         assert list(sieve_fundamental(1)) == [1]
 
     def test_rejects_zero_bound(self):
         with pytest.raises(ValueError):
             sieve_fundamental(0)
+
+    def test_rejects_bound_beyond_int32(self):
+        with pytest.raises(ValueError):
+            sieve_fundamental(2**31)
 
     def test_table_matches_predicate_exhaustively(self):
         bound = 10_000

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -132,8 +133,17 @@ class TestKRefusal:
         assert rc == 1
         assert f"exceeds {cli.MAX_K}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [0, 5, cli.MIN_K - 1])
+    @pytest.mark.parametrize("args", [["constants"], ["scan", "--x", "1000000"]])
+    def test_small_k_refused_before_any_sieve(self, tmp_path, capsys, no_engine, args, k):
+        # p_K < 25 leaves the tail bounds unproven
+        rc, _ = run_cli([*args, "--K", str(k)], tmp_path)
+        assert rc == 1
+        assert f"below {cli.MIN_K}" in capsys.readouterr().err
+
     def test_bound_is_inclusive(self):
         assert cli._check_k(cli.MAX_K) == cli.MAX_K
+        assert cli._check_k(cli.MIN_K) == cli.MIN_K
 
 
 class TestSingleValueCommands:
@@ -235,6 +245,23 @@ class TestDensitiesCommand:
     def test_non_prime_p_exits_1(self, tmp_path, flags):
         rc, _ = run_cli(["densities", "--x", "1000"] + flags, tmp_path)
         assert rc == 1
+
+    def test_large_prime_is_decided_at_once(self, tmp_path):
+        # primes far beyond trial division; the --lt one does not fit int64
+        start = time.perf_counter()
+        rc, text = run_cli(
+            ["densities", "--x", "10", "--lemma", str(10**18 + 3), "--lt", f"{10**23 + 117}:1",
+             "--no-timestamp"],
+            tmp_path,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0
+        assert f"chi(p={10**18 + 3})=+1" in text
+
+    def test_prime_beyond_the_primality_range_exits_1(self, tmp_path, capsys):
+        rc, _ = run_cli(["densities", "--x", "10", "--lemma", str(10**30 + 57)], tmp_path)
+        assert rc == 1
+        assert "only decided below" in capsys.readouterr().err
 
     @pytest.mark.parametrize("x,k_max", [("1", "4"), ("2", "1")])
     def test_pollack_without_any_d_exits_1(self, tmp_path, capsys, x, k_max):

@@ -66,13 +66,26 @@ class TestContext:
 
     @pytest.mark.parametrize("x", [1, 10, 500, 2000])
     def test_chi_cache_is_kronecker_at_the_used_qmask_bits(self, x):
+        # the kernel's store: each column runs to the longest prefix among
+        # the D2 with that bit, the most the pair kernel can read
         ctx = build_context(x)
         used = int(np.bitwise_or.reduce(ctx.qmask))
-        assert sorted(ctx.chi) == [
+        assert sorted(ctx.prefix_chi) == [
             q for b, q in enumerate(ctx.cache_primes) if (used >> b) & 1
         ]
-        for q, chi in ctx.chi.items():
-            assert chi.tolist() == [kronecker(int(d), q) for d in ctx.entries], q
+        for q, chi in ctx.prefix_chi.items():
+            b = ctx.cache_primes.index(q)
+            has_bit = (ctx.qmask >> b) & 1 == 1
+            assert len(chi) == int(ctx.prefix[has_bit].max()), q
+            assert chi.tolist() == [kronecker(int(d), q) for d in ctx.entries[: len(chi)]], q
+
+    def test_chi_array_stays_full_length_after_a_scan(self):
+        ctx = build_context(2000)
+        scan_pairs(2000, ctx=ctx, k_terms=120)
+        density_lt(2000, [(2, 1), (3, -1)], ctx)
+        for q in [*ctx.prefix_chi, 7]:
+            assert len(ctx.chi_array(q)) == len(ctx.entries), q
+        assert ctx.chi_array(2).tolist() == [kronecker(int(d), 2) for d in ctx.entries]
 
     def test_prefix_counts(self, ctx2000):
         for i in range(0, len(ctx2000.entries), 97):
@@ -210,6 +223,10 @@ class TestDensityLT:
             [(2, 1), (3, -1)],
             [(2, 0), (3, 0)],
             [(3, 0), (5, 0), (7, 1)],
+            # primes above x divide no D2, so every D2 takes the closed form
+            [(1009, 1)],
+            [(1009, -1), (1013, 1)],
+            [(1013, 0)],
         ],
     )
     def test_exact_counts_match_brute_force(self, pattern):
