@@ -7,8 +7,14 @@ Submodules:
     constants    rigorous enclosures of the limit constants (theta, Theta,
                  alpha, beta, Erdos) via exact partial sums + proven tails
     experiments  desk-scale density and average experiments over pairs
+    reports      report types and their one serialization layer
     verify       the acceptance criteria suite shared by pytest and the CLI
     cli          command-line front end (`eta-lab`)
+
+numpy is needed only to build a discriminant table (`arith.sieve_fundamental`
+and the `experiments` and `verify` modules). `import eta_lab` and
+`import eta_lab.cli` load no numpy; the CLI imports `experiments` and
+`verify` inside the commands that use them.
 """
 
 __version__ = "0.1.0"

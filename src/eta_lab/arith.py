@@ -18,8 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported inside the two functions that use it, so that the
+# commands which build no discriminant table start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiscriminantTable",
@@ -221,6 +225,8 @@ class DiscriminantTable:
             raise ValueError(f"count_upto({y}) exceeds table bound {self.bound}")
         if y < 1:
             return 0
+        import numpy as np
+
         return int(np.searchsorted(self.abs_values, y, side="right"))
 
 
@@ -233,6 +239,8 @@ def sieve_fundamental(bound: int) -> DiscriminantTable:
     no sort. Temporaries: three bool bytes per integer up to `bound`, and the
     int64 positions of the set slots.
     """
+    import numpy as np
+
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if bound >= 2**31:

@@ -27,17 +27,9 @@ from .constants import (
     render_decimal,
     rigorous_constant,
 )
-from .experiments import (
-    CapExceededError,
-    build_context,
-    decomposition_audit,
-    density_lemma,
-    density_lt,
-    density_pollack,
-    scan_pairs,
-)
 from .newform import (
     DEFAULT_ETA_CAP,
+    CapExceededError,
     EtaResult,
     NewformPair,
     eta_sign_trace,
@@ -45,7 +37,10 @@ from .newform import (
     sigma_coefficient,
 )
 from .reports import build_envelope, serialize
-from .verify import run_criteria
+
+# The commands that build a discriminant table (scan, densities, audit,
+# verify) import `experiments` and `verify`, and with them numpy, inside
+# their handlers; the others start without numpy.
 
 MAX_X = 10**8
 # The exact series pass grows quadratically in K: 0.05, 0.15, 0.9 and 3.8 s
@@ -54,6 +49,16 @@ MAX_K = 10_000
 # The tail bounds need p_K >= 25 (Nagura's prime gaps), and p_10 = 29 is the
 # first such prime.
 MIN_K = 10
+# |D1|, |D2| and the index n of `sigma` are trial-divided up to their square
+# root (the squarefree check, the divisor sum): at most 10^6 divisions per
+# value, under 0.4 s on a 2-vCPU x86-64 host.
+MAX_ABS = 10**12
+MAX_TERMS = 1000
+# A weight-k coefficient a_n has at most a few bits more than
+# (k - 1) * log2(n). Bounding (k - 1) * bit_length(n) keeps every `sigma` and
+# `qexp` value below 4300 decimal digits, the default int-to-str limit of
+# Python 3.11, so each one prints in every format.
+MAX_BITS = 14_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,6 +131,25 @@ def _check_k(k: int) -> int:
             "in K; raise the limit in source"
         )
     return k
+
+
+def _check_pair(d1: int, d2: int) -> NewformPair:
+    for d in (d1, d2):
+        if abs(d) > MAX_ABS:
+            raise ValueError(
+                f"|D| = {abs(d)} exceeds {MAX_ABS}: the fundamental-discriminant "
+                "check trial-divides up to sqrt(|D|)"
+            )
+    return NewformPair(d1, d2)
+
+
+def _check_bits(k: int, n: int) -> None:
+    bits = (k - 1) * n.bit_length()
+    if bits > MAX_BITS:
+        raise ValueError(
+            f"(k - 1) * bit_length(n) = {bits} exceeds {MAX_BITS}: a weight-{k} "
+            f"coefficient at n = {n} would not print within 4300 decimal digits"
+        )
 
 
 def build_parser() -> _Parser:
@@ -207,7 +231,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_eta(args) -> int:
-    pair = NewformPair(args.d1, args.d2)
+    pair = _check_pair(args.d1, args.d2)
     if args.cap < 2:
         raise ValueError(f"cap must be >= 2, got {args.cap}")
     trace = eta_sign_trace(pair, args.cap)
@@ -224,7 +248,12 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    pair = NewformPair(args.d1, args.d2)
+    if args.n > MAX_ABS:
+        raise ValueError(
+            f"n {args.n} exceeds {MAX_ABS}: the divisor sum trial-divides up to sqrt(n)"
+        )
+    _check_bits(args.k, args.n)
+    pair = _check_pair(args.d1, args.d2)
     value = sigma_coefficient(pair, args.k, args.n)
     payload = {"kind": "sigma", "d1": args.d1, "d2": args.d2, "k": args.k,
                "n": args.n, "value": value}
@@ -233,7 +262,10 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_qexp(args) -> int:
-    pair = NewformPair(args.d1, args.d2)
+    if args.terms > MAX_TERMS:
+        raise ValueError(f"--terms {args.terms} exceeds {MAX_TERMS}")
+    _check_bits(args.k, args.terms)
+    pair = _check_pair(args.d1, args.d2)
     expansion = q_expansion(pair, args.k, args.terms)
     payload = {"kind": "qexp", "d1": args.d1, "d2": args.d2, "expansion": expansion}
     _emit(args, "qexp", {"d1": args.d1, "d2": args.d2, "k": args.k,
@@ -242,6 +274,8 @@ def _cmd_qexp(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .experiments import scan_pairs
+
     x = _check_x(args.x)
     k = _check_k(args.k_terms)
     report = scan_pairs(x, cap=args.cap, workers=args.workers, k_terms=k, digits=args.digits)
@@ -261,6 +295,8 @@ def _parse_pattern(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_densities(args) -> int:
+    from .experiments import build_context, density_lemma, density_lt, density_pollack
+
     x = _check_x(args.x)
     if not (args.lemma or args.pollack or args.lt):
         raise ValueError("densities needs at least one of --lemma, --pollack, --lt")
@@ -282,6 +318,8 @@ def _cmd_densities(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .experiments import decomposition_audit
+
     x = _check_x(args.x)
     report = decomposition_audit(x, cap=args.cap, workers=args.workers)
     _emit(args, "audit", {"x": x, "cap": args.cap}, report)
@@ -289,6 +327,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_criteria
+
     results = run_criteria(
         quick=args.quick, golden_dir=args.golden, update_golden=args.update_golden
     )

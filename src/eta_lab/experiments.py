@@ -67,7 +67,17 @@ from .constants import (
     render_decimal,
     sign_probability,
 )
-from .newform import DEFAULT_ETA_CAP
+from .newform import DEFAULT_ETA_CAP, CapExceededError
+from .reports import (
+    AuditReport,
+    AverageReport,
+    CountReport,
+    DensityReport,
+    DensityRow,
+    HarmonicReport,
+    MismatchExample,
+    PairScanReport,
+)
 
 __all__ = [
     "ScanContext",
@@ -92,15 +102,6 @@ __all__ = [
 ]
 
 _N_SCAN_LIMIT = 1_000_000  # prime budget for resolving n(D); never binding in practice
-
-
-class CapExceededError(RuntimeError):
-    """A pair's eta scan would exceed the configured cap."""
-
-    def __init__(self, d1: int, d2: int, cap: int):
-        self.pair = (d1, d2)
-        self.cap = cap
-        super().__init__(f"eta({d1}, {d2}) exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,92 +225,6 @@ def build_context(x: int) -> ScanContext:
         cache_primes=tuple(passed[:-1]),  # the primes below max n(D)
         prefix_chi=prefix_chi,
     )
-
-
-# ---------------------------------------------------------------------------
-# Report types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairScanReport:
-    x: int
-    pairs_total: int
-    pairs_excluded: int          # pairs with D2 = 1 (eta undefined: sign never -1)
-    sum_eta: int
-    avg_eta: Fraction
-    refs: dict[str, str]         # rendered reference decimals
-    deltas: dict[str, Fraction]  # avg_eta - reference midpoint
-
-
-@dataclass(frozen=True)
-class MismatchExample:
-    d1: int
-    d2: int
-    eta: int
-    n_d1: int
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    x: int
-    pairs_total: int
-    pairs_excluded: int
-    lhs_sum_eta: int
-    rhs_sum_n_d2: int            # sum n(D2) over all included pairs
-    rhs_hit_sum_n_d1: int        # sum n(D1) over pairs with eta | D2
-    rhs_hit_sum_n_d2: int        # sum n(D2) over pairs with eta | D2
-    difference: int              # lhs - (rhs_sum_n_d2 + rhs_hit_sum_n_d1 - rhs_hit_sum_n_d2)
-    hit_pairs: int               # pairs with eta | D2
-    nondivisor_violations: int   # pairs with eta not | D2 and eta != n(D2); expect 0
-    mismatch_count: int          # pairs with eta | D2 and eta != n(D1)
-    mismatch_examples: list[MismatchExample]
-
-
-@dataclass(frozen=True)
-class DensityRow:
-    label: str
-    count: int
-    total: int
-    observed: Fraction
-    predicted: Fraction
-    relative_error: Fraction | None
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    x: int
-    kind: str
-    rows: list[DensityRow]
-    excluded: int = 0
-    warnings: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CountReport:
-    x: int
-    observed: int
-    reference: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class HarmonicReport:
-    x: int
-    residue: int                 # exact sum of 1/|D| modulo HARMONIC_MODULUS
-    reference: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class AverageReport:
-    x: int
-    kind: str
-    total: int
-    count: int
-    average: Fraction
-    reference_name: str
-    reference: str               # rendered decimal of the enclosure
-    delta: Fraction              # average - enclosure midpoint
 
 
 # ---------------------------------------------------------------------------

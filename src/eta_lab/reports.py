@@ -16,16 +16,27 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
 from .constants import RigorousValue
-from .experiments import AuditReport, DensityReport, PairScanReport
 from .newform import EtaResult, QExpansion
 
-__all__ = ["ReportEnvelope", "build_envelope", "serialize"]
+__all__ = [
+    "ReportEnvelope",
+    "build_envelope",
+    "serialize",
+    "PairScanReport",
+    "MismatchExample",
+    "AuditReport",
+    "DensityRow",
+    "DensityReport",
+    "CountReport",
+    "HarmonicReport",
+    "AverageReport",
+]
 
 _MAX_EXACT_DIGITS = 50_000
 
@@ -34,6 +45,97 @@ SCAN_CSV_HEADER = (
     "ref_Theta,delta_theta,delta_combined,delta_Theta"
 )
 
+
+# ---------------------------------------------------------------------------
+# Report types: the results of the experiments engines. They live next to
+# their serializers, so that rendering a report loads no numpy.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PairScanReport:
+    x: int
+    pairs_total: int
+    pairs_excluded: int          # pairs with D2 = 1 (eta undefined: sign never -1)
+    sum_eta: int
+    avg_eta: Fraction
+    refs: dict[str, str]         # rendered reference decimals
+    deltas: dict[str, Fraction]  # avg_eta - reference midpoint
+
+
+@dataclass(frozen=True)
+class MismatchExample:
+    d1: int
+    d2: int
+    eta: int
+    n_d1: int
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    x: int
+    pairs_total: int
+    pairs_excluded: int
+    lhs_sum_eta: int
+    rhs_sum_n_d2: int            # sum n(D2) over all included pairs
+    rhs_hit_sum_n_d1: int        # sum n(D1) over pairs with eta | D2
+    rhs_hit_sum_n_d2: int        # sum n(D2) over pairs with eta | D2
+    difference: int              # lhs - (rhs_sum_n_d2 + rhs_hit_sum_n_d1 - rhs_hit_sum_n_d2)
+    hit_pairs: int               # pairs with eta | D2
+    nondivisor_violations: int   # pairs with eta not | D2 and eta != n(D2); expect 0
+    mismatch_count: int          # pairs with eta | D2 and eta != n(D1)
+    mismatch_examples: list[MismatchExample]
+
+
+@dataclass(frozen=True)
+class DensityRow:
+    label: str
+    count: int
+    total: int
+    observed: Fraction
+    predicted: Fraction
+    relative_error: Fraction | None
+
+
+@dataclass(frozen=True)
+class DensityReport:
+    x: int
+    kind: str
+    rows: list[DensityRow]
+    excluded: int = 0
+    warnings: list[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class CountReport:
+    x: int
+    observed: int
+    reference: float
+    ratio: float
+
+
+@dataclass(frozen=True)
+class HarmonicReport:
+    x: int
+    residue: int                 # exact sum of 1/|D| modulo HARMONIC_MODULUS
+    reference: float
+    ratio: float
+
+
+@dataclass(frozen=True)
+class AverageReport:
+    x: int
+    kind: str
+    total: int
+    count: int
+    average: Fraction
+    reference_name: str
+    reference: str               # rendered decimal of the enclosure
+    delta: Fraction              # average - enclosure midpoint
+
+
+# ---------------------------------------------------------------------------
+# Envelope
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ReportEnvelope:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import eta_lab
-from eta_lab import cli
+from eta_lab import cli, experiments
 from eta_lab.cli import main
 from eta_lab.newform import NewformPair, eta, sigma_sign_at_prime
 
@@ -22,14 +22,17 @@ SCAN_HEADER = (
 )
 
 
-def run_module(args):
-    """Run `python -m eta_lab.cli` with this eta_lab first on the child's path."""
+def run_python(args):
+    """Run a fresh interpreter with this eta_lab first on the child's path."""
     src = str(Path(eta_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-m", "eta_lab.cli", *args], env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_module(args):
+    """Run `python -m eta_lab.cli` in a fresh interpreter."""
+    return run_python(["-m", "eta_lab.cli", *args])
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -87,8 +90,9 @@ class TestMemoryRefusal:
         def fail(*args, **kwargs):
             raise AssertionError("an engine ran for a refused x")
 
+        # the handlers import the engines from `experiments` when they run
         for name in ("scan_pairs", "build_context", "decomposition_audit"):
-            monkeypatch.setattr(cli, name, fail)
+            monkeypatch.setattr(experiments, name, fail)
 
     @pytest.mark.parametrize(
         "args",
@@ -98,6 +102,11 @@ class TestMemoryRefusal:
         monkeypatch.setattr(cli, "_mem_available", lambda: 10**6)
         rc, _ = run_cli([args[0], "--x", "100000", *args[1:]], tmp_path)
         assert rc == 1
+
+    def test_stub_is_live(self, tmp_path, no_engine):
+        # with meminfo unpatched, a small x is accepted and reaches the stub
+        with pytest.raises(AssertionError, match="an engine ran"):
+            run_cli(["scan", "--x", "1000", "--K", "20"], tmp_path)
 
     def test_unreadable_meminfo_never_refuses(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_mem_available", lambda: None)
@@ -124,7 +133,8 @@ class TestKRefusal:
         def fail(*args, **kwargs):
             raise AssertionError("an engine ran for a refused K")
 
-        for name in ("scan_pairs", "rigorous_constant", "combined_constant", "mu_constant"):
+        monkeypatch.setattr(experiments, "scan_pairs", fail)
+        for name in ("rigorous_constant", "combined_constant", "mu_constant"):
             monkeypatch.setattr(cli, name, fail)
 
     @pytest.mark.parametrize("args", [["constants"], ["scan", "--x", "1000"]])
@@ -144,6 +154,102 @@ class TestKRefusal:
     def test_bound_is_inclusive(self):
         assert cli._check_k(cli.MAX_K) == cli.MAX_K
         assert cli._check_k(cli.MIN_K) == cli.MIN_K
+
+
+class TestInputBounds:
+    """|D|, sigma's n, --terms and the coefficient size are refused before any work."""
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran for a refused input")
+
+        for name in ("NewformPair", "eta_sign_trace", "sigma_coefficient", "q_expansion"):
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["eta", "5", "-100000000000000000003"], f"exceeds {cli.MAX_ABS}"),
+            (["eta", str(10**12 + 1), "5"], f"exceeds {cli.MAX_ABS}"),
+            (["sigma", "1", str(-(10**12) - 3), "3", "3"], f"exceeds {cli.MAX_ABS}"),
+            (["qexp", str(10**12 + 1), "-4", "2"], f"exceeds {cli.MAX_ABS}"),
+            (["sigma", "1", "-4", "3", str(10**12 + 1)], f"exceeds {cli.MAX_ABS}"),
+            (["sigma", "1", "-4", "100000000000", "2"], f"exceeds {cli.MAX_BITS}"),
+            (["qexp", "1", "-4", "3", "--terms", "3000000"], f"exceeds {cli.MAX_TERMS}"),
+            (["qexp", "5", "-3", "1403", "--terms", "1000"], f"exceeds {cli.MAX_BITS}"),
+        ],
+    )
+    def test_refused_before_any_work(self, tmp_path, capsys, no_engine, args, message):
+        rc, _ = run_cli(args, tmp_path)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args", [["eta", "5", "-3"], ["sigma", "1", "-4", "3", "3"], ["qexp", "1", "-4", "3"]]
+    )
+    def test_stub_is_live(self, tmp_path, no_engine, args):
+        with pytest.raises(AssertionError, match="an engine ran"):
+            run_cli(args, tmp_path)
+
+    def test_bounds_are_inclusive(self):
+        cli._check_bits(cli.MAX_BITS // 10 + 1, 1000)  # 10-bit n, exactly MAX_BITS
+        with pytest.raises(ValueError):
+            cli._check_bits(cli.MAX_BITS // 10 + 2, 1000)
+        with pytest.raises(ValueError, match="not a fundamental"):
+            cli._check_pair(cli.MAX_ABS, 5)  # 10^12 passes the bound, then fails as 4 * m
+
+    def test_desk_scale_inputs_are_accepted(self, tmp_path):
+        # the range of the `cli-small` workload: |D| <= 5000, k <= 8, n <= 1000, terms <= 16
+        for args in (["eta", "4997", "-4999"], ["sigma", "-4", "4997", "8", "1000"],
+                     ["qexp", "1", "497", "8", "--terms", "16"]):
+            rc, _ = run_cli(args, tmp_path)
+            assert rc == 0, args
+
+    def test_largest_discriminants_finish(self, tmp_path):
+        # two primes just below MAX_ABS, each squarefree only after 10^6 divisions
+        start = time.perf_counter()
+        rc, text = run_cli(["eta", "999999999989", "-999999999959", "--no-timestamp"], tmp_path)
+        assert time.perf_counter() - start < 10.0
+        assert rc == 0
+        assert "eta = " in text
+
+
+class TestNumpyStaysUnloaded:
+    """Only the commands that build a discriminant table load numpy."""
+
+    @staticmethod
+    def numpy_loaded_after(code):
+        proc = run_python(["-c", f"{code}\nimport sys\nprint('numpy' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    @pytest.mark.parametrize("module", ["eta_lab", "eta_lab.cli"])
+    def test_import(self, module):
+        assert not self.numpy_loaded_after(f"import {module}")
+
+    @pytest.mark.parametrize(
+        "args",
+        [["constants", "--K", "20"], ["eta", "5", "-3"], ["sigma", "1", "-4", "3", "3"],
+         ["qexp", "1", "-4", "3", "--terms", "5"]],
+    )
+    def test_single_value_commands(self, args):
+        code = (
+            "import os, sys\n"
+            "from eta_lab.cli import main\n"
+            "for fmt in ('text', 'csv', 'json'):\n"
+            f"    assert main({args!r} + ['--format', fmt, '--output', os.devnull]) == 0\n"
+            "    assert 'numpy' not in sys.modules, fmt\n"
+        )
+        assert not self.numpy_loaded_after(code)
+
+    def test_scan_loads_numpy(self):
+        code = (
+            "import os\n"
+            "from eta_lab.cli import main\n"
+            "assert main(['scan', '--x', '1000', '--output', os.devnull]) == 0\n"
+        )
+        assert self.numpy_loaded_after(code)
 
 
 class TestSingleValueCommands:
