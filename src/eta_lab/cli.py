@@ -5,12 +5,14 @@
     eta-lab sigma D1 D2 K N
     eta-lab qexp D1 D2 K --terms M
     eta-lab scan --x X [--cap] [--workers W]
-    eta-lab densities --x X [--lemma 2,3,5,7] [--pollack KMAX] [--lt 2:-1,3:+1]
+    eta-lab densities --x X [--lemma 2,3,5,7] [--pollack KMAX] [--lt 2:-1,3:+1] [--workers W]
     eta-lab audit --x X [--cap] [--workers W]
     eta-lab verify [--quick] [--golden DIR] [--update-golden]
 
-Exit codes: 0 success, 1 usage or invalid input, 2 computational check
-failure or cap exhaustion. All outputs flow through one serialization
+Only `audit` forks --workers processes; `scan` and `densities` accept the
+flag and run their kernels in one process. Exit codes: 0 success, 1 usage
+or invalid input (every bound is checked before any work), 2 computational
+check failure or cap exhaustion. All outputs flow through one serialization
 layer; --no-timestamp makes any command byte-deterministic.
 """
 
@@ -59,6 +61,18 @@ MAX_TERMS = 1000
 # `qexp` value below 4300 decimal digits, the default int-to-str limit of
 # Python 3.11, so each one prints in every format.
 MAX_BITS = 14_000
+# `qexp` with D1 = 1 evaluates L(1 - k, chi_{D2}): |D2| Bernoulli-polynomial
+# steps of degree k, after the O(k^2) Bernoulli numbers. At the edges of these
+# bounds (|D2| * k = 30000 for k = 1..200) it takes at most 1.0 s on a 2-vCPU
+# x86-64 host, Python 3.11; `qexp 1 -40003 3` took 2.3 s there.
+MAX_L_WEIGHT = 200
+MAX_L_WORK = 30_000
+# `densities --pollack KMAX` renders KMAX rows of exact rationals of O(KMAX)
+# digits: 0.97 s for `--pollack 2500 --format json` on the same host.
+MAX_POLLACK = 2500
+# The 'mid +/- w' rendering prints the padded half-width w >= 10^-digits as a
+# float, which stays a normal float only above about 10^-308.
+MAX_DIGITS = 300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +95,8 @@ def _emit(args, command: str, config: dict, payload) -> None:
 def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--digits", type=int, default=12, help="rendering precision")
+    p.add_argument("--digits", type=int, default=12,
+                   help=f"decimal places, 1 to {MAX_DIGITS} (default 12)")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp for byte-deterministic output")
 
@@ -152,6 +167,27 @@ def _check_bits(k: int, n: int) -> None:
         )
 
 
+def _check_digits(digits: int) -> None:
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"--digits {digits} is outside 1..{MAX_DIGITS}")
+
+
+def _check_l_value(d2: int, k: int) -> None:
+    if k > MAX_L_WEIGHT:
+        raise ValueError(
+            f"k = {k} exceeds {MAX_L_WEIGHT} with D1 = 1: the constant term "
+            "L(1 - k, chi_D2) needs the Bernoulli numbers up to B_k"
+        )
+    if abs(d2) * k > MAX_L_WORK:
+        raise ValueError(
+            f"|D2| * k = {abs(d2) * k} exceeds {MAX_L_WORK} with D1 = 1: the constant "
+            "term L(1 - k, chi_D2) takes |D2| Bernoulli-polynomial steps of degree k"
+        )
+
+
+_ONE_PROCESS = "accepted and ignored: the kernel runs in one process (only audit forks)"
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="eta-lab", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"eta-lab {__version__}")
@@ -185,7 +221,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan", help="average eta over all pairs |D1*D2| <= x")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_ETA_CAP)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_ONE_PROCESS)
     p.add_argument("--K", type=int, default=1000, dest="k_terms")
     _add_common(p)
 
@@ -197,13 +233,14 @@ def build_parser() -> _Parser:
                    help="n(D) = p_k densities for k = 1..KMAX")
     p.add_argument("--lt", default=None, metavar="P:S,...",
                    help="pair sign pattern, e.g. 2:-1,3:+1 or 2:0")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_ONE_PROCESS)
     _add_common(p)
 
     p = sub.add_parser("audit", help="exact decomposition audit of sum eta")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_ETA_CAP)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes to split the audit's D2 over (default 1)")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
@@ -265,6 +302,8 @@ def _cmd_qexp(args) -> int:
     if args.terms > MAX_TERMS:
         raise ValueError(f"--terms {args.terms} exceeds {MAX_TERMS}")
     _check_bits(args.k, args.terms)
+    if args.d1 == 1:
+        _check_l_value(args.d2, args.k)
     pair = _check_pair(args.d1, args.d2)
     expansion = q_expansion(pair, args.k, args.terms)
     payload = {"kind": "qexp", "d1": args.d1, "d2": args.d2, "expansion": expansion}
@@ -300,6 +339,11 @@ def _cmd_densities(args) -> int:
     x = _check_x(args.x)
     if not (args.lemma or args.pollack or args.lt):
         raise ValueError("densities needs at least one of --lemma, --pollack, --lt")
+    if args.pollack and args.pollack > MAX_POLLACK:
+        raise ValueError(
+            f"--pollack {args.pollack} exceeds {MAX_POLLACK}: each row carries exact "
+            "rationals of O(KMAX) digits"
+        )
     ctx = build_context(x)
     reports = []
     config: dict = {"x": x}
@@ -360,6 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_digits(args.digits)
         return _HANDLERS[args.command](args)
     except CapExceededError as exc:
         print(f"eta-lab: {exc}", file=sys.stderr)

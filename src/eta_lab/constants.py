@@ -67,6 +67,7 @@ __all__ = [
     "render_decimal",
     "sign_probability",
     "least_negative_density",
+    "least_negative_densities",
     "ZETA2_LO",
     "ZETA2_HI",
 ]
@@ -374,7 +375,7 @@ def render_decimal(value: RigorousValue, digits: int) -> str:
     t_mid = floor(mid * scale)
     # half-width padded by one ulp of the printed midpoint, rounded up
     padded = half + Fraction(1, scale)
-    w = float(padded.numerator) / float(padded.denominator)
+    w = padded.numerator / padded.denominator  # correctly rounded, for any size
     w *= 1.0000001
     return f"{_format_scaled(t_mid, digits)} +/- {w:.2e}"
 
@@ -403,13 +404,20 @@ def pair_sign_probability(p: int, sign: int) -> Fraction:
     raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
 
 
-def least_negative_density(k: int) -> Fraction:
-    """Limit proportion of fundamental discriminants with n(D) = p_k:
-    p_k/(2(p_k+1)) * prod_{j<k} (p_j+2)/(2(p_j+1))."""
-    if k < 1:
+def least_negative_densities(k_max: int) -> list[Fraction]:
+    """Limit proportions of fundamental discriminants with n(D) = p_k, for
+    k = 1..k_max: p_k/(2(p_k+1)) * prod_{j<k} (p_j+2)/(2(p_j+1)), from one
+    running product."""
+    if k_max < 1:
         raise ValueError("k must be >= 1")
-    *below, p = default_primes(k)
-    out = Fraction(p, 2 * (p + 1))
-    for q in below:
-        out *= _ratio(_factor_shared(q))
+    out = []
+    prod = Fraction(1)
+    for p in default_primes(k_max):
+        out.append(Fraction(p, 2 * (p + 1)) * prod)
+        prod *= _ratio(_factor_shared(p))
     return out
+
+
+def least_negative_density(k: int) -> Fraction:
+    """Limit proportion of fundamental discriminants with n(D) = p_k."""
+    return least_negative_densities(k)[-1]

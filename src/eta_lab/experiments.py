@@ -31,6 +31,12 @@ same pass over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
 The context is int32 (entries, |D|, prefix counts), uint8 (n(D), at most
 103 below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8).
 
+scan_pairs and density_lt run in one process: their kernels take a few
+tenths of a second at 1e7, less than a worker pool costs to start and feed.
+decomposition_audit, pure Python, splits its D2 over forked workers. Every
+kernel still takes a (lo, hi) range of D2, so partial sums over ranges can
+be compared across engines.
+
 Their agreement on sum(eta) at equal x is asserted by the test suite. Pair
 iteration order is canonical (D2 by table order, D1 by table order within
 the |D1| <= x/|D2| prefix), and all aggregates are integers, so reports are
@@ -43,7 +49,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import log
+from math import isqrt, log
 from typing import Iterable
 
 import numpy as np
@@ -61,7 +67,7 @@ from .constants import (
     ZETA2_LO,
     combined_constant,
     default_primes,
-    least_negative_density,
+    least_negative_densities,
     pair_sign_probability,
     rigorous_constant,
     render_decimal,
@@ -108,15 +114,14 @@ _N_SCAN_LIMIT = 1_000_000  # prime budget for resolving n(D); never binding in p
 # Context: discriminant table plus derived arrays shared by all experiments
 # ---------------------------------------------------------------------------
 
+# chi_D(2) by D mod 8: 0 for even D, +1 at 1 and 7, -1 at 3 and 5
+_CHI2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
+
+
 def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
     """chi_D(p) for an array of discriminants, as int8."""
     if p == 2:
-        out = np.zeros(len(d), dtype=np.int8)
-        odd = (d & 1) != 0
-        m8 = d & 7  # two's complement low bits == value mod 8
-        out[odd & ((m8 == 1) | (m8 == 7))] = 1
-        out[odd & ((m8 == 3) | (m8 == 5))] = -1
-        return out
+        return _CHI2[d & 7]  # two's complement low bits == value mod 8
     if p <= len(d):
         # residue table from the squares 1^2..((p-1)/2)^2, vectorised
         tab = np.full(p, -1, dtype=np.int8)
@@ -134,9 +139,10 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
 def _sign_pass(entries: np.ndarray):
     """One pass over the primes p = 2, 3, 5, ... for an array of discriminants.
 
-    Yields (p, alive, chi): alive is the int32 index array of the D != 1
-    with no -1 at any prime below p, and chi = chi_D(p) at those positions
-    only. Stops once every D != 1 has met a -1, so the last p yielded is
+    Yields (p, alive, chi, neg): alive is the int32 index array of the
+    D != 1 with no -1 at any prime below p, chi = chi_D(p) at those
+    positions only, and neg the mask chi == -1, which then also shrinks
+    alive. Stops once every D != 1 has met a -1, so the last p yielded is
     max n(D).
     """
     alive = np.arange(len(entries), dtype=np.int32)[entries != 1]
@@ -145,8 +151,9 @@ def _sign_pass(entries: np.ndarray):
         if len(alive) == 0:
             return
         chi = _chi_values(d, p)
-        yield p, alive, chi
-        keep = chi != -1
+        neg = chi == -1
+        yield p, alive, chi, neg
+        keep = np.logical_not(neg, out=neg)  # the consumer is done with neg
         alive, d = alive[keep], d[keep]
     if len(alive):
         raise RuntimeError("n(D) scan exhausted its prime budget")
@@ -192,6 +199,26 @@ class ScanContext:
         return self.chi[p]
 
 
+def _prefix_counts(abs_values: np.ndarray, x: int) -> np.ndarray:
+    """#{D1 : |D1| <= x // |D|} for every entry, as int32.
+
+    x // |D| does not increase along the table, so, with r = isqrt(x), the
+    entries whose quotient exceeds r form a head; each of those is a binary
+    search. Every later entry has a quotient v <= r and reads the count
+    #{|D1| <= v} from a table of r entries; the entries sharing v are one
+    contiguous run, so the tail is that table repeated run by run.
+    """
+    r = isqrt(x)
+    v = np.arange(1, r + 2, dtype=abs_values.dtype)
+    # ends[i] = #{D : |D| <= x // (i + 1)}; quotient v fills [ends[v], ends[v - 1])
+    ends = np.searchsorted(abs_values, x // v, side="right")
+    head = np.searchsorted(abs_values, x // abs_values[: ends[r]], side="right")
+    counts = np.searchsorted(abs_values, v[:r], side="right")
+    values = np.concatenate([head, counts[::-1]]).astype(np.int32)
+    runs = np.concatenate([np.ones(len(head), dtype=np.intp), -np.diff(ends)[::-1]])
+    return np.repeat(values, runs)
+
+
 def build_context(x: int) -> ScanContext:
     """Sieve |D| <= x, count the prefixes, and derive n(D), the qmask and the
     kernel's chi columns from one sign pass over the D still alive."""
@@ -200,13 +227,13 @@ def build_context(x: int) -> ScanContext:
     table = sieve_fundamental(x)
     entries = table.entries
     abs_values = table.abs_values
-    prefix = np.searchsorted(abs_values, x // abs_values, side="right").astype(np.int32)
+    prefix = _prefix_counts(abs_values, x)
     nvals = np.zeros(len(entries), dtype=np.uint8)
     qmask = np.zeros(len(entries), dtype=np.uint32)
     prefix_chi: dict[int, np.ndarray] = {}
     passed: list[int] = []
-    for bit, (p, alive, chi_p) in enumerate(_sign_pass(entries)):
-        nvals[alive[chi_p == -1]] = p
+    for bit, (p, alive, chi_p, neg) in enumerate(_sign_pass(entries)):
+        nvals[alive[neg]] = p
         # for fundamental D, p | D exactly when chi_D(p) = 0
         divides = alive[chi_p == 0]
         if len(divides):
@@ -228,7 +255,7 @@ def build_context(x: int) -> ScanContext:
 
 
 # ---------------------------------------------------------------------------
-# Chunked execution
+# Chunked execution (decomposition_audit only)
 # ---------------------------------------------------------------------------
 
 _WORKER_STATE: tuple | None = None
@@ -350,13 +377,11 @@ def scan_pairs(
     numerator and denominator alike; their count is reported because they
     are a visible fraction at desk scale. Any pair whose scan would pass
     `cap` raises CapExceededError (never triggered for cap >= max n(D)).
+    `workers` is accepted for compatibility; the kernel runs in this process.
     """
     if ctx is None:
         ctx = build_context(x)
-    parts = _run_chunked(_scan_chunk, (ctx, cap), len(ctx.entries), workers)
-    pairs_total = sum(p[0] for p in parts)
-    pairs_excluded = sum(p[1] for p in parts)
-    sum_eta = sum(p[2] for p in parts)
+    pairs_total, pairs_excluded, sum_eta = _scan_chunk(ctx, cap, (0, len(ctx.entries)))
     included = pairs_total - pairs_excluded
     avg = Fraction(sum_eta, included) if included else Fraction(0)
 
@@ -556,13 +581,14 @@ def density_pollack(
     total = len(nv)
     if total == 0:
         raise ValueError(f"no fundamental discriminant D != 1 with |D| <= {x}")
+    counts = np.bincount(nv).tolist()
     rows = []
     warnings = []
     uniform_bound = log(x) ** (1 / 3) if x > 1 else 0.0
-    for k, p in enumerate(default_primes(k_max), 1):
-        cnt = int((nv == p).sum())
+    preds = least_negative_densities(k_max)
+    for k, (p, pred) in enumerate(zip(default_primes(k_max), preds), 1):
+        cnt = counts[p] if p < len(counts) else 0
         obs = Fraction(cnt, total)
-        pred = least_negative_density(k)
         rows.append(
             DensityRow(
                 label=f"n(D)=p_{k}={p}",
@@ -627,7 +653,8 @@ def density_lt(
 
     The prediction is the product of 1/(p+1)^2 over zero-sign constraints
     and p(p+2)/(2(p+1)^2) over nonzero ones. Non-prime and repeated primes
-    are rejected.
+    are rejected. `workers` is accepted for compatibility; the kernel runs
+    in this process.
     """
     pat = tuple((int(p), int(s)) for p, s in pattern)
     if not pat:
@@ -644,9 +671,7 @@ def density_lt(
         ctx = build_context(x)
     for p, _ in pat:
         ctx.chi_array(p)
-    parts = _run_chunked(_lt_chunk, (ctx, pat), len(ctx.entries), workers)
-    pairs_total = sum(p[0] for p in parts)
-    matched = sum(p[1] for p in parts)
+    pairs_total, matched = _lt_chunk(ctx, pat, (0, len(ctx.entries)))
     pred = Fraction(1)
     for p, s in pat:
         pred *= pair_sign_probability(p, s)
@@ -776,8 +801,8 @@ def average_n1(x: int, k_terms: int = 1000, digits: int = 12) -> AverageReport:
     # p* = +-p = 1 mod 4 is a fundamental discriminant and, by quadratic
     # reciprocity (with (2/p) set by p mod 8), n(p*) = n_1(p)
     n1 = np.zeros(len(odd), dtype=np.int64)
-    for p, alive, chi in _sign_pass(np.where(odd % 4 == 1, odd, -odd)):
-        n1[alive[chi == -1]] = p
+    for p, alive, _, neg in _sign_pass(np.where(odd % 4 == 1, odd, -odd)):
+        n1[alive[neg]] = p
     total = int(n1.sum())
     count = len(n1)
     avg = Fraction(total, count)

@@ -215,6 +215,81 @@ class TestInputBounds:
         assert "eta = " in text
 
 
+class TestOutputAndSeriesBounds:
+    """--digits, --pollack and the D1 = 1 constant term of qexp are refused
+    before any work."""
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran for a refused input")
+
+        for name in ("scan_pairs", "build_context"):
+            monkeypatch.setattr(experiments, name, fail)
+        for name in ("rigorous_constant", "combined_constant", "mu_constant",
+                     "NewformPair", "q_expansion"):
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["constants", "--digits", "0"], f"outside 1..{cli.MAX_DIGITS}"),
+            (["constants", "--digits", str(cli.MAX_DIGITS + 1)], f"outside 1..{cli.MAX_DIGITS}"),
+            (["scan", "--x", "10", "--digits", "100000000"], f"outside 1..{cli.MAX_DIGITS}"),
+            (["densities", "--x", "10", "--pollack", str(cli.MAX_POLLACK + 1)],
+             f"exceeds {cli.MAX_POLLACK}"),
+            (["qexp", "1", "-40003", "3", "--terms", "2"], f"exceeds {cli.MAX_L_WORK}"),
+            (["qexp", "1", "5", str(cli.MAX_L_WEIGHT + 2)], f"exceeds {cli.MAX_L_WEIGHT}"),
+        ],
+    )
+    def test_refused_before_any_work(self, tmp_path, capsys, no_engine, args, message):
+        rc, _ = run_cli(args, tmp_path)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["constants", "--K", "20", "--digits", str(cli.MAX_DIGITS)],
+         ["scan", "--x", "10", "--digits", "1"],
+         ["densities", "--x", "10", "--pollack", str(cli.MAX_POLLACK)],
+         ["qexp", "1", "5", str(cli.MAX_L_WEIGHT)]],
+    )
+    def test_stub_is_live(self, tmp_path, no_engine, args):
+        with pytest.raises(AssertionError, match="an engine ran"):
+            run_cli(args, tmp_path)
+
+    def test_bounds_are_inclusive(self):
+        cli._check_digits(1)
+        cli._check_digits(cli.MAX_DIGITS)
+        cli._check_l_value(-(cli.MAX_L_WORK // 3), 3)
+        cli._check_l_value(cli.MAX_L_WORK // cli.MAX_L_WEIGHT, cli.MAX_L_WEIGHT)
+        with pytest.raises(ValueError):
+            cli._check_l_value(-(cli.MAX_L_WORK // 3 + 1), 3)
+        with pytest.raises(ValueError):
+            cli._check_l_value(1, cli.MAX_L_WEIGHT + 1)
+
+    def test_largest_digits_render_every_constant(self, tmp_path):
+        # a 'mid +/- w' half-width whose numerator and denominator exceed any float
+        rc, text = run_cli(
+            ["constants", "--K", "200", "--digits", str(cli.MAX_DIGITS), "--no-timestamp"],
+            tmp_path,
+        )
+        assert rc == 0
+        assert text.count("+/-") == 7
+
+    @pytest.mark.parametrize(
+        "args",
+        [["densities", "--x", "10", "--pollack", str(cli.MAX_POLLACK), "--format", "json"],
+         ["qexp", "1", "-29999", "1", "--terms", "2"],
+         ["qexp", "1", "149", str(cli.MAX_L_WEIGHT), "--terms", "2"]],
+    )
+    def test_slowest_accepted_inputs_finish(self, tmp_path, args):
+        start = time.perf_counter()
+        rc, _ = run_cli(args, tmp_path)
+        assert time.perf_counter() - start < 10.0
+        assert rc == 0
+
+
 class TestNumpyStaysUnloaded:
     """Only the commands that build a discriminant table load numpy."""
 

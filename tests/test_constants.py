@@ -13,6 +13,7 @@ from eta_lab.constants import (
     RigorousValue,
     combined_constant,
     default_primes,
+    least_negative_densities,
     least_negative_density,
     mu_constant,
     pair_sign_probability,
@@ -131,6 +132,7 @@ class TestOnePassExactness:
             lambda: combined_constant(0),
             lambda: mu_constant(9),
             lambda: least_negative_density(0),
+            lambda: least_negative_densities(0),
             lambda: tail_bound("erdos", 9),
             lambda: partial_sum("alpha", 0),
         ],
@@ -218,6 +220,15 @@ class TestRenderDecimal:
         out = render_decimal(v, 3)
         assert "+/-" in out
 
+    def test_plus_minus_width_beyond_float_range_operands(self):
+        # the padded half-width's numerator and denominator exceed any float
+        v = rigorous_constant("theta", 200)
+        assert v.width.denominator.bit_length() > 1100
+        out = render_decimal(v, 80)
+        mid, w = (Fraction(t) for t in out.split(" +/- "))
+        ulp = w / 100  # one unit in the last printed place of w
+        assert mid - w - ulp <= v.lo and v.hi <= mid + w + ulp
+
     def test_rejects_nonpositive_digits(self):
         v = RigorousValue("d", 1, Fraction(1), Fraction(1))
         with pytest.raises(ValueError):
@@ -236,6 +247,15 @@ class TestPredictions:
 
     def test_least_negative_density_k1_is_one_third(self):
         assert least_negative_density(1) == Fraction(1, 3)
+
+    def test_running_product_matches_the_definition(self):
+        primes = default_primes(60)
+        for k, got in enumerate(least_negative_densities(60), 1):
+            want = Fraction(primes[k - 1], 2 * (primes[k - 1] + 1))
+            for q in primes[: k - 1]:
+                want *= Fraction(q + 2, 2 * (q + 1))
+            assert got == want, k
+            assert least_negative_density(k) == want, k
 
     def test_least_negative_densities_subprobability(self):
         total = sum(least_negative_density(k) for k in range(1, 26))

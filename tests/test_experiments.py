@@ -9,8 +9,10 @@ import pytest
 
 from eta_lab.arith import is_fundamental, iter_primes, kronecker, least_nonresidue, sieve_primes
 from eta_lab.constants import ZETA2_HI, ZETA2_LO
+from eta_lab import experiments
 from eta_lab.experiments import (
     CapExceededError,
+    _chi_values,
     build_context,
     decomposition_audit,
     density_lemma,
@@ -92,6 +94,21 @@ class TestContext:
             y = 2000 // int(ctx2000.abs_values[i])
             assert ctx2000.prefix[i] == ctx2000.table.count_upto(y)
 
+    # squares and their neighbours, where the split at isqrt(x) sits
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 15, 16, 17, 24, 25, 26, 9999, 10000, 10001])
+    def test_prefix_counts_match_brute_force(self, x):
+        ctx = build_context(x)
+        a = np.array(sorted(abs(d) for d in brute_discriminants(x)))
+        assert ctx.prefix.dtype == np.int32
+        assert ctx.prefix.tolist() == [int((a <= x // v).sum()) for v in a]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_chi_at_two_is_kronecker_for_every_residue(self, dtype):
+        d = np.arange(-40, 41, dtype=dtype)  # every residue mod 8, both signs
+        chi = _chi_values(d, 2)
+        assert chi.dtype == np.int8
+        assert chi.tolist() == [kronecker(int(v), 2) for v in d]
+
 
 class TestScanPairs:
     @pytest.mark.parametrize("x", [10, 100, 2000])
@@ -118,6 +135,31 @@ class TestScanPairs:
         assert set(rep.refs) == {"theta", "combined", "Theta"}
         for name in rep.refs:
             assert isinstance(rep.deltas[name], Fraction)
+
+
+class TestOneProcessKernels:
+    """scan_pairs and density_lt start no worker pool, whatever `workers` says."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a worker pool was requested")
+
+        monkeypatch.setattr(experiments.multiprocessing, "get_context", fail)
+
+    def test_scan_pairs(self, no_fork):
+        assert scan_pairs(5000, workers=4) == scan_pairs(5000, workers=1)
+
+    def test_density_lt(self, no_fork, ctx2000):
+        pattern = [(2, 1), (3, -1)]
+        assert density_lt(2000, pattern, ctx2000, workers=3) == density_lt(
+            2000, pattern, ctx2000, workers=1
+        )
+
+    def test_stub_is_live(self, no_fork, ctx2000):
+        # the audit still forks for workers > 1
+        with pytest.raises(AssertionError, match="worker pool"):
+            decomposition_audit(2000, ctx=ctx2000, workers=2)
 
 
 class TestAudit:
