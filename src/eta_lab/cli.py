@@ -9,11 +9,11 @@
     eta-lab audit --x X [--cap] [--workers W]
     eta-lab verify [--quick] [--golden DIR] [--update-golden]
 
-Only `audit` forks --workers processes; `scan` and `densities` accept the
-flag and run their kernels in one process. Exit codes: 0 success, 1 usage
-or invalid input (every bound is checked before any work), 2 computational
-check failure or cap exhaustion. All outputs flow through one serialization
-layer; --no-timestamp makes any command byte-deterministic.
+Every command runs in one process; `scan`, `densities` and `audit` accept
+--workers and ignore it. Exit codes: 0 success, 1 usage or invalid input
+(every bound is checked before any work), 2 computational check failure or
+cap exhaustion. All outputs flow through one serialization layer;
+--no-timestamp makes any command byte-deterministic.
 """
 
 from __future__ import annotations
@@ -70,8 +70,10 @@ MAX_L_WORK = 30_000
 # `densities --pollack KMAX` renders KMAX rows of exact rationals of O(KMAX)
 # digits: 0.97 s for `--pollack 2500 --format json` on the same host.
 MAX_POLLACK = 2500
-# The 'mid +/- w' rendering prints the padded half-width w >= 10^-digits as a
-# float, which stays a normal float only above about 10^-308.
+# Places after the point of every printed decimal. The enclosures at the
+# default K = 1000 are 1e-304 to 1e-296 wide, so 300 places resolve them, and
+# the float columns carry 17 significant digits; the rendering itself is exact
+# at any count (`constants --digits 300` takes 0.06 s in process).
 MAX_DIGITS = 300
 
 
@@ -185,7 +187,7 @@ def _check_l_value(d2: int, k: int) -> None:
         )
 
 
-_ONE_PROCESS = "accepted and ignored: the kernel runs in one process (only audit forks)"
+_ONE_PROCESS = "accepted and ignored: every command runs in one process"
 
 
 def build_parser() -> _Parser:
@@ -239,8 +241,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("audit", help="exact decomposition audit of sum eta")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_ETA_CAP)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes to split the audit's D2 over (default 1)")
+    p.add_argument("--workers", type=int, default=1, help=_ONE_PROCESS)
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
@@ -318,8 +319,8 @@ def _cmd_scan(args) -> int:
     x = _check_x(args.x)
     k = _check_k(args.k_terms)
     report = scan_pairs(x, cap=args.cap, workers=args.workers, k_terms=k, digits=args.digits)
-    # worker count deliberately left out of the echo: results are
-    # worker-independent and the bytes must be too
+    # the ignored worker count is left out of the echo, so the bytes are the
+    # same for any --workers
     config = {"x": x, "cap": args.cap, "K": k}
     _emit(args, "scan", config, report)
     return 0
@@ -355,7 +356,7 @@ def _cmd_densities(args) -> int:
         reports.append(density_pollack(x, args.pollack, ctx))
         config["pollack"] = args.pollack
     if args.lt:
-        reports.append(density_lt(x, _parse_pattern(args.lt), ctx, args.workers))
+        reports.append(density_lt(x, _parse_pattern(args.lt), ctx))
         config["lt"] = args.lt
     _emit(args, "densities", config, reports)
     return 0
@@ -365,7 +366,7 @@ def _cmd_audit(args) -> int:
     from .experiments import decomposition_audit
 
     x = _check_x(args.x)
-    report = decomposition_audit(x, cap=args.cap, workers=args.workers)
+    report = decomposition_audit(x, cap=args.cap)
     _emit(args, "audit", {"x": x, "cap": args.cap}, report)
     return 0
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, log
+from math import ceil, floor, log
 
 from .arith import sieve_primes
 
@@ -332,6 +332,21 @@ def _format_scaled(t: int, digits: int) -> str:
     return f"{sign}{ip}.{rem:0{digits}d}"
 
 
+def _format_up(w: Fraction) -> str:
+    """The least 3-significant-digit decimal >= w > 0, spelled d.dde+XX."""
+    # 10^e <= w < 10^(e + 1); the bit lengths put log2(w) within 1 of their
+    # difference, and the operands may be too long for str()
+    e = floor((w.numerator.bit_length() - w.denominator.bit_length()) * log(2) / log(10))
+    while w < Fraction(10) ** e:
+        e -= 1
+    while w >= Fraction(10) ** (e + 1):
+        e += 1
+    m = ceil(w / Fraction(10) ** (e - 2))  # 100 <= m <= 1000
+    if m == 1000:
+        m, e = 100, e + 1
+    return f"{m // 100}.{m % 100:02d}e{e:+03d}"
+
+
 def _exact_decimal(x: Fraction) -> str:
     den = x.denominator
     tmp = den
@@ -373,11 +388,8 @@ def render_decimal(value: RigorousValue, digits: int) -> str:
     mid = value.midpoint
     half = value.width / 2
     t_mid = floor(mid * scale)
-    # half-width padded by one ulp of the printed midpoint, rounded up
-    padded = half + Fraction(1, scale)
-    w = padded.numerator / padded.denominator  # correctly rounded, for any size
-    w *= 1.0000001
-    return f"{_format_scaled(t_mid, digits)} +/- {w:.2e}"
+    # half-width padded by one ulp of the printed (truncated) midpoint
+    return f"{_format_scaled(t_mid, digits)} +/- {_format_up(half + Fraction(1, scale))}"
 
 
 # ---------------------------------------------------------------------------

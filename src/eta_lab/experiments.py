@@ -31,21 +31,18 @@ same pass over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
 The context is int32 (entries, |D|, prefix counts), uint8 (n(D), at most
 103 below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8).
 
-scan_pairs and density_lt run in one process: their kernels take a few
-tenths of a second at 1e7, less than a worker pool costs to start and feed.
-decomposition_audit, pure Python, splits its D2 over forked workers. Every
-kernel still takes a (lo, hi) range of D2, so partial sums over ranges can
-be compared across engines.
+Every engine runs in one process; a worker pool paid for itself only in
+audits at x >= 3e5. Every kernel still takes a (lo, hi) range of D2, so
+partial sums over ranges can be compared across engines.
 
 Their agreement on sum(eta) at equal x is asserted by the test suite. Pair
 iteration order is canonical (D2 by table order, D1 by table order within
 the |D1| <= x/|D2| prefix), and all aggregates are integers, so reports are
-byte-identical for any worker count.
+byte-deterministic.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -255,46 +252,6 @@ def build_context(x: int) -> ScanContext:
 
 
 # ---------------------------------------------------------------------------
-# Chunked execution (decomposition_audit only)
-# ---------------------------------------------------------------------------
-
-_WORKER_STATE: tuple | None = None
-
-
-def _chunk_entry(args):
-    fn = _WORKER_STATE[0]
-    return fn(*_WORKER_STATE[1:], args)
-
-
-def _run_chunked(fn, fn_args: tuple, n_items: int, workers: int) -> list:
-    """Apply fn(*fn_args, (lo, hi)) over contiguous chunks, merged in order.
-
-    Uses fork-based multiprocessing so workers share the context arrays via
-    copy-on-write; with workers = 1 everything runs inline.
-    """
-    if n_items == 0:
-        return []
-    workers = max(1, workers)
-    n_chunks = 1 if workers == 1 else min(n_items, workers * 8)
-    bounds = np.linspace(0, n_items, n_chunks + 1, dtype=np.int64)
-    chunks = [
-        (int(bounds[i]), int(bounds[i + 1]))
-        for i in range(n_chunks)
-        if bounds[i] < bounds[i + 1]
-    ]
-    if workers == 1:
-        return [fn(*fn_args, ch) for ch in chunks]
-    global _WORKER_STATE
-    _WORKER_STATE = (fn, *fn_args)
-    try:
-        mp = multiprocessing.get_context("fork")
-        with mp.Pool(processes=workers) as pool:
-            return pool.map(_chunk_entry, chunks)
-    finally:
-        _WORKER_STATE = None
-
-
-# ---------------------------------------------------------------------------
 # scan_pairs: optimized eta aggregation
 # ---------------------------------------------------------------------------
 
@@ -377,7 +334,8 @@ def scan_pairs(
     numerator and denominator alike; their count is reported because they
     are a visible fraction at desk scale. Any pair whose scan would pass
     `cap` raises CapExceededError (never triggered for cap >= max n(D)).
-    `workers` is accepted for compatibility; the kernel runs in this process.
+    `workers` is accepted and ignored, so callers that record a worker count
+    keep working; the kernel runs in this process.
     """
     if ctx is None:
         ctx = build_context(x)
@@ -476,7 +434,6 @@ def _audit_chunk(ctx: ScanContext, cap: int, scan_primes: tuple[int, ...], bound
 def decomposition_audit(
     x: int,
     cap: int = DEFAULT_ETA_CAP,
-    workers: int = 1,
     ctx: ScanContext | None = None,
 ) -> AuditReport:
     """Exact audit of the sum decomposition
@@ -494,13 +451,6 @@ def decomposition_audit(
         ctx = build_context(x)
     max_n = int(ctx.nvals.max()) if len(ctx.nvals) else 2
     scan_primes = sieve_primes(max(2, max_n))
-    parts = _run_chunked(
-        _audit_chunk, (ctx, cap, scan_primes), len(ctx.entries), workers
-    )
-    totals = [sum(p[i] for p in parts) for i in range(9)]
-    examples = sorted(
-        (e for p in parts for e in p[9]), key=lambda t: t[:3]
-    )[:10]
     (
         pairs_total,
         pairs_excluded,
@@ -511,7 +461,8 @@ def decomposition_audit(
         hit_pairs,
         violations,
         mismatches,
-    ) = totals
+        examples,
+    ) = _audit_chunk(ctx, cap, scan_primes, (0, len(ctx.entries)))
     return AuditReport(
         x=x,
         pairs_total=pairs_total,
@@ -646,15 +597,13 @@ def density_lt(
     x: int,
     pattern: Iterable[tuple[int, int]],
     ctx: ScanContext | None = None,
-    workers: int = 1,
 ) -> DensityReport:
     """Observed vs predicted proportion of ordered pairs whose coefficient
     sign at each pattern prime equals the requested value.
 
     The prediction is the product of 1/(p+1)^2 over zero-sign constraints
     and p(p+2)/(2(p+1)^2) over nonzero ones. Non-prime and repeated primes
-    are rejected. `workers` is accepted for compatibility; the kernel runs
-    in this process.
+    are rejected.
     """
     pat = tuple((int(p), int(s)) for p, s in pattern)
     if not pat:
@@ -669,8 +618,6 @@ def density_lt(
             raise ValueError(f"sign must be -1, 0 or +1, got {s}")
     if ctx is None:
         ctx = build_context(x)
-    for p, _ in pat:
-        ctx.chi_array(p)
     pairs_total, matched = _lt_chunk(ctx, pat, (0, len(ctx.entries)))
     pred = Fraction(1)
     for p, s in pat:

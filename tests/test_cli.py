@@ -277,6 +277,16 @@ class TestOutputAndSeriesBounds:
         assert rc == 0
         assert text.count("+/-") == 7
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_largest_digits_at_default_k(self, tmp_path, fmt):
+        # half-widths whose numerators exceed Python's int-to-str digit limit
+        rc, text = run_cli(
+            ["constants", "--digits", str(cli.MAX_DIGITS), "--format", fmt, "--no-timestamp"],
+            tmp_path,
+        )
+        assert rc == 0
+        assert "+/-" in text
+
     @pytest.mark.parametrize(
         "args",
         [["densities", "--x", "10", "--pollack", str(cli.MAX_POLLACK), "--format", "json"],
@@ -325,6 +335,38 @@ class TestNumpyStaysUnloaded:
             "assert main(['scan', '--x', '1000', '--output', os.devnull]) == 0\n"
         )
         assert self.numpy_loaded_after(code)
+
+
+class TestNoProcessPool:
+    """No command starts a process pool, whatever --workers says."""
+
+    def test_multiprocessing_stays_unloaded(self):
+        code = (
+            "import os, sys\n"
+            "from eta_lab.cli import main\n"
+            "for args in (['audit'], ['scan'], ['densities', '--lt', '2:+1,3:-1']):\n"
+            "    argv = args + ['--x', '2000', '--workers', '3', '--output', os.devnull]\n"
+            "    assert main(argv) == 0, args\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_huge_worker_count_starts_no_pool(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a process pool was requested")
+
+        monkeypatch.setattr(multiprocessing, "get_context", fail)
+        outputs = []
+        for w in ("1", "1000000"):
+            rc, text = run_cli(["audit", "--x", "2000", "--workers", w, "--no-timestamp"],
+                               tmp_path, f"audit_w{w}.txt")
+            assert rc == 0
+            outputs.append(text)
+        assert outputs[0] == outputs[1]
 
 
 class TestSingleValueCommands:

@@ -226,8 +226,25 @@ class TestRenderDecimal:
         assert v.width.denominator.bit_length() > 1100
         out = render_decimal(v, 80)
         mid, w = (Fraction(t) for t in out.split(" +/- "))
-        ulp = w / 100  # one unit in the last printed place of w
-        assert mid - w - ulp <= v.lo and v.hi <= mid + w + ulp
+        assert mid - w <= v.lo and v.hi <= mid + w
+
+    def test_plus_minus_encloses_exactly(self):
+        # w is rounded up at its third significant digit, never to nearest
+        checked = 0
+        for k in (10, 20, 50, 100, 200):
+            values = [rigorous_constant(name, k) for name in SERIES_NAMES]
+            values += [combined_constant(k), mu_constant(k)]
+            for v in values:
+                for digits in range(6, 81):
+                    out = render_decimal(v, digits)
+                    if " +/- " not in out:
+                        continue
+                    mid, w = (Fraction(t) for t in out.split(" +/- "))
+                    assert mid - w <= v.lo and v.hi <= mid + w, (v.name, k, digits, out)
+                    mant, _, exp = out.split(" +/- ")[1].partition("e")
+                    assert len(mant) == 4 and len(exp) >= 3, out
+                    checked += 1
+        assert checked > 300
 
     def test_rejects_nonpositive_digits(self):
         v = RigorousValue("d", 1, Fraction(1), Fraction(1))

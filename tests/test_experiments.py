@@ -1,5 +1,6 @@
 """Pair scans, audits, densities, averages: exact cross-checks at small x."""
 
+import multiprocessing
 import time
 from fractions import Fraction
 from math import log
@@ -24,7 +25,7 @@ from eta_lab.experiments import (
     pair_count_check,
     scan_pairs,
 )
-from eta_lab.newform import least_negative_prime
+from eta_lab.newform import DEFAULT_ETA_CAP, least_negative_prime
 from eta_lab.verify import brute_force_pair_sum
 
 
@@ -138,28 +139,32 @@ class TestScanPairs:
 
 
 class TestOneProcessKernels:
-    """scan_pairs and density_lt start no worker pool, whatever `workers` says."""
+    """No engine starts a worker pool, whatever `workers` says."""
 
     @pytest.fixture
-    def no_fork(self, monkeypatch):
+    def no_pool(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a worker pool was requested")
 
-        monkeypatch.setattr(experiments.multiprocessing, "get_context", fail)
+        monkeypatch.setattr(multiprocessing, "get_context", fail)
+        monkeypatch.setattr(multiprocessing, "Pool", fail)
 
-    def test_scan_pairs(self, no_fork):
+    def test_scan_pairs(self, no_pool):
         assert scan_pairs(5000, workers=4) == scan_pairs(5000, workers=1)
 
-    def test_density_lt(self, no_fork, ctx2000):
-        pattern = [(2, 1), (3, -1)]
-        assert density_lt(2000, pattern, ctx2000, workers=3) == density_lt(
-            2000, pattern, ctx2000, workers=1
-        )
+    def test_density_lt(self, no_pool, ctx2000):
+        rep = density_lt(2000, [(2, 1), (3, -1)], ctx2000)
+        assert 0 < rep.rows[0].count < rep.rows[0].total
 
-    def test_stub_is_live(self, no_fork, ctx2000):
-        # the audit still forks for workers > 1
+    def test_decomposition_audit(self, no_pool, ctx2000):
+        audit = decomposition_audit(2000, ctx=ctx2000)
+        assert audit.lhs_sum_eta == scan_pairs(2000, ctx=ctx2000).sum_eta
+
+    def test_stub_is_live(self, no_pool):
         with pytest.raises(AssertionError, match="worker pool"):
-            decomposition_audit(2000, ctx=ctx2000, workers=2)
+            multiprocessing.get_context("fork")
+        with pytest.raises(AssertionError, match="worker pool"):
+            multiprocessing.Pool(2)
 
 
 class TestAudit:
@@ -190,10 +195,29 @@ class TestAudit:
             (m.d1, m.d2, m.eta, m.n_d1) == (5, -15, 3, 2) for m in a.mismatch_examples
         )
 
-    def test_worker_count_independence(self, ctx2000):
-        a1 = decomposition_audit(2000, ctx=ctx2000, workers=1)
-        a3 = decomposition_audit(2000, ctx=ctx2000, workers=3)
-        assert a1 == a3
+    def test_range_split_independence(self, ctx2000):
+        # the (lo, hi) ranges of D2 add up to the whole-table audit
+        whole = decomposition_audit(2000, ctx=ctx2000)
+        primes = sieve_primes(int(ctx2000.nvals.max()))
+        n = len(ctx2000.entries)
+        parts = [
+            experiments._audit_chunk(ctx2000, DEFAULT_ETA_CAP, primes, (lo, hi))
+            for lo, hi in ((0, 1), (1, n // 3), (n // 3, n))
+        ]
+        totals = [sum(part[i] for part in parts) for i in range(9)]
+        assert totals == [
+            whole.pairs_total,
+            whole.pairs_excluded,
+            whole.lhs_sum_eta,
+            whole.rhs_sum_n_d2,
+            whole.rhs_hit_sum_n_d1,
+            whole.rhs_hit_sum_n_d2,
+            whole.hit_pairs,
+            whole.nondivisor_violations,
+            whole.mismatch_count,
+        ]
+        examples = sorted((e for part in parts for e in part[9]), key=lambda t: t[:3])
+        assert [e[3] for e in examples[:10]] == whole.mismatch_examples
 
 
 class TestDensityLemma:
@@ -300,10 +324,13 @@ class TestDensityLT:
         with pytest.raises(ValueError):
             density_lt(2000, [(2, 1), (2, -1)], ctx2000)
 
-    def test_worker_count_independence(self, ctx2000):
-        a = density_lt(2000, [(2, 1), (3, -1)], ctx2000, workers=1)
-        b = density_lt(2000, [(2, 1), (3, -1)], ctx2000, workers=3)
-        assert a == b
+    def test_range_split_independence(self, ctx2000):
+        # the (lo, hi) ranges of D2 add up to the whole-table count
+        pattern = ((2, 1), (3, -1))
+        row = density_lt(2000, pattern, ctx2000).rows[0]
+        n = len(ctx2000.entries)
+        parts = [experiments._lt_chunk(ctx2000, pattern, b) for b in ((0, n // 2), (n // 2, n))]
+        assert (sum(t for t, _ in parts), sum(m for _, m in parts)) == (row.total, row.count)
 
 
 class TestCountsAndHarmonic:
