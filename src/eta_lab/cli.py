@@ -7,13 +7,15 @@
     eta-lab scan --x X [--cap] [--workers W]
     eta-lab densities --x X [--lemma 2,3,5,7] [--pollack KMAX] [--lt 2:-1,3:+1] [--workers W]
     eta-lab audit --x X [--cap] [--workers W]
-    eta-lab verify [--quick] [--golden DIR] [--update-golden]
+    eta-lab verify [--quick]
 
 Every command runs in one process; `scan`, `densities` and `audit` accept
---workers and ignore it. Exit codes: 0 success, 1 usage or invalid input
-(every bound is checked before any work), 2 computational check failure or
-cap exhaustion. All outputs flow through one serialization layer;
---no-timestamp makes any command byte-deterministic.
+--workers and ignore it. `verify` compares against the packaged golden file
+alone and never writes it. Exit codes: 0 success, 1 usage or invalid input
+(every bound and every --lemma, --pollack and --lt selection is checked
+before any work), 2 computational check failure or cap exhaustion. All
+outputs flow through one serialization layer; --no-timestamp makes any
+command byte-deterministic.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ MAX_L_WORK = 30_000
 # digits: 0.97 s for `--pollack 2500 --format json` on the same host.
 MAX_POLLACK = 2500
 # Places after the point of every printed decimal. The enclosures at the
-# default K = 1000 are 1e-304 to 1e-296 wide, so 300 places resolve them, and
-# the float columns carry 17 significant digits; the rendering itself is exact
-# at any count (`constants --digits 300` takes 0.06 s in process).
+# default K = 1000 are 1e-304 to 1e-296 wide, so 300 places resolve them.
+# Every text and CSV decimal is rendered from its exact rational, so every
+# printed place is right at any count (`constants --digits 300` takes 0.06 s
+# in process).
 MAX_DIGITS = 300
 
 
@@ -246,9 +249,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--quick", action="store_true", help="skip x >= 1e6 scans")
-    p.add_argument("--golden", default=None, help="golden file directory")
-    p.add_argument("--update-golden", action="store_true",
-                   help="rewrite the golden file from this run")
     _add_common(p)
     return top
 
@@ -335,28 +335,37 @@ def _parse_pattern(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_densities(args) -> int:
-    from .experiments import build_context, density_lemma, density_lt, density_pollack
+    from .experiments import (
+        build_context,
+        check_pattern,
+        check_prime,
+        density_lemma,
+        density_lt,
+        density_pollack,
+    )
 
     x = _check_x(args.x)
-    if not (args.lemma or args.pollack or args.lt):
+    if args.lemma is None and args.pollack is None and args.lt is None:
         raise ValueError("densities needs at least one of --lemma, --pollack, --lt")
-    if args.pollack and args.pollack > MAX_POLLACK:
+    primes = [] if args.lemma is None else [check_prime(int(t)) for t in args.lemma.split(",")]
+    if args.pollack is not None and args.pollack < 1:
+        raise ValueError(f"--pollack {args.pollack} is below 1")
+    if args.pollack is not None and args.pollack > MAX_POLLACK:
         raise ValueError(
             f"--pollack {args.pollack} exceeds {MAX_POLLACK}: each row carries exact "
             "rationals of O(KMAX) digits"
         )
+    pattern = None if args.lt is None else check_pattern(_parse_pattern(args.lt))
     ctx = build_context(x)
-    reports = []
+    reports = [density_lemma(x, p, ctx) for p in primes]
     config: dict = {"x": x}
-    if args.lemma:
-        for p in (int(t) for t in args.lemma.split(",")):
-            reports.append(density_lemma(x, p, ctx))
+    if args.lemma is not None:
         config["lemma"] = args.lemma
-    if args.pollack:
+    if args.pollack is not None:
         reports.append(density_pollack(x, args.pollack, ctx))
         config["pollack"] = args.pollack
-    if args.lt:
-        reports.append(density_lt(x, _parse_pattern(args.lt), ctx))
+    if pattern is not None:
+        reports.append(density_lt(x, pattern, ctx))
         config["lt"] = args.lt
     _emit(args, "densities", config, reports)
     return 0
@@ -374,9 +383,7 @@ def _cmd_audit(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_criteria
 
-    results = run_criteria(
-        quick=args.quick, golden_dir=args.golden, update_golden=args.update_golden
-    )
+    results = run_criteria(quick=args.quick)
     payload = {
         "kind": "verify",
         "criteria": [

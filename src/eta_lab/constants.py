@@ -65,6 +65,8 @@ __all__ = [
     "combined_constant",
     "mu_constant",
     "render_decimal",
+    "format_fixed",
+    "format_sci",
     "sign_probability",
     "least_negative_density",
     "least_negative_densities",
@@ -325,26 +327,35 @@ def mu_constant(k_terms: int = 1000) -> RigorousValue:
 # Decimal rendering with outward semantics
 # ---------------------------------------------------------------------------
 
-def _format_scaled(t: int, digits: int) -> str:
-    sign = "-" if t < 0 else ""
-    t = abs(t)
-    ip, rem = divmod(t, 10**digits)
-    return f"{sign}{ip}.{rem:0{digits}d}"
+def format_fixed(q: Fraction, places: int, rnd=round, plus: bool = False) -> str:
+    """q with `places` digits after the point, like Python's f format but
+    exact: `rnd` maps q * 10^places to an integer (round: to nearest, ties to
+    even; floor: down; ceil: up). The sign is q's own, so a negative q that
+    rounds to 0 keeps its '-'; `plus` spells a '+' for q >= 0."""
+    t = rnd(q * 10**places)
+    ip, rem = divmod(abs(t), 10**places)
+    sign = "-" if q < 0 else "+" if plus else ""
+    return f"{sign}{ip}.{rem:0{places}d}"
 
 
-def _format_up(w: Fraction) -> str:
-    """The least 3-significant-digit decimal >= w > 0, spelled d.dde+XX."""
-    # 10^e <= w < 10^(e + 1); the bit lengths put log2(w) within 1 of their
+def format_sci(q: Fraction, places: int, rnd=round) -> str:
+    """q with places + 1 significant digits, spelled d.ddde+XX like Python's
+    e format but exact: `rnd` maps |q| / 10^(e - places) to an integer."""
+    if q == 0:
+        return f"0.{'0' * places}e+00"
+    a = abs(q)
+    # 10^e <= a < 10^(e + 1); the bit lengths put log2(a) within 1 of their
     # difference, and the operands may be too long for str()
-    e = floor((w.numerator.bit_length() - w.denominator.bit_length()) * log(2) / log(10))
-    while w < Fraction(10) ** e:
+    e = floor((a.numerator.bit_length() - a.denominator.bit_length()) * log(2) / log(10))
+    while a < Fraction(10) ** e:
         e -= 1
-    while w >= Fraction(10) ** (e + 1):
+    while a >= Fraction(10) ** (e + 1):
         e += 1
-    m = ceil(w / Fraction(10) ** (e - 2))  # 100 <= m <= 1000
-    if m == 1000:
-        m, e = 100, e + 1
-    return f"{m // 100}.{m % 100:02d}e{e:+03d}"
+    m = rnd(a / Fraction(10) ** (e - places))  # 10^places <= m <= 10^(places + 1)
+    if m == 10 ** (places + 1):
+        m, e = m // 10, e + 1
+    ip, rem = divmod(m, 10**places)
+    return f"{'-' if q < 0 else ''}{ip}.{rem:0{places}d}e{e:+03d}"
 
 
 def _exact_decimal(x: Fraction) -> str:
@@ -384,12 +395,10 @@ def render_decimal(value: RigorousValue, digits: int) -> str:
     t_lo = floor(value.lo * scale)
     t_hi = floor(value.hi * scale)
     if t_lo == t_hi:
-        return _format_scaled(t_lo, digits)
-    mid = value.midpoint
-    half = value.width / 2
-    t_mid = floor(mid * scale)
+        return format_fixed(value.lo, digits, floor)
     # half-width padded by one ulp of the printed (truncated) midpoint
-    return f"{_format_scaled(t_mid, digits)} +/- {_format_up(half + Fraction(1, scale))}"
+    pad = value.width / 2 + Fraction(1, scale)
+    return f"{format_fixed(value.midpoint, digits, floor)} +/- {format_sci(pad, 2, ceil)}"
 
 
 # ---------------------------------------------------------------------------

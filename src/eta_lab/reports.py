@@ -19,9 +19,10 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import ceil, floor
 
 from . import __version__
-from .constants import RigorousValue
+from .constants import RigorousValue, format_fixed, format_sci
 from .newform import EtaResult, QExpansion
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "DensityRow",
     "DensityReport",
     "CountReport",
-    "HarmonicReport",
     "AverageReport",
 ]
 
@@ -114,14 +114,6 @@ class CountReport:
 
 
 @dataclass(frozen=True)
-class HarmonicReport:
-    x: int
-    residue: int                 # exact sum of 1/|D| modulo HARMONIC_MODULUS
-    reference: float
-    ratio: float
-
-
-@dataclass(frozen=True)
 class AverageReport:
     x: int
     kind: str
@@ -183,16 +175,12 @@ def _frac_json(q: Fraction) -> dict:
     return {"num": _int_json(q.numerator), "den": _int_json(q.denominator)}
 
 
-def _frac_float(q: Fraction) -> float:
-    return q.numerator / q.denominator
-
-
 # ---------------------------------------------------------------------------
 # Per-payload tables: (csv_header, csv_rows, text_lines, json_dict)
 # ---------------------------------------------------------------------------
 
 def _scan_table(r: PairScanReport, digits: int):
-    avg = f"{_frac_float(r.avg_eta):.{digits}f}"
+    avg = format_fixed(r.avg_eta, digits)
     row = [
         r.x,
         r.pairs_total,
@@ -202,9 +190,9 @@ def _scan_table(r: PairScanReport, digits: int):
         r.refs["theta"],
         r.refs["combined"],
         r.refs["Theta"],
-        f"{_frac_float(r.deltas['theta']):+.{digits}f}",
-        f"{_frac_float(r.deltas['combined']):+.{digits}f}",
-        f"{_frac_float(r.deltas['Theta']):+.{digits}f}",
+        format_fixed(r.deltas["theta"], digits, plus=True),
+        format_fixed(r.deltas["combined"], digits, plus=True),
+        format_fixed(r.deltas["Theta"], digits, plus=True),
     ]
     text = [
         f"pair scan, |D1*D2| <= {r.x}",
@@ -304,7 +292,7 @@ def _density_table(reports: list[DensityReport], digits: int):
         text.append(f"{rep.kind}, |D| or |D1*D2| <= {rep.x}"
                     + (f" (excluded: {rep.excluded})" if rep.excluded else ""))
         for row in rep.rows:
-            rel = "" if row.relative_error is None else f"{_frac_float(row.relative_error):.6e}"
+            rel = "" if row.relative_error is None else format_sci(row.relative_error, 6)
             rows.append(
                 [
                     rep.kind,
@@ -312,16 +300,16 @@ def _density_table(reports: list[DensityReport], digits: int):
                     row.label,
                     row.count,
                     row.total,
-                    f"{_frac_float(row.observed):.{digits}f}",
-                    f"{_frac_float(row.predicted):.{digits}f}",
+                    format_fixed(row.observed, digits),
+                    format_fixed(row.predicted, digits),
                     rel,
                 ]
             )
             text.append(
                 f"  {row.label:24s} observed {row.count}/{row.total}"
-                f" = {_frac_float(row.observed):.8f}"
-                f"  predicted {_frac_float(row.predicted):.8f}"
-                + (f"  rel.err {_frac_float(row.relative_error):.3e}" if row.relative_error is not None else "")
+                f" = {format_fixed(row.observed, 8)}"
+                f"  predicted {format_fixed(row.predicted, 8)}"
+                + (f"  rel.err {format_sci(row.relative_error, 3)}" if row.relative_error is not None else "")
             )
         for w in rep.warnings:
             text.append(f"  warning: {w}")
@@ -356,9 +344,9 @@ def _constants_table(values: list[tuple[RigorousValue, str]], digits: int):
     js_rows = []
     for rv, rendered in values:
         width = rv.hi - rv.lo
-        wtxt = f"{_frac_float(width):.3e}"
-        lo_s = f"{_frac_float(rv.lo):.{digits + 2}f}"
-        hi_s = f"{_frac_float(rv.hi):.{digits + 2}f}"
+        wtxt = format_sci(width, 3)
+        lo_s = format_fixed(rv.lo, digits + 2, floor)
+        hi_s = format_fixed(rv.hi, digits + 2, ceil)
         rows.append([rv.name, rv.k_terms, lo_s, hi_s, rendered, wtxt])
         text.append(f"  {rv.name:10s} = {rendered}   (width {wtxt}, K = {rv.k_terms})")
         js_rows.append(
@@ -368,7 +356,7 @@ def _constants_table(values: list[tuple[RigorousValue, str]], digits: int):
                 "lo": _frac_json(rv.lo),
                 "hi": _frac_json(rv.hi),
                 "rendered": rendered,
-                "width_float": _frac_float(width),
+                "width_float": float(width),
             }
         )
     return header, rows, text, {"constants": js_rows}

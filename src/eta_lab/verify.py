@@ -2,10 +2,9 @@
 
 Each criterion pins its tolerance here; nothing is calibrated at run time.
 Finite-scan regression values (quantities no closed form predicts at finite
-x) live in a golden file: packaged defaults under eta_lab/goldens/, or a
-directory named by --golden / the ETA_LAB_GOLDEN_DIR environment variable.
-`--update-golden` rewrites the golden file from the current run after the
-non-golden checks have passed.
+x) live in one golden file, the packaged eta_lab/goldens/golden.json. Its
+absence fails criteria 8 and 9; no run writes it, and a pinned value
+changes only by a reviewed edit to the file.
 
 Criterion 6 documents a known red: the pair sign-pattern proportions
 converge to the product formula only logarithmically (the same slow
@@ -18,7 +17,6 @@ measured values; the exact counts are additionally golden-pinned.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -50,16 +48,12 @@ from .experiments import (
     density_lemma,
     density_lt,
     density_pollack,
-    harmonic_sum_check,
     pair_count_check,
     scan_pairs,
 )
 from .newform import NewformPair, eta, sigma_coefficient, sigma_sign_at_prime
 
-__all__ = ["CriterionResult", "run_criteria", "golden_path", "brute_force_pair_sum"]
-
-GOLDEN_FILENAME = "golden.json"
-GOLDEN_ENV = "ETA_LAB_GOLDEN_DIR"
+__all__ = ["CriterionResult", "run_criteria", "load_golden", "brute_force_pair_sum"]
 
 
 @dataclass
@@ -70,25 +64,10 @@ class CriterionResult:
     detail: str
     seconds: float
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
-
-def golden_path(explicit: str | None = None) -> Path:
-    """Resolve the golden file: explicit dir > $ETA_LAB_GOLDEN_DIR > packaged."""
-    if explicit:
-        return Path(explicit) / GOLDEN_FILENAME
-    env = os.environ.get(GOLDEN_ENV)
-    if env:
-        return Path(env) / GOLDEN_FILENAME
-    return Path(resources.files("eta_lab") / "goldens" / GOLDEN_FILENAME)
-
-
-def _load_golden(path: Path) -> dict:
-    if not path.exists():
-        return {}
-    return json.loads(path.read_text())
+def load_golden() -> dict:
+    """The packaged golden file, eta_lab/goldens/golden.json."""
+    return json.loads((resources.files("eta_lab") / "goldens" / "golden.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +248,7 @@ def _crit_7_counts(ctx6: ScanContext) -> tuple[bool, str]:
     return ok, f"count {count} vs {ref:.1f} (rel {rel:.2e}); X=10 table exact"
 
 
-def _crit_8_scan(ctx4: ScanContext, ctx6: ScanContext, golden: dict, collect: dict) -> tuple[bool, str]:
+def _crit_8_scan(ctx4: ScanContext, ctx6: ScanContext) -> tuple[bool, str]:
     rep4 = scan_pairs(ctx4.x, ctx=ctx4)
     bt, be, bs = brute_force_pair_sum(10_000)
     oracle_ok = (rep4.pairs_total, rep4.pairs_excluded, rep4.sum_eta) == (bt, be, bs)
@@ -279,17 +258,14 @@ def _crit_8_scan(ctx4: ScanContext, ctx6: ScanContext, golden: dict, collect: di
     band_ok = Fraction(3) <= avg <= Fraction(6)
     have_refs = all(name in rep6.refs for name in ("theta", "combined", "Theta"))
 
-    collect["scan_x10000"] = {
-        "pairs_total": rep4.pairs_total,
-        "pairs_excluded": rep4.pairs_excluded,
-        "sum_eta": rep4.sum_eta,
-    }
-    collect["scan_x1000000"] = {
-        "pairs_total": rep6.pairs_total,
-        "pairs_excluded": rep6.pairs_excluded,
-        "sum_eta": rep6.sum_eta,
-    }
-    golden_ok, gnote = _golden_check(golden, collect, ("scan_x10000", "scan_x1000000"))
+    golden_ok, gnote = _golden_check({
+        f"scan_x{rep.x}": {
+            "pairs_total": rep.pairs_total,
+            "pairs_excluded": rep.pairs_excluded,
+            "sum_eta": rep.sum_eta,
+        }
+        for rep in (rep4, rep6)
+    })
     ok = oracle_ok and band_ok and have_refs and golden_ok
     return ok, (
         f"x=1e4 oracle sum {bs} {'==' if oracle_ok else '!='} scan {rep4.sum_eta}; "
@@ -297,21 +273,22 @@ def _crit_8_scan(ctx4: ScanContext, ctx6: ScanContext, golden: dict, collect: di
     )
 
 
-def _crit_9_audit(ctx4: ScanContext, golden: dict, collect: dict) -> tuple[bool, str]:
+def _crit_9_audit(ctx4: ScanContext) -> tuple[bool, str]:
     rep = decomposition_audit(ctx4.x, ctx=ctx4)
     wanted = any(
         m.d1 == 5 and m.d2 == 33 and m.eta == 3 and m.n_d1 == 2
         for m in rep.mismatch_examples
     )
-    collect["audit_x10000"] = {
-        "lhs_sum_eta": rep.lhs_sum_eta,
-        "rhs_sum_n_d2": rep.rhs_sum_n_d2,
-        "rhs_hit_sum_n_d1": rep.rhs_hit_sum_n_d1,
-        "rhs_hit_sum_n_d2": rep.rhs_hit_sum_n_d2,
-        "difference": rep.difference,
-        "mismatch_count": rep.mismatch_count,
-    }
-    golden_ok, gnote = _golden_check(golden, collect, ("audit_x10000",))
+    golden_ok, gnote = _golden_check({
+        "audit_x10000": {
+            "lhs_sum_eta": rep.lhs_sum_eta,
+            "rhs_sum_n_d2": rep.rhs_sum_n_d2,
+            "rhs_hit_sum_n_d1": rep.rhs_hit_sum_n_d1,
+            "rhs_hit_sum_n_d2": rep.rhs_hit_sum_n_d2,
+            "difference": rep.difference,
+            "mismatch_count": rep.mismatch_count,
+        }
+    })
     ok = rep.nondivisor_violations == 0 and wanted and golden_ok
     return ok, (
         f"off-branch violations {rep.nondivisor_violations}, (5,33) example={'yes' if wanted else 'NO'}, "
@@ -355,20 +332,24 @@ def _crit_11_determinism() -> tuple[bool, str]:
     return ok, f"cmd_scan x=1e5 byte-identical across workers 1/4/8: {ok} ({len(outputs[0])} bytes)"
 
 
-def _golden_check(golden: dict, collect: dict, keys: tuple[str, ...]) -> tuple[bool, str]:
-    if not golden:
-        return True, "golden file absent (first run; use --update-golden to pin)"
-    for key in keys:
+def _golden_check(measured: dict) -> tuple[bool, str]:
+    """Compare each measured key with its pinned value; an unreadable golden
+    file fails the check."""
+    try:
+        golden = load_golden()
+    except (OSError, ValueError) as exc:
+        return False, f"golden file unreadable: {exc}"
+    for key, value in measured.items():
         if key not in golden:
             return False, f"golden file lacks {key}"
-        if golden[key] != collect[key]:
-            return False, f"golden mismatch at {key}: {golden[key]} != {collect[key]}"
+        if golden[key] != value:
+            return False, f"golden mismatch at {key}: {golden[key]} != {value}"
     return True, "golden match"
 
 
 def extra_regressions(ctx5: ScanContext, ctx6: ScanContext) -> dict:
     """Finite-x quantities pinned alongside the criteria: exact pattern
-    counts, count/harmonic checkpoints, and the two averages."""
+    counts, pair-count checkpoints, and the two averages."""
     out: dict = {}
     for pat, label in (
         ([(2, 0)], "2:0"),
@@ -379,10 +360,6 @@ def extra_regressions(ctx5: ScanContext, ctx6: ScanContext) -> dict:
         out[f"lt_x100000:{label}"] = [row.count, row.total]
     out["pair_count_x100000"] = pair_count_check(ctx5.x, ctx5).observed
     out["pair_count_x1000000"] = pair_count_check(ctx6.x, ctx6).observed
-    h5 = harmonic_sum_check(ctx5.x, ctx5)
-    h6 = harmonic_sum_check(ctx6.x, ctx6)
-    out["harmonic_x100000"] = {"residue": h5.residue, "ratio": round(h5.ratio, 12)}
-    out["harmonic_x1000000"] = {"residue": h6.residue, "ratio": round(h6.ratio, 12)}
     nd = average_nd(ctx6.x, ctx6)
     out["average_nd_x1000000"] = {"total": nd.total, "count": nd.count}
     n1 = average_n1(ctx6.x)
@@ -390,15 +367,8 @@ def extra_regressions(ctx5: ScanContext, ctx6: ScanContext) -> dict:
     return out
 
 
-def run_criteria(
-    quick: bool = False,
-    golden_dir: str | None = None,
-    update_golden: bool = False,
-) -> list[CriterionResult]:
+def run_criteria(quick: bool = False) -> list[CriterionResult]:
     """Run the acceptance criteria; quick mode skips the x >= 10^6 scans."""
-    gpath = golden_path(golden_dir)
-    golden = _load_golden(gpath)
-    collect: dict = {}
     results: list[CriterionResult] = []
 
     ctx4 = build_context(10_000)
@@ -413,8 +383,8 @@ def run_criteria(
         (5, "least-negative-prime densities at x=1e6", lambda: _crit_5_pollack(ctx6), True),
         (6, "pair sign-pattern proportions at x=1e5", lambda: _crit_6_lt(ctx5), False),
         (7, "fundamental discriminant counts", lambda: _crit_7_counts(ctx6), True),
-        (8, "eta average scan vs oracle and golden", lambda: _crit_8_scan(ctx4, ctx6, golden, collect), True),
-        (9, "decomposition audit at x=1e4", lambda: _crit_9_audit(ctx4, golden, collect), False),
+        (8, "eta average scan vs oracle and golden", lambda: _crit_8_scan(ctx4, ctx6), True),
+        (9, "decomposition audit at x=1e4", lambda: _crit_9_audit(ctx4), False),
         (10, "least non-residue average vs erdos", _crit_10_erdos, True),
         (11, "byte determinism across worker counts", _crit_11_determinism, False),
     ]
@@ -427,11 +397,4 @@ def run_criteria(
         results.append(
             CriterionResult(cid, name, "pass" if ok else "fail", detail, time.time() - t0)
         )
-
-    if update_golden:
-        collect.update(extra_regressions(ctx5, ctx6) if ctx6 is not None else {})
-        merged = dict(golden)
-        merged.update(collect)
-        gpath.parent.mkdir(parents=True, exist_ok=True)
-        gpath.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
     return results

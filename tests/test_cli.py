@@ -1,6 +1,7 @@
 """CLI contracts: frozen CSV schemas, exact JSON rationals, exit codes,
 byte determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import eta_lab
 from eta_lab import cli, experiments
 from eta_lab.cli import main
+from eta_lab.constants import combined_constant, mu_constant, rigorous_constant
 from eta_lab.newform import NewformPair, eta, sigma_sign_at_prime
 
 SCAN_HEADER = (
@@ -80,6 +82,12 @@ class TestScanCommand:
     def test_refuses_huge_x(self, tmp_path):
         rc, _ = run_cli(["scan", "--x", str(10**9)], tmp_path)
         assert rc == 1
+
+    def test_average_prints_exact_digits(self, tmp_path):
+        # 8978/2587 = 3.47042906841901816776188635485097..., past any float
+        rc, text = run_cli(["scan", "--x", "1000", "--digits", "30", "--no-timestamp"], tmp_path)
+        assert rc == 0
+        assert "  average eta          3.470429068419018167761886354851\n" in text
 
 
 class TestMemoryRefusal:
@@ -444,6 +452,22 @@ class TestConstantsCommand:
         hi = rows["Theta"]["hi"]
         assert Fraction(int(lo["num"]), int(lo["den"])) < Fraction(int(hi["num"]), int(hi["den"]))
 
+    def test_csv_columns_are_outward_rounded(self, tmp_path):
+        # at K = 2000 the widths are near 1e-597, below the smallest float
+        rc, text = run_cli(
+            ["constants", "--K", "2000", "--digits", "30", "--format", "csv", "--no-timestamp"],
+            tmp_path,
+        )
+        assert rc == 0
+        rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
+        exact = [rigorous_constant(name, 2000)
+                 for name in ("theta", "Theta", "alpha", "beta", "erdos")]
+        exact += [combined_constant(2000), mu_constant(2000)]
+        assert [r["name"] for r in rows] == [rv.name for rv in exact]
+        for row, rv in zip(rows, exact):
+            assert Fraction(row["lo"]) <= rv.lo and Fraction(row["hi"]) >= rv.hi, row["name"]
+            assert Fraction(row["width"]) > 0, row["name"]
+
 
 class TestDensitiesCommand:
     def test_csv_schema(self, tmp_path):
@@ -485,6 +509,20 @@ class TestDensitiesCommand:
         rc, _ = run_cli(["densities", "--x", "10", "--lemma", str(10**30 + 57)], tmp_path)
         assert rc == 1
         assert "only decided below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lemma", "4"], ["--lemma", "2,x"], ["--lemma", str(10**30 + 57)],
+         ["--lemma", "3", "--pollack", "0"], ["--pollack", "-5"],
+         ["--lt", "2"], ["--lt", "2:5"], ["--lt", "2:+1,2:-1"]],
+    )
+    def test_refused_before_the_context(self, tmp_path, monkeypatch, flags):
+        def fail(*args, **kwargs):
+            raise AssertionError("a context was built for a refused selection")
+
+        monkeypatch.setattr(experiments, "build_context", fail)
+        rc, _ = run_cli(["densities", "--x", "1000", *flags], tmp_path)
+        assert rc == 1
 
     @pytest.mark.parametrize("x,k_max", [("1", "4"), ("2", "1")])
     def test_pollack_without_any_d_exits_1(self, tmp_path, capsys, x, k_max):

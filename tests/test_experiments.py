@@ -3,13 +3,11 @@
 import multiprocessing
 import time
 from fractions import Fraction
-from math import log
 
 import numpy as np
 import pytest
 
 from eta_lab.arith import is_fundamental, iter_primes, kronecker, least_nonresidue, sieve_primes
-from eta_lab.constants import ZETA2_HI, ZETA2_LO
 from eta_lab import experiments
 from eta_lab.experiments import (
     CapExceededError,
@@ -19,7 +17,6 @@ from eta_lab.experiments import (
     density_lemma,
     density_lt,
     density_pollack,
-    harmonic_sum_check,
     average_n1,
     average_nd,
     pair_count_check,
@@ -27,9 +24,6 @@ from eta_lab.experiments import (
 )
 from eta_lab.newform import DEFAULT_ETA_CAP, least_negative_prime
 from eta_lab.verify import brute_force_pair_sum
-
-
-ZETA2_MID = float((ZETA2_LO + ZETA2_HI) / 2)
 
 
 @pytest.fixture(scope="module")
@@ -343,33 +337,11 @@ class TestCountsAndHarmonic:
         brute = sum(1 for d2 in ds for d1 in ds if abs(d1 * d2) <= x)
         assert pair_count_check(x).observed == brute
 
-    @staticmethod
-    def _fold_report(x):
-        """Residue modulo 2^61 - 1 and ratio of a plain Fraction fold of 1/|D|."""
-        fold = Fraction(0)
-        for d in brute_discriminants(x):
-            fold += Fraction(1, abs(d))
-        modulus = 2**61 - 1
-        residue = fold.numerator * pow(fold.denominator, -1, modulus) % modulus
-        return fold, residue, float(fold) / (log(x) / ZETA2_MID)
-
-    def test_harmonic_exact_at_x10(self):
-        fold, residue, ratio = self._fold_report(10)
-        assert fold == Fraction(457, 210)
-        rep = harmonic_sum_check(10)
-        assert (rep.residue, rep.ratio) == (residue, ratio)
-
-    def test_harmonic_matches_plain_fold(self):
-        for x in (10, 50, 200, 1000, 3000):
-            _, residue, ratio = self._fold_report(x)
-            rep = harmonic_sum_check(x)
-            assert (rep.residue, rep.ratio) == (residue, ratio), x
-
 
 @pytest.mark.parametrize(
     "fn,x",
-    [(average_nd, 1), (average_nd, 2), (pair_count_check, 1), (harmonic_sum_check, 1)],
-    ids=["average_nd-1", "average_nd-2", "pair_count_check-1", "harmonic_sum_check-1"],
+    [(average_nd, 1), (average_nd, 2), (pair_count_check, 1)],
+    ids=["average_nd-1", "average_nd-2", "pair_count_check-1"],
 )
 def test_small_x_is_refused(fn, x):
     # no D != 1 to average over, or a log x reference of 0
