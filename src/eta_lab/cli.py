@@ -25,16 +25,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .constants import (
-    combined_constant,
-    mu_constant,
-    render_decimal,
-    rigorous_constant,
-)
+from .constants import SERIES_NAMES, combined_constant, mu_constant, rigorous_constant
 from .newform import (
     DEFAULT_ETA_CAP,
     CapExceededError,
-    EtaResult,
     NewformPair,
     eta_sign_trace,
     q_expansion,
@@ -72,6 +66,12 @@ MAX_L_WORK = 30_000
 # `densities --pollack KMAX` renders KMAX rows of exact rationals of O(KMAX)
 # digits: 0.97 s for `--pollack 2500 --format json` on the same host.
 MAX_POLLACK = 2500
+# Each distinct prime of `densities --lemma` and `--lt` keeps a full-length
+# int8 chi column, 0.61 bytes per unit of x. Over the 35 MB base, the costliest
+# 16-prime selection measured (primes just below the table length, split
+# between the options) grew by 34 bytes per unit of x at 1e7 and 3e7
+# (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X; 24 took 39 at 1e7.
+MAX_DENSITY_PRIMES = 16
 # Places after the point of every printed decimal. The enclosures at the
 # default K = 1000 are 1e-304 to 1e-296 wide, so 300 places resolve them.
 # Every text and CSV decimal is rendered from its exact rational, so every
@@ -259,26 +259,16 @@ def build_parser() -> _Parser:
 
 def _cmd_constants(args) -> int:
     k = _check_k(args.k_terms)
-    order = ["theta", "Theta", "alpha", "beta", "erdos"]
-    values = [rigorous_constant(name, k) for name in order]
+    values = [rigorous_constant(name, k) for name in SERIES_NAMES]
     values += [combined_constant(k), mu_constant(k)]
-    rendered = [(rv, render_decimal(rv, args.digits)) for rv in values]
-    payload = {"kind": "constants", "values": rendered}
+    payload = {"kind": "constants", "values": values}
     _emit(args, "constants", {"K": k, "digits": args.digits}, payload)
     return 0
 
 
 def _cmd_eta(args) -> int:
     pair = _check_pair(args.d1, args.d2)
-    if args.cap < 2:
-        raise ValueError(f"cap must be >= 2, got {args.cap}")
-    trace = eta_sign_trace(pair, args.cap)
-    if trace and trace[-1][1] == -1:
-        res = EtaResult.found(trace[-1][0])
-    elif pair.d2 == 1:
-        res = EtaResult.never()
-    else:
-        res = EtaResult.cap_exceeded(args.cap)
+    res, trace = eta_sign_trace(pair, args.cap)
     payload = {"kind": "eta", "d1": args.d1, "d2": args.d2, "cap": args.cap,
                "result": res, "trace": trace}
     _emit(args, "eta", {"d1": args.d1, "d2": args.d2, "cap": args.cap}, payload)
@@ -318,7 +308,7 @@ def _cmd_scan(args) -> int:
 
     x = _check_x(args.x)
     k = _check_k(args.k_terms)
-    report = scan_pairs(x, cap=args.cap, workers=args.workers, k_terms=k, digits=args.digits)
+    report = scan_pairs(x, cap=args.cap, workers=args.workers, k_terms=k)
     # the ignored worker count is left out of the echo, so the bytes are the
     # same for any --workers
     config = {"x": x, "cap": args.cap, "K": k}
@@ -326,19 +316,11 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _parse_pattern(text: str) -> list[tuple[int, int]]:
-    out = []
-    for part in text.split(","):
-        p, _, s = part.partition(":")
-        out.append((int(p), int(s)))
-    return out
-
-
 def _cmd_densities(args) -> int:
     from .experiments import (
         build_context,
         check_pattern,
-        check_prime,
+        check_primes,
         density_lemma,
         density_lt,
         density_pollack,
@@ -347,7 +329,7 @@ def _cmd_densities(args) -> int:
     x = _check_x(args.x)
     if args.lemma is None and args.pollack is None and args.lt is None:
         raise ValueError("densities needs at least one of --lemma, --pollack, --lt")
-    primes = [] if args.lemma is None else [check_prime(int(t)) for t in args.lemma.split(",")]
+    primes = () if args.lemma is None else check_primes(map(int, args.lemma.split(",")), "--lemma")
     if args.pollack is not None and args.pollack < 1:
         raise ValueError(f"--pollack {args.pollack} is below 1")
     if args.pollack is not None and args.pollack > MAX_POLLACK:
@@ -355,7 +337,16 @@ def _cmd_densities(args) -> int:
             f"--pollack {args.pollack} exceeds {MAX_POLLACK}: each row carries exact "
             "rationals of O(KMAX) digits"
         )
-    pattern = None if args.lt is None else check_pattern(_parse_pattern(args.lt))
+    # "P:S,..." -> ("P", "S"), ...; check_pattern reads each as an int
+    pattern = None if args.lt is None else check_pattern(
+        t.partition(":")[::2] for t in args.lt.split(",")
+    )
+    distinct = len(set(primes).union(p for p, _ in pattern or ()))
+    if distinct > MAX_DENSITY_PRIMES:
+        raise ValueError(
+            f"--lemma and --lt name {distinct} distinct primes, more than "
+            f"{MAX_DENSITY_PRIMES}: each keeps a chi column of one byte per discriminant"
+        )
     ctx = build_context(x)
     reports = [density_lemma(x, p, ctx) for p in primes]
     config: dict = {"x": x}

@@ -1,9 +1,10 @@
 """Desk-scale empirical experiments over fundamental discriminant pairs.
 
 Everything here counts exactly: observed quantities are integer counts or
-exact rationals, and floating point only appears in rendered reference
-columns (log x and the zeta(2) enclosure midpoint). Two independent engines
-cover the pair statistics:
+exact rationals, reference constants are RigorousValue enclosures, and
+floating point only appears in informational columns (log x and the zeta(2)
+enclosure midpoint). Nothing here renders a decimal; reports does. Two
+independent engines cover the pair statistics:
 
   * scan_pairs      an optimized engine: eta(D1, D2) equals the smaller of
                     n(D2) and the first prime q | D2, q < n(D2), with
@@ -62,12 +63,12 @@ from .arith import (
 from .constants import (
     ZETA2_HI,
     ZETA2_LO,
+    RigorousValue,
     combined_constant,
     default_primes,
     least_negative_densities,
     pair_sign_probability,
     rigorous_constant,
-    render_decimal,
     sign_probability,
 )
 from .newform import DEFAULT_ETA_CAP, CapExceededError
@@ -93,6 +94,7 @@ __all__ = [
     "build_context",
     "pair_count_check",
     "check_prime",
+    "check_primes",
     "check_pattern",
     "density_lemma",
     "density_pollack",
@@ -112,6 +114,9 @@ _N_SCAN_LIMIT = 1_000_000  # prime budget for resolving n(D); never binding in p
 
 # chi_D(2) by D mod 8: 0 for even D, +1 at 1 and 7, -1 at 3 and 5
 _CHI2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
+# Entries per slice of the per-entry Euler path: its Python lists hold one
+# slice, never the whole table.
+_EULER_SLICE = 1 << 16
 
 
 def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
@@ -126,10 +131,14 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
         tab[r * r % p] = 1
         return tab[np.mod(d, p)]
     # p exceeds the input (and may exceed any fixed-width integer): Euler's
-    # criterion per entry, in Python integers
+    # criterion per entry, in Python integers, one slice at a time;
+    # D^((p-1)/2) mod p is 0, 1 or p - 1
     e = (p - 1) // 2
-    powers = (pow(a, e, p) for a in d.tolist())
-    return np.array([0 if r == 0 else (1 if r == 1 else -1) for r in powers], dtype=np.int8)
+    out = np.empty(len(d), dtype=np.int8)
+    for lo in range(0, len(d), _EULER_SLICE):
+        powers = (pow(a, e, p) for a in d[lo : lo + _EULER_SLICE].tolist())
+        out[lo : lo + _EULER_SLICE] = [r if r < 2 else -1 for r in powers]
+    return out
 
 
 def _sign_pass(entries: np.ndarray):
@@ -325,7 +334,6 @@ def scan_pairs(
     workers: int = 1,
     ctx: ScanContext | None = None,
     k_terms: int = 1000,
-    digits: int = 12,
 ) -> PairScanReport:
     """Sum eta(D1, D2) over ordered pairs with |D1*D2| <= x, D2 != 1.
 
@@ -353,7 +361,7 @@ def scan_pairs(
         pairs_excluded=pairs_excluded,
         sum_eta=sum_eta,
         avg_eta=avg,
-        refs={name: render_decimal(rv, digits) for name, rv in refs.items()},
+        refs=refs,
         deltas={name: avg - rv.midpoint for name, rv in refs.items()},
     )
 
@@ -489,17 +497,23 @@ def check_prime(p: int) -> int:
     return p
 
 
+def check_primes(primes: Iterable[int], what: str) -> tuple[int, ...]:
+    """The primes as a tuple, or ValueError if `what` repeats one or names a
+    non-prime."""
+    ps = tuple(primes)
+    if len(set(ps)) != len(ps):
+        raise ValueError(f"{what} repeats a prime: {list(ps)}")
+    return tuple(check_prime(p) for p in ps)
+
+
 def check_pattern(pattern: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """A sign pattern as a tuple of (prime, sign) pairs, or ValueError if it
     is empty, repeats a prime, or has a non-prime p or a sign outside -1, 0, +1."""
     pat = tuple((int(p), int(s)) for p, s in pattern)
     if not pat:
         raise ValueError("pattern must name at least one prime")
-    seen = [p for p, _ in pat]
-    if len(set(seen)) != len(seen):
-        raise ValueError(f"pattern repeats a prime: {seen}")
-    for p, s in pat:
-        check_prime(p)
+    check_primes((p for p, _ in pat), "pattern")
+    for _, s in pat:
         if s not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {s}")
     return pat
@@ -668,9 +682,14 @@ def pair_count_check(x: int, ctx: ScanContext | None = None) -> CountReport:
     return CountReport(x=x, observed=observed, reference=reference, ratio=observed / reference)
 
 
-def average_nd(
-    x: int, ctx: ScanContext | None = None, k_terms: int = 1000, digits: int = 12
-) -> AverageReport:
+def _average(x: int, kind: str, values: np.ndarray, ref: RigorousValue) -> AverageReport:
+    total, count = int(values.sum()), len(values)
+    avg = Fraction(total, count)
+    return AverageReport(x=x, kind=kind, total=total, count=count, average=avg,
+                         reference=ref, delta=avg - ref.midpoint)
+
+
+def average_nd(x: int, ctx: ScanContext | None = None, k_terms: int = 1000) -> AverageReport:
     """Average of n(D) over fundamental |D| <= x, D != 1, against Theta.
 
     An x with no D != 1 (x < 3) is rejected.
@@ -678,25 +697,12 @@ def average_nd(
     if ctx is None:
         ctx = build_context(x)
     nv = ctx.nvals[ctx.entries != 1]
-    total = int(nv.sum())
-    count = len(nv)
-    if count == 0:
+    if len(nv) == 0:
         raise ValueError(f"no fundamental discriminant D != 1 with |D| <= {x}")
-    avg = Fraction(total, count)
-    ref = rigorous_constant("Theta", k_terms)
-    return AverageReport(
-        x=x,
-        kind="n(D)",
-        total=total,
-        count=count,
-        average=avg,
-        reference_name="Theta",
-        reference=render_decimal(ref, digits),
-        delta=avg - ref.midpoint,
-    )
+    return _average(x, "n(D)", nv, rigorous_constant("Theta", k_terms))
 
 
-def average_n1(x: int, k_terms: int = 1000, digits: int = 12) -> AverageReport:
+def average_n1(x: int, k_terms: int = 1000) -> AverageReport:
     """Average of n_1(p) over odd primes p <= x, against the Erdos constant.
 
     The prime 2 is excluded (every residue is a square mod 2); dropping a
@@ -712,17 +718,4 @@ def average_n1(x: int, k_terms: int = 1000, digits: int = 12) -> AverageReport:
     n1 = np.zeros(len(odd), dtype=np.int64)
     for p, alive, _, neg in _sign_pass(np.where(odd % 4 == 1, odd, -odd)):
         n1[alive[neg]] = p
-    total = int(n1.sum())
-    count = len(n1)
-    avg = Fraction(total, count)
-    ref = rigorous_constant("erdos", k_terms)
-    return AverageReport(
-        x=x,
-        kind="n_1(p)",
-        total=total,
-        count=count,
-        average=avg,
-        reference_name="erdos",
-        reference=render_decimal(ref, digits),
-        delta=avg - ref.midpoint,
-    )
+    return _average(x, "n_1(p)", n1, rigorous_constant("erdos", k_terms))

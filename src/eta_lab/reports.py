@@ -1,5 +1,8 @@
 """One serialization layer for all report payloads: text, CSV, JSON.
 
+It is the only layer that renders: the engines hand it integers, exact
+rationals and RigorousValue enclosures, so one report serializes at any digits.
+
 CSV schemas are frozen; changing a column set is a breaking version bump.
 CSV is ASCII with comma separators, a header row and LF newlines; envelope
 metadata rides along as leading '#' comment lines. JSON carries every exact
@@ -22,7 +25,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from . import __version__
-from .constants import RigorousValue, format_fixed, format_sci
+from .constants import RigorousValue, format_fixed, format_sci, render_decimal
 from .newform import EtaResult, QExpansion
 
 __all__ = [
@@ -58,8 +61,8 @@ class PairScanReport:
     pairs_excluded: int          # pairs with D2 = 1 (eta undefined: sign never -1)
     sum_eta: int
     avg_eta: Fraction
-    refs: dict[str, str]         # rendered reference decimals
-    deltas: dict[str, Fraction]  # avg_eta - reference midpoint
+    refs: dict[str, RigorousValue]  # reference enclosures
+    deltas: dict[str, Fraction]     # avg_eta - reference midpoint
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,7 @@ class AverageReport:
     total: int
     count: int
     average: Fraction
-    reference_name: str
-    reference: str               # rendered decimal of the enclosure
+    reference: RigorousValue     # enclosure of the limit
     delta: Fraction              # average - enclosure midpoint
 
 
@@ -181,15 +183,16 @@ def _frac_json(q: Fraction) -> dict:
 
 def _scan_table(r: PairScanReport, digits: int):
     avg = format_fixed(r.avg_eta, digits)
+    refs = {name: render_decimal(rv, digits) for name, rv in r.refs.items()}
     row = [
         r.x,
         r.pairs_total,
         r.pairs_excluded,
         r.sum_eta,
         avg,
-        r.refs["theta"],
-        r.refs["combined"],
-        r.refs["Theta"],
+        refs["theta"],
+        refs["combined"],
+        refs["Theta"],
         format_fixed(r.deltas["theta"], digits, plus=True),
         format_fixed(r.deltas["combined"], digits, plus=True),
         format_fixed(r.deltas["Theta"], digits, plus=True),
@@ -200,9 +203,9 @@ def _scan_table(r: PairScanReport, digits: int):
         f"  excluded (D2 = 1)    {r.pairs_excluded}",
         f"  sum eta              {r.sum_eta}",
         f"  average eta          {avg}",
-        f"  vs theta             {r.refs['theta']}  (delta {row[8]})",
-        f"  vs Theta*(1-beta)+alpha  {r.refs['combined']}  (delta {row[9]})",
-        f"  vs Theta             {r.refs['Theta']}  (delta {row[10]})",
+        f"  vs theta             {refs['theta']}  (delta {row[8]})",
+        f"  vs Theta*(1-beta)+alpha  {refs['combined']}  (delta {row[9]})",
+        f"  vs Theta             {refs['Theta']}  (delta {row[10]})",
     ]
     js = {
         "x": r.x,
@@ -210,7 +213,7 @@ def _scan_table(r: PairScanReport, digits: int):
         "pairs_excluded": r.pairs_excluded,
         "sum_eta": r.sum_eta,
         "avg_eta": _frac_json(r.avg_eta),
-        "refs": dict(r.refs),
+        "refs": refs,
         "deltas": {k: _frac_json(v) for k, v in r.deltas.items()},
     }
     return SCAN_CSV_HEADER.split(","), [row], text, js
@@ -337,12 +340,13 @@ def _density_table(reports: list[DensityReport], digits: int):
     return header, rows, text, {"reports": js_reports}
 
 
-def _constants_table(values: list[tuple[RigorousValue, str]], digits: int):
+def _constants_table(values: list[RigorousValue], digits: int):
     header = ["name", "k_terms", "lo", "hi", "value", "width"]
     rows = []
     text = [f"rigorous series constants (k_terms as shown, outward-rounded)"]
     js_rows = []
-    for rv, rendered in values:
+    for rv in values:
+        rendered = render_decimal(rv, digits)
         width = rv.hi - rv.lo
         wtxt = format_sci(width, 3)
         lo_s = format_fixed(rv.lo, digits + 2, floor)

@@ -41,6 +41,7 @@ from .constants import (
 )
 from .experiments import (
     ScanContext,
+    _scan_chunk,
     average_n1,
     average_nd,
     build_context,
@@ -51,7 +52,7 @@ from .experiments import (
     pair_count_check,
     scan_pairs,
 )
-from .newform import NewformPair, eta, sigma_coefficient, sigma_sign_at_prime
+from .newform import DEFAULT_ETA_CAP, NewformPair, eta, sigma_coefficient, sigma_sign_at_prime
 
 __all__ = ["CriterionResult", "run_criteria", "load_golden", "brute_force_pair_sum"]
 
@@ -305,31 +306,34 @@ def _crit_10_erdos() -> tuple[bool, str]:
 
 
 def _crit_11_determinism() -> tuple[bool, str]:
+    import contextlib
+    import io
     import tempfile
 
     from .cli import main
 
-    outputs = []
+    # scan x=1e5 to stdout, to an --output file, and to stdout again
+    argv = ["scan", "--x", "100000", "--format", "csv", "--no-timestamp"]
+    runs = []
     with tempfile.TemporaryDirectory() as td:
-        for w in (1, 4, 8):
-            out = Path(td) / f"scan_w{w}.csv"
-            rc = main([
-                "scan",
-                "--x",
-                "100000",
-                "--workers",
-                str(w),
-                "--format",
-                "csv",
-                "--no-timestamp",
-                "--output",
-                str(out),
-            ])
+        path = Path(td) / "scan.csv"
+        for extra in ([], ["--output", str(path)], []):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = main(argv + extra)
             if rc != 0:
-                return False, f"workers={w} exited {rc}"
-            outputs.append(out.read_bytes())
-    ok = outputs[0] == outputs[1] == outputs[2]
-    return ok, f"cmd_scan x=1e5 byte-identical across workers 1/4/8: {ok} ({len(outputs[0])} bytes)"
+                return False, f"scan x=1e5 exited {rc}"
+            runs.append(path.read_bytes() if extra else stdout.getvalue().encode())
+    bytes_ok = runs[0] == runs[1] == runs[2]
+    # the pair kernel over the whole table and over eight ranges of D2
+    ctx = build_context(100_000)
+    cuts = [len(ctx.entries) * i // 8 for i in range(9)]
+    parts = [_scan_chunk(ctx, DEFAULT_ETA_CAP, b) for b in zip(cuts, cuts[1:])]
+    split_ok = _scan_chunk(ctx, DEFAULT_ETA_CAP, (0, cuts[-1])) == tuple(map(sum, zip(*parts)))
+    return bytes_ok and split_ok, (
+        f"scan x=1e5 stdout, --output and rerun byte-identical: {bytes_ok} "
+        f"({len(runs[0])} bytes); whole-table and 8-range kernel sums equal: {split_ok}"
+    )
 
 
 def _golden_check(measured: dict) -> tuple[bool, str]:

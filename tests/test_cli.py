@@ -14,9 +14,11 @@ import pytest
 
 import eta_lab
 from eta_lab import cli, experiments
+from eta_lab.arith import sieve_primes
 from eta_lab.cli import main
-from eta_lab.constants import combined_constant, mu_constant, rigorous_constant
+from eta_lab.constants import combined_constant, mu_constant, render_decimal, rigorous_constant
 from eta_lab.newform import NewformPair, eta, sigma_sign_at_prime
+from eta_lab.reports import build_envelope, serialize
 
 SCAN_HEADER = (
     "x,pairs_total,pairs_excluded,sum_eta,avg_eta,ref_theta,ref_combined,"
@@ -41,6 +43,14 @@ def run_cli(args, tmp_path, name="out.txt"):
     out = tmp_path / name
     rc = main(args + ["--output", str(out)])
     return rc, out.read_text() if out.exists() else ""
+
+
+def density_selection(distinct):
+    """--lemma and --lt flags naming `distinct` distinct primes, one in both."""
+    primes = sieve_primes(1000)[:distinct]
+    half = distinct // 2
+    return ["--lemma", ",".join(map(str, primes[: half + 1])),
+            "--lt", ",".join(f"{p}:+1" for p in primes[half:])]
 
 
 class TestScanCommand:
@@ -82,6 +92,21 @@ class TestScanCommand:
     def test_refuses_huge_x(self, tmp_path):
         rc, _ = run_cli(["scan", "--x", str(10**9)], tmp_path)
         assert rc == 1
+
+    def test_one_report_renders_at_any_digits(self):
+        rep = experiments.scan_pairs(2000)
+        env = build_envelope("scan", {"x": 2000}, rep, True)
+        for digits in (5, 40):
+            refs = {name: render_decimal(rv, digits) for name, rv in rep.refs.items()}
+            # the K = 1000 enclosures are resolved at 40 places
+            assert all(len(r.split(".")[1]) == digits for r in refs.values())
+            lines = serialize(env, "csv", digits).splitlines()
+            row = next(csv.DictReader(l for l in lines if not l.startswith("#")))
+            assert {n: row[f"ref_{n}"] for n in refs} == refs
+            assert json.loads(serialize(env, "json", digits))["payload"]["refs"] == refs
+            text = serialize(env, "text", digits)
+            assert f"  vs theta             {refs['theta']}  (delta " in text
+            assert f"  vs Theta             {refs['Theta']}  (delta " in text
 
     def test_average_prints_exact_digits(self, tmp_path):
         # 8978/2587 = 3.47042906841901816776188635485097..., past any float
@@ -514,7 +539,8 @@ class TestDensitiesCommand:
         "flags",
         [["--lemma", "4"], ["--lemma", "2,x"], ["--lemma", str(10**30 + 57)],
          ["--lemma", "3", "--pollack", "0"], ["--pollack", "-5"],
-         ["--lt", "2"], ["--lt", "2:5"], ["--lt", "2:+1,2:-1"]],
+         ["--lt", "2"], ["--lt", "2:5"], ["--lt", "2:+1,2:-1"], ["--lemma", "3,3"],
+         density_selection(cli.MAX_DENSITY_PRIMES + 1)],
     )
     def test_refused_before_the_context(self, tmp_path, monkeypatch, flags):
         def fail(*args, **kwargs):
@@ -523,6 +549,13 @@ class TestDensitiesCommand:
         monkeypatch.setattr(experiments, "build_context", fail)
         rc, _ = run_cli(["densities", "--x", "1000", *flags], tmp_path)
         assert rc == 1
+
+    def test_distinct_prime_bound_is_inclusive(self, tmp_path):
+        flags = density_selection(cli.MAX_DENSITY_PRIMES)
+        rc, text = run_cli(["densities", "--x", "1000", *flags, "--format", "json"], tmp_path)
+        assert rc == 0
+        reports = json.loads(text)["payload"]["reports"]
+        assert len(reports) == cli.MAX_DENSITY_PRIMES // 2 + 2
 
     @pytest.mark.parametrize("x,k_max", [("1", "4"), ("2", "1")])
     def test_pollack_without_any_d_exits_1(self, tmp_path, capsys, x, k_max):

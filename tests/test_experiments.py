@@ -9,6 +9,7 @@ import pytest
 
 from eta_lab.arith import is_fundamental, iter_primes, kronecker, least_nonresidue, sieve_primes
 from eta_lab import experiments
+from eta_lab.constants import combined_constant, rigorous_constant
 from eta_lab.experiments import (
     CapExceededError,
     _chi_values,
@@ -127,9 +128,13 @@ class TestScanPairs:
 
     def test_refs_and_deltas_present(self, ctx2000):
         rep = scan_pairs(2000, ctx=ctx2000, k_terms=120)
-        assert set(rep.refs) == {"theta", "combined", "Theta"}
-        for name in rep.refs:
-            assert isinstance(rep.deltas[name], Fraction)
+        assert rep.refs == {
+            "theta": rigorous_constant("theta", 120),
+            "combined": combined_constant(120),
+            "Theta": rigorous_constant("Theta", 120),
+        }
+        for name, rv in rep.refs.items():
+            assert rep.deltas[name] == rep.avg_eta - rv.midpoint
 
 
 class TestOneProcessKernels:
@@ -229,6 +234,15 @@ class TestDensityLemma:
         # applies Euler's criterion to the distinct residues only
         chi = ctx2000.chi_array(p)
         assert [int(c) for c in chi] == [kronecker(int(d), p) for d in ctx2000.entries]
+
+    def test_euler_path_spans_slices(self):
+        # p beyond the table takes Euler's criterion one slice at a time
+        ctx = build_context(150_000)
+        p = 1_000_003
+        assert p > len(ctx.entries) > experiments._EULER_SLICE
+        chi = _chi_values(ctx.entries, p)
+        assert chi.dtype == np.int8
+        assert chi.tolist() == [kronecker(int(d), p) for d in ctx.entries]
 
     def test_large_prime_costs_what_the_input_costs(self):
         p = 10_000_019
@@ -379,5 +393,5 @@ class TestAverages:
 
     def test_delta_fields(self, ctx2000):
         rep = average_nd(2000, ctx2000, k_terms=120)
-        assert isinstance(rep.delta, Fraction)
-        assert rep.reference.startswith("4.98094733")
+        assert rep.reference == rigorous_constant("Theta", 120)
+        assert rep.delta == rep.average - rep.reference.midpoint

@@ -10,6 +10,7 @@ from eta_lab.arith import is_fundamental, kronecker, sieve_fundamental, sieve_pr
 from eta_lab.newform import (
     NewformPair,
     eta,
+    eta_sign_trace,
     generalized_bernoulli,
     is_valid_newform_triple,
     l_at_negative,
@@ -122,6 +123,22 @@ class TestEta:
     def test_cap_exceeded_is_a_value(self):
         res = eta(NewformPair(-4, -8), cap=3)
         assert res.status == "cap_exceeded" and res.cap == 3
+
+    @pytest.mark.parametrize("fn", [eta, eta_sign_trace])
+    def test_cap_below_two_is_refused(self, fn):
+        with pytest.raises(ValueError, match="cap must be >= 2"):
+            fn(NewformPair(5, -3), 1)
+
+    @pytest.mark.parametrize(
+        "pair,cap",
+        [(NewformPair(5, 33), 100), (NewformPair(-3, 1), 100), (NewformPair(-4, -8), 3),
+         (NewformPair(1, -7), 2)],
+    )
+    def test_trace_carries_the_verdict_of_eta(self, pair, cap):
+        res, trace = eta_sign_trace(pair, cap)
+        assert res == eta(pair, cap)
+        primes = [p for p in sieve_primes(cap) if not res.is_found or p <= res.prime]
+        assert trace == ([] if pair.d2 == 1 else [(p, sigma_sign_at_prime(pair, p)) for p in primes])
 
     def test_never_only_for_principal_chi2(self):
         for pair in sample_pairs(200, bound=400, seed=5):
