@@ -227,7 +227,9 @@ class DiscriminantTable:
             return 0
         import numpy as np
 
-        return int(np.searchsorted(self.abs_values, y, side="right"))
+        # y in the table's own dtype: a Python int would have numpy cast the
+        # whole table to int64 for the search
+        return int(np.searchsorted(self.abs_values, self.abs_values.dtype.type(y), side="right"))
 
 
 def sieve_fundamental(bound: int) -> DiscriminantTable:

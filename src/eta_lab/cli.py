@@ -41,8 +41,10 @@ from .reports import build_envelope, serialize
 # their handlers; the others start without numpy.
 
 MAX_X = 10**8
-# The exact series pass grows quadratically in K: 0.05, 0.15, 0.9 and 3.8 s
-# at K = 1000, 2000, 4000 and 8000 on a 2-vCPU x86-64 host, Python 3.11.
+# The exact series pass still grows about quadratically in K, through the
+# gcd that reduces each result once: 0.03, 0.1, 0.3, 1.3 and 1.9 s at
+# K = 1000, 2000, 4000, 8000 and 10000 (fresh interpreter, 2-vCPU x86-64
+# host, Python 3.11).
 MAX_K = 10_000
 # The tail bounds need p_K >= 25 (Nagura's prime gaps), and p_10 = 29 is the
 # first such prime.

@@ -30,12 +30,13 @@ Evaluation. All seven enclosures for one K (the five series, combined =
 Theta*(1-beta)+alpha and mu = combined - theta) come from one integer pass:
 
   * theta has its own running product and Theta, alpha, beta share one;
-    each product is carried as an unreduced integer numerator and
-    denominator, and its final value also feeds the tails;
-  * each partial sum is a backward Horner fold over unreduced integers,
-    N/D <- a/b + (c/d) * N/D, i.e. N, D = a*d*D + b*c*N, b*d*D, where a/b
-    is the head and c/d the product factor at p_k; erdos is the integer
-    n <- 2n + p_k over 2^K;
+    at each p_k a group's heads and product factor are written over one
+    denominator, 2(p_k+1)^2 in both groups;
+  * each group is a balanced product tree over unreduced integers: a run
+    of primes carries its product's numerator C and denominator D and, per
+    series, the numerator N of its partial sum over D, and adjacent runs
+    merge as N = N_l D_r + C_l N_r (C and D multiply). The root's product
+    also feeds the tails; erdos is the integer n <- 2n + p_k over 2^K;
   * every result is reduced to lowest terms once, by Fraction(N, D).
 
 Rationals are unique in lowest terms, so the results are identical to
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, log
+from math import ceil, floor, lcm, log
 
 from .arith import sieve_primes
 
@@ -205,26 +206,37 @@ class _Evaluation:
     values: dict[str, RigorousValue]    # the seven enclosures; empty if p_K < 25
 
 
-def _horner_pass(ps: tuple[int, ...], factor, names: tuple[str, ...]):
+def _tree_pass(ps: tuple[int, ...], factor, names: tuple[str, ...]):
     """Partial sums of the named series sharing `factor`, and the product.
 
-    One backward pass p_K, ..., p_1 over unreduced integers: each sum
-    N/D = sum_k h(p_k) prod_{j<k} f(p_j) is folded Horner-style as
-    N/D <- h(p_k) + f(p_k) * N/D, and the running product
-    prod_{k<=K} f(p_k) is carried alongside. Each result is reduced once.
+    At each p the heads and f(p) are put over one denominator L = lcm of
+    theirs: 2(p+1)^2 in both groups, so f(p) = c/L and h(p) = a/L. A run of
+    primes carries C = prod c, D = prod L and, per series, the N with the
+    run's partial sum N / D. Adjacent runs merge as
+
+        C = C_l C_r,  D = D_l D_r,  N = N_l D_r + C_l N_r,
+
+    and a balanced tree of merges over unreduced integers yields the whole
+    sum and prod_{k<=K} f(p_k). Each result is reduced once.
     """
     heads = [_HEADS[n] for n in names]
-    acc = [list(h(ps[-1])) for h in heads]
-    num, den = factor(ps[-1])
-    for p in reversed(ps[:-1]):
-        c, d = factor(p)
-        num *= c
-        den *= d
-        for s, head in zip(acc, heads):
-            a, b = head(p)
-            s[0], s[1] = a * d * s[1] + b * c * s[0], b * d * s[1]
-    sums = {n: Fraction(s[0], s[1]) for n, s in zip(names, acc)}
-    return sums, Fraction(num, den)
+
+    def run(lo: int, hi: int):
+        """(C, D, [N per series]) over ps[lo:hi], depth first, so at most
+        one pending run per level is held."""
+        if hi - lo == 1:
+            p = ps[lo]
+            fracs = [factor(p), *(head(p) for head in heads)]
+            den = lcm(*(b for _, b in fracs))
+            c, *ns = [a * (den // b) for a, b in fracs]
+            return c, den, ns
+        mid = (lo + hi) // 2
+        cl, dl, nsl = run(lo, mid)
+        cr, dr, nsr = run(mid, hi)
+        return cl * cr, dl * dr, [nl * dr + cl * nr for nl, nr in zip(nsl, nsr)]
+
+    c, d, ns = run(0, len(ps))
+    return {n: Fraction(num, d) for n, num in zip(names, ns)}, Fraction(c, d)
 
 
 def _tail(name: str, p_K: int, prod: Fraction) -> Fraction:
@@ -244,7 +256,7 @@ def _evaluate(k_terms: int) -> _Evaluation:
     sums: dict[str, Fraction] = {}
     products: dict[str, Fraction] = {}
     for factor, names in _PRODUCT_GROUPS:
-        group_sums, prod = _horner_pass(ps, factor, names)
+        group_sums, prod = _tree_pass(ps, factor, names)
         sums.update(group_sums)
         products.update(dict.fromkeys(names, prod))
     erdos = 0

@@ -9,24 +9,34 @@ independent engines cover the pair statistics:
   * scan_pairs      an optimized engine: eta(D1, D2) equals the smaller of
                     n(D2) and the first prime q | D2, q < n(D2), with
                     chi_{D1}(q) = -1. That depends on D2 only through the
-                    set of such q (its qmask signature), so the D2 are
-                    grouped by signature, each group builds one cumulative
-                    table over its D1 prefix, and each D2 reads its sum at
-                    prefix[D2];
+                    set of such q (its qmask signature) and on D1 only
+                    through the bitmask of the q with chi_{D1}(q) = -1: the
+                    lowest bit of the two masks' AND is the q, and an empty
+                    AND means n(D2);
   * decomposition_audit
                     a definitional engine: every pair's eta is rescanned
                     prime by prime straight from the sign rule.
 
-The sign-pattern count (density_lt) uses the same grouped prefix-table
-kernel, with the set of pattern primes dividing D2 as the signature.
+The pair kernel splits the D2 at r', the number of D with |D| <= isqrt(x),
+as in Dirichlet's hyperbola method. The few D2 below r' have long D1
+prefixes: each of their signatures walks its longest prefix once, slice by
+slice, and each D2 reads its running total there. Every D2 from r' on has
+|D2| > isqrt(x) and so a prefix of at most r' D1: each distinct signature
+gets one cumulative row over the first r' D1, and each D2 reads row[prefix]
+in a walk over the table in fixed-size slices. No kernel temporary grows
+with the table. The sign-pattern count (density_lt) is the same kernel with
+the pattern primes dividing D2 as the signature, the D1 mask marking the
+pattern primes where chi_{D1} misses its wanted sign, and a pair matching
+where the AND is empty.
 
 Both engines read one sign pass: for p = 2, 3, 5, ... up to max n(D),
 build_context computes chi_D(p) only over the D still without a -1 (an
 index array that shrinks at every prime) and takes n(D) (the first p with
 chi = -1) and the qmask bit (chi = 0, i.e. p | D) from it. For each used
 bit q it then stores chi_{D1}(q) over the first max{prefix[D2] : q in
-qmask(D2)} entries only, the part the pair kernel can read; full chi
-columns are built lazily, for the densities alone. average_n1 runs the
+qmask(D2)} entries only, the part the pair kernel can read. Full chi
+columns are built lazily and cached by density_lemma; density_lt builds
+its pattern columns per call and reads a cached one. average_n1 runs the
 same pass over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
 
 The context is int32 (entries, |D|, prefix counts), uint8 (n(D), at most
@@ -124,11 +134,14 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
     if p == 2:
         return _CHI2[d & 7]  # two's complement low bits == value mod 8
     if p <= len(d):
-        # residue table from the squares 1^2..((p-1)/2)^2, vectorised
+        # residue table from the squares 1^2..((p-1)/2)^2, squared and
+        # reduced in place in one int64 array
         tab = np.full(p, -1, dtype=np.int8)
         tab[0] = 0
         r = np.arange(1, (p + 1) // 2, dtype=np.int64)
-        tab[r * r % p] = 1
+        np.multiply(r, r, out=r)
+        np.remainder(r, p, out=r)
+        tab[r] = 1
         return tab[np.mod(d, p)]
     # p exceeds the input (and may exceed any fixed-width integer): Euler's
     # criterion per entry, in Python integers, one slice at a time;
@@ -263,69 +276,143 @@ def build_context(x: int) -> ScanContext:
 # scan_pairs: optimized eta aggregation
 # ---------------------------------------------------------------------------
 
-def _grouped_prefix_sums(sig: np.ndarray, c: np.ndarray, columns, weights) -> list[int]:
-    """Sum per-D1 columns over each D2's D1 prefix, one table per signature.
+# D2 per slice of a kernel's walk over the table, D1 per slice of a long
+# prefix, and about the cells per block of the big side's cumulative rows:
+# no kernel temporary grows with the table.
+_SLICE = 1 << 14
 
-    D2 j has signature sig[j] and prefix length c[j]. columns(s, m) returns
-    one array per entry of weights, over the first m D1 entries for
-    signature s; it is called once per distinct signature, with m the longest
-    prefix in that group. weights[r] is None (weight 1) or a per-D2 integer
-    array. Returns totals with totals[r] = sum over j of
-    weights[r][j] * columns(sig[j], m)[r][:c[j]].sum().
+
+def _cells(t: np.ndarray, lookup: np.ndarray) -> np.ndarray:
+    """lookup[b] for the lowest set bit b of each uint32 in t, lookup[32] where
+    t is 0."""
+    low = t & -t
+    low -= 1  # 2^b - 1 has b bits set; 0 wraps to 32 set bits
+    return lookup[np.bitwise_count(low)]
+
+
+def _prefix_totals(cells, ends: np.ndarray) -> np.ndarray:
+    """For each of the non-decreasing positive ends e, the sum of cells(u, v)
+    over D1 [0, e), walking D1 one slice at a time."""
+    out = np.empty(len(ends), dtype=np.int64)
+    total = done = 0
+    last = int(ends[-1])
+    for u in range(0, last, _SLICE):
+        v = min(u + _SLICE, last)
+        cum = np.cumsum(cells(u, v))
+        k = int(np.searchsorted(ends, v, side="right"))
+        out[done:k] = total + cum[ends[done:k] - u - 1]
+        total += int(cum[-1])
+        done = k
+    return out
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    # np.unique took 14 times as long as np.sort on the qmasks at 1e7 (numpy 2.4)
+    s = np.sort(a)
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
+def _distinct(d2_side, lo: int, hi: int) -> np.ndarray:
+    """The sorted distinct signatures of the D2 in [lo, hi), one slice at a time."""
+    return _sorted_distinct(np.concatenate([
+        _sorted_distinct(d2_side(a, min(a + _SLICE, hi))[0]) for a in range(lo, hi, _SLICE)
+    ]))
+
+
+def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int, int]:
+    """Sum one cell per pair over the D2 in bounds and the D1 in each prefix.
+
+    d2_side(a, b) gives, for the D2 in [a, b), a signature bitmask s and an
+    integer weight w; d1_side(bits, u, v) gives a uint32 bitmask t for the D1
+    in [u, v), exact at the bits in `bits`. The pair's cell is a hit worth
+    values[b] at the lowest bit b of t & s, or a miss where t & s is 0.
+    Returns (sum of hits, sum over D2 of w times its misses). A D2 of
+    signature 0 has only misses.
+
+    The D2 split at r' (see the module docstring). A cell packs a hit as its
+    value << 32 and a miss as 1. The hits over one D2's prefix are at most
+    prefix * |D2| <= x < 2^31, since every value divides D2, so neither
+    field overflows.
     """
-    totals = [0] * len(weights)
-    if len(sig) == 0:
-        return totals
-    order = np.argsort(sig, kind="stable")
-    for grp in np.split(order, np.flatnonzero(np.diff(sig[order])) + 1):
-        cg = c[grp]
-        m = int(cg.max())
-        for r, col in enumerate(columns(int(sig[grp[0]]), m)):
-            cum = np.concatenate([[0], np.cumsum(col, dtype=np.int64)])[cg]
-            w = weights[r]
-            totals[r] += int(cum.sum() if w is None else np.dot(cum, w[grp]))
-    return totals
+    lo, hi = bounds
+    split = ctx.table.count_upto(isqrt(ctx.x))
+    lookup = np.zeros(33, dtype=np.int64)
+    lookup[: len(values)] = np.array(values, dtype=np.int64) << 32
+    lookup[32] = 1
+    hits = misses = 0
+
+    mid = min(hi, split)
+    if lo < mid:
+        sig, w = d2_side(lo, mid)
+        c = ctx.prefix[lo:mid]
+        plain = sig == 0
+        misses += int(np.dot(c[plain], w[plain].astype(np.int64)))
+        for s in _sorted_distinct(sig[~plain]):
+            grp = sig == s
+            # prefixes do not increase along the table: reversed, they are the ends
+            ends = c[grp][::-1]
+            packed = _prefix_totals(lambda u, v: _cells(d1_side(int(s), u, v) & s, lookup), ends)
+            hits += int((packed >> 32).sum())
+            misses += int(np.dot(packed & 0xFFFFFFFF, w[grp][::-1]))
+
+    start = max(lo, split)
+    if start < hi:
+        sigs = _distinct(d2_side, start, hi)
+        t = d1_side(int(np.bitwise_or.reduce(sigs)), 0, split)
+        width = split + 1
+        table = np.zeros((len(sigs), width), dtype=np.int64)
+        rows = max(1, _SLICE // width)
+        for r in range(0, len(sigs), rows):
+            block = _cells(t & sigs[r : r + rows, None], lookup)
+            np.cumsum(block, axis=1, out=table[r : r + rows, 1:])
+        flat = table.ravel()
+        for a in range(start, hi, _SLICE):
+            b = min(a + _SLICE, hi)
+            sig, w = d2_side(a, b)
+            at = np.searchsorted(sigs, sig)
+            at *= width
+            at += ctx.prefix[a:b]
+            packed = flat[at]
+            hits += int((packed >> 32).sum())
+            packed &= 0xFFFFFFFF
+            misses += int(np.dot(packed, w))
+    return hits, misses
 
 
-def _first_negative_columns(ctx: ScanContext, mask: int, m: int):
-    """Over the first m D1: the first q in mask with chi_{D1}(q) = -1 (else 0),
-    and whether there is no such q."""
-    value = np.zeros(m, dtype=np.int64)
-    none = np.ones(m, dtype=bool)
+def _negative_bits(ctx: ScanContext, bits: int, u: int, v: int) -> np.ndarray:
+    """uint32 over D1 [u, v): bit b set where b is in bits and chi_{D1}(q_b) =
+    -1, within the stored column of q_b (no D2 with bit b reads beyond it)."""
+    out = np.zeros(v - u, dtype=np.uint32)
     for b, q in enumerate(ctx.cache_primes):
-        if (mask >> b) & 1:
-            hit = none & (ctx.prefix_chi[q][:m] == -1)
-            value[hit] = q
-            none &= ~hit
-    return value, none
+        if bits >> b & 1:
+            col = ctx.prefix_chi[q][u:v]
+            out[: len(col)] |= (col == -1).astype(np.uint32) << np.uint32(b)
+    return out
 
 
 def _scan_chunk(ctx: ScanContext, cap: int, bounds: tuple[int, int]):
     lo, hi = bounds
-    entries = ctx.entries[lo:hi]
     n2 = ctx.nvals[lo:hi]
-    c = ctx.prefix[lo:hi]
+    if lo < hi and int(n2.max()) > cap:
+        over = np.flatnonzero((n2 > cap) & (ctx.entries[lo:hi] != 1))
+        if len(over):
+            raise CapExceededError(int(ctx.entries[0]), int(ctx.entries[lo + over[0]]), cap)
+    pairs_total = int(ctx.prefix[lo:hi].sum())
+    # D = 1 heads the table; its pairs are excluded, and its n(D) = 0 weighs them out
+    pairs_excluded = int(ctx.prefix[0]) if lo == 0 < hi else 0
 
-    pairs_total = int(c.sum())
-    is_one = entries == 1
-    pairs_excluded = int(c[is_one].sum())
-    included = ~is_one & (c > 0)
-
-    over_cap = included & (n2 > cap)
-    if over_cap.any():
-        j = int(np.nonzero(over_cap)[0][0])
-        raise CapExceededError(int(ctx.entries[0]), int(entries[j]), cap)
-
-    # eta = first q in qmask with chi_{D1}(q) = -1, else n(D2); with qmask 0
-    # that is n(D2) for each of the c D1
-    qmask = ctx.qmask[lo:hi]
-    plain = included & (qmask == 0)
-    grouped = np.nonzero(included & (qmask != 0))[0]
-    hits, misses = _grouped_prefix_sums(
-        qmask[grouped], c[grouped], partial(_first_negative_columns, ctx), (None, n2[grouped])
+    # eta = the first q in qmask(D2) with chi_{D1}(q) = -1 (a hit worth q),
+    # else n(D2) (a miss, weighted by n(D2))
+    hits, misses = _pair_sums(
+        ctx,
+        bounds,
+        lambda a, b: (ctx.qmask[a:b], ctx.nvals[a:b]),
+        partial(_negative_bits, ctx),
+        ctx.cache_primes[:32],
     )
-    sum_eta = int(np.dot(n2[plain].astype(np.int64), c[plain])) + hits + misses
-    return pairs_total, pairs_excluded, sum_eta
+    return pairs_total, pairs_excluded, hits + misses
 
 
 def scan_pairs(
@@ -508,10 +595,16 @@ def check_primes(primes: Iterable[int], what: str) -> tuple[int, ...]:
 
 def check_pattern(pattern: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """A sign pattern as a tuple of (prime, sign) pairs, or ValueError if it
-    is empty, repeats a prime, or has a non-prime p or a sign outside -1, 0, +1."""
+    is empty, names more than 32 primes, repeats a prime, or has a non-prime p
+    or a sign outside -1, 0, +1."""
     pat = tuple((int(p), int(s)) for p, s in pattern)
     if not pat:
         raise ValueError("pattern must name at least one prime")
+    if len(pat) > 32:
+        raise ValueError(
+            f"pattern names {len(pat)} primes; the sign-pattern kernel keeps one bit "
+            "per prime, for at most 32"
+        )
     check_primes((p for p, _ in pat), "pattern")
     for _, s in pat:
         if s not in (-1, 0, 1):
@@ -595,37 +688,51 @@ def density_pollack(
     )
 
 
-def _pattern_columns(ctx: ScanContext, pattern, moved: int, m: int):
-    """Over the first m D1: whether chi_{D1}(p) = want for every pattern
-    prime p dividing moved."""
-    ok = np.ones(m, dtype=bool)
-    for p, want in pattern:
-        if moved % p == 0:
-            ok &= ctx.chi_array(p)[:m] == want
-    return (ok,)
+def _pattern_d2(chis, pattern, sig_type, a: int, b: int):
+    """Signature and weight of the D2 in [a, b): bit k marks pattern prime k
+    dividing D2, which moves its constraint to chi_{D1}; the weight is 1 where
+    every other pattern prime already has its sign at chi_{D2}, else 0, with
+    signature 0."""
+    moved = np.zeros(b - a, dtype=sig_type)
+    live = np.ones(b - a, dtype=bool)
+    for k, ((_, want), chi) in enumerate(zip(pattern, chis)):
+        chi2 = chi[a:b]
+        zero = chi2 == 0
+        moved |= zero * sig_type(1 << k)
+        live &= zero | (chi2 == want)
+    moved *= live  # no D1 matches: signature 0 reads no D1 column
+    return moved, live
+
+
+def _pattern_d1(chis, pattern, bits: int, u: int, v: int) -> np.ndarray:
+    """uint32 over D1 [u, v): bit k set where k is in bits and chi_{D1}(p_k)
+    misses the wanted sign."""
+    out = np.zeros(v - u, dtype=np.uint32)
+    for k, ((_, want), chi) in enumerate(zip(pattern, chis)):
+        if bits >> k & 1:
+            out |= (chi[u:v] != want).astype(np.uint32) << np.uint32(k)
+    return out
 
 
 def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
     lo, hi = bounds
-    c = ctx.prefix[lo:hi]
     # a pattern prime p | D2 moves its constraint to chi_{D1}(p); any other
-    # pattern prime fixes the sign at chi_{D2}(p), constant in D1. The
-    # signature is the product of the moved primes, a divisor of |D2|.
-    moved = np.ones(hi - lo, dtype=np.int64)
-    live = np.ones(hi - lo, dtype=bool)
-    for p, want in pattern:
-        chi2 = ctx.chi_array(p)[lo:hi]
-        zero = chi2 == 0
-        if zero.any():  # never for p > x, which may not fit int64
-            moved[zero] *= p
-        live &= zero | (chi2 == want)
-    # where no pattern prime moves, D2 alone fixes every sign: all c D1 match
-    fixed = live & (moved == 1)
-    rest = live & (moved != 1)
-    (matched,) = _grouped_prefix_sums(
-        moved[rest], c[rest], partial(_pattern_columns, ctx, pattern), (None,)
+    # pattern prime fixes the sign at chi_{D2}(p), constant in D1. A pair
+    # matches when chi_{D1} has the wanted sign at every moved prime: an
+    # empty AND of the two masks, a miss of the pair kernel (no hit values).
+    # The columns cover the D2 in bounds and their D1 prefixes; one that
+    # density_lemma cached is read, and none is stored.
+    n = max(hi, int(ctx.prefix[lo])) if lo < hi else 0
+    chis = [ctx.chi[p] if p in ctx.chi else _chi_values(ctx.entries[:n], p) for p, _ in pattern]
+    sig_type = np.uint16 if len(pattern) <= 16 else np.uint32
+    _, matched = _pair_sums(
+        ctx,
+        bounds,
+        partial(_pattern_d2, chis, pattern, sig_type),
+        partial(_pattern_d1, chis, pattern),
+        (),
     )
-    return int(c.sum()), int(c[fixed].sum()) + matched
+    return int(ctx.prefix[lo:hi].sum()), matched
 
 
 def density_lt(
@@ -638,7 +745,7 @@ def density_lt(
 
     The prediction is the product of 1/(p+1)^2 over zero-sign constraints
     and p(p+2)/(2(p+1)^2) over nonzero ones. Non-prime and repeated primes
-    are rejected.
+    are rejected, as is a pattern of more than 32 primes.
     """
     pat = check_pattern(pattern)
     if ctx is None:

@@ -236,7 +236,8 @@ def _crit_6_lt(ctx5: ScanContext) -> tuple[bool, str]:
     detail = ", ".join(
         f"{p}: {float(r) * 100:.1f}%" for p, r in zip(("[(2,0)]", "[(2,-1)]", "[(2,+1),(3,-1)]"), rels)
     )
-    return ok, detail + " (tolerance 5%; convergence to the limit is logarithmic)"
+    # "known-red" tells this documented failure apart from a new regression
+    return ok, f"known-red: {detail} (tolerance 5%; convergence to the limit is logarithmic)"
 
 
 def _crit_7_counts(ctx6: ScanContext) -> tuple[bool, str]:
@@ -390,7 +391,8 @@ def run_criteria(quick: bool = False) -> list[CriterionResult]:
         (8, "eta average scan vs oracle and golden", lambda: _crit_8_scan(ctx4, ctx6), True),
         (9, "decomposition audit at x=1e4", lambda: _crit_9_audit(ctx4), False),
         (10, "least non-residue average vs erdos", _crit_10_erdos, True),
-        (11, "byte determinism across worker counts", _crit_11_determinism, False),
+        (11, "byte determinism of scan output and range-split kernel sums",
+         _crit_11_determinism, False),
     ]
     for cid, name, fn, needs_big in plan:
         if quick and needs_big:

@@ -62,6 +62,12 @@ def test_criterion_06_pair_pattern_proportions_1e5(results):
     _assert_pass(results[6])
 
 
+def test_criterion_06_is_labelled_known_red(results):
+    # the documented failure reads apart from a new regression
+    assert results[6].status == "fail"
+    assert results[6].detail.startswith("known-red: ")
+
+
 def test_criterion_07_discriminant_counts(results):
     _assert_pass(results[7])
 

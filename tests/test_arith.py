@@ -1,6 +1,7 @@
 """Sieves, Kronecker symbols, fundamental discriminants, n_1(p)."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ class TestFundamental:
                 if is_fundamental(d)
             )
             assert table.count_upto(y) == brute
+
+    def test_count_upto_searches_the_table_in_place(self):
+        # a search for a Python int once cast the whole int32 table to int64
+        table = sieve_fundamental(1_000_000)
+        tracemalloc.start()
+        try:
+            assert table.count_upto(1000) == 608
+            assert tracemalloc.get_traced_memory()[1] < table.abs_values.nbytes // 10
+        finally:
+            tracemalloc.stop()
 
 
 class TestLeastNonresidue:

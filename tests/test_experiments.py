@@ -1,8 +1,11 @@
 """Pair scans, audits, densities, averages: exact cross-checks at small x."""
 
 import multiprocessing
+import random
 import time
 from fractions import Fraction
+from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,6 +88,29 @@ class TestContext:
             assert len(ctx.chi_array(q)) == len(ctx.entries), q
         assert ctx.chi_array(2).tolist() == [kronecker(int(d), 2) for d in ctx.entries]
 
+    def test_kernels_leave_the_context_unchanged(self):
+        ctx = build_context(100_000)
+        density_lemma(100_000, 5, ctx)  # one cached full column, which density_lt reads
+
+        def snapshot():
+            arrays = [ctx.entries, ctx.abs_values, ctx.nvals, ctx.prefix, ctx.qmask]
+            stores = [ctx.prefix_chi, ctx.chi, ctx.negcum, ctx.eqcum]
+            return (
+                [a.copy() for a in arrays],
+                [{k: v.copy() for k, v in d.items()} for d in stores],
+                ctx.cache_primes,
+            )
+
+        before = snapshot()
+        scan_pairs(100_000, ctx=ctx, k_terms=120)
+        density_lt(100_000, [(2, 1), (3, -1), (5, 0), (7, -1)], ctx)
+        after = snapshot()
+        assert all(np.array_equal(a, b) for a, b in zip(before[0], after[0]))
+        for d0, d1 in zip(before[1], after[1]):
+            assert d0.keys() == d1.keys()
+            assert all(np.array_equal(d0[k], d1[k]) for k in d0)
+        assert before[2] == after[2]
+
     def test_prefix_counts(self, ctx2000):
         for i in range(0, len(ctx2000.entries), 97):
             y = 2000 // int(ctx2000.abs_values[i])
@@ -135,6 +161,85 @@ class TestScanPairs:
         }
         for name, rv in rep.refs.items():
             assert rep.deltas[name] == rep.avg_eta - rv.midpoint
+
+
+def _split(ctx) -> int:
+    """r': the number of D with |D| <= isqrt(x), where the pair kernels split."""
+    return ctx.table.count_upto(isqrt(ctx.x))
+
+
+def _audit_totals(ctx, bounds):
+    primes = sieve_primes(max(2, int(ctx.nvals.max())))
+    return experiments._audit_chunk(ctx, DEFAULT_ETA_CAP, primes, bounds)[:3]
+
+
+class TestPairKernel:
+    """_scan_chunk against the definitional audit, around the split at r'."""
+
+    def test_every_x_to_3000_matches_the_audit(self):
+        # the audit rescans each pair with |D1*D2| <= 3000 once, as a table
+        # of two entries; its (pairs, excluded, sum eta) summed by |D1*D2|
+        # are its totals at every x <= 3000, while r' moves with isqrt(x)
+        top = build_context(3000)
+        primes = sieve_primes(int(top.nvals.max()))
+        by_product = np.zeros((3001, 3), dtype=np.int64)
+        d = top.entries.tolist()
+        for j in range(len(d)):
+            for i in range(int(top.prefix[j])):
+                pair = SimpleNamespace(
+                    entries=top.entries[[i, j]], nvals=top.nvals[[i, j]], prefix=np.array([0, 1])
+                )
+                got = experiments._audit_chunk(pair, DEFAULT_ETA_CAP, primes, (1, 2))[:3]
+                by_product[abs(d[i] * d[j])] += got
+        expected = by_product.cumsum(axis=0)
+        for x in range(1, 3001):
+            ctx = build_context(x)
+            got = experiments._scan_chunk(ctx, DEFAULT_ETA_CAP, (0, len(ctx.entries)))
+            assert got == tuple(expected[x]), x
+
+    @pytest.mark.parametrize("x", [26, 3000, 100_000])
+    def test_ranges_straddling_the_split_match_the_audit(self, x):
+        ctx = build_context(x)
+        r = _split(ctx)
+        n = len(ctx.entries)
+        for lo, hi in ((0, r), (r, n), (0, r + 1), (r - 1, r + 1), (max(1, r - 7), min(n, r + 9))):
+            got = experiments._scan_chunk(ctx, DEFAULT_ETA_CAP, (lo, hi))
+            assert got == _audit_totals(ctx, (lo, hi)), (lo, hi)
+
+
+class TestSampledAudit1e7:
+    """The pair kernel against the audit at x = 1e7, on seeded D2 ranges."""
+
+    @pytest.fixture(scope="class")
+    def ctx7(self):
+        return build_context(10**7)
+
+    def test_sampled_ranges_match_the_audit(self, ctx7):
+        n = len(ctx7.entries)
+        r = _split(ctx7)
+        budget = 20_000  # pairs per range
+        # the first D2 whose prefix fits the budget, then log-uniform starts,
+        # which weight the sample toward small |D2|
+        first = int(np.searchsorted(-ctx7.prefix, -budget))
+        rng = random.Random(20221)
+        starts = [round(first * (n / first) ** rng.random()) for _ in range(6)]
+        # and one D2 whose prefix spans two D1 slices of the long-prefix walk
+        long = int(np.searchsorted(-ctx7.prefix, -experiments._SLICE)) - 1
+        assert 2 * experiments._SLICE > ctx7.prefix[long] > experiments._SLICE
+        ranges = [(r - 4, r + 4), (long, long + 1)]
+        ranges += [(lo, min(n, lo + budget // int(ctx7.prefix[lo]))) for lo in starts]
+        for lo, hi in ranges:
+            got = experiments._scan_chunk(ctx7, DEFAULT_ETA_CAP, (lo, hi))
+            assert got == _audit_totals(ctx7, (lo, hi)), (lo, hi)
+
+    def test_whole_table_is_the_sum_of_ranges(self, ctx7):
+        n = len(ctx7.entries)
+        r = _split(ctx7)
+        rng = random.Random(7)
+        cuts = sorted({0, 1, r - 1, r, r + 1, n, *(rng.randrange(n) for _ in range(5))})
+        parts = [experiments._scan_chunk(ctx7, DEFAULT_ETA_CAP, b) for b in zip(cuts, cuts[1:])]
+        whole = experiments._scan_chunk(ctx7, DEFAULT_ETA_CAP, (0, n))
+        assert whole == tuple(map(sum, zip(*parts)))
 
 
 class TestOneProcessKernels:
@@ -331,6 +436,52 @@ class TestDensityLT:
     def test_repeated_prime_rejected(self, ctx2000):
         with pytest.raises(ValueError):
             density_lt(2000, [(2, 1), (2, -1)], ctx2000)
+
+    @pytest.mark.parametrize("x", [1, 26, 2000, 100_000])
+    def test_signs_at_each_prime_sum_to_the_pairs(self, x):
+        # every pair has exactly one sign at p, so the +1, -1 and 0 counts
+        # partition the pairs; p = 1009 and 100003 divide no D2 up to 1000
+        ctx = build_context(x)
+        pairs = int(ctx.prefix.sum())
+        for p in (2, 3, 5, 7, 13, 31, 1009, 100003):
+            rows = [density_lt(x, [(p, s)], ctx).rows[0] for s in (1, -1, 0)]
+            assert {row.total for row in rows} == {pairs}
+            assert sum(row.count for row in rows) == pairs, p
+        # and the nine sign pairs at two primes
+        two = [density_lt(x, [(2, s), (3, t)], ctx).rows[0].count
+               for s in (1, -1, 0) for t in (1, -1, 0)]
+        assert sum(two) == pairs
+
+    def test_ranges_straddling_the_split(self):
+        ctx = build_context(100_000)
+        pattern = ((2, 1), (3, -1), (5, 0))
+        whole = experiments._lt_chunk(ctx, pattern, (0, len(ctx.entries)))
+        r = _split(ctx)
+        cuts = [0, 1, r - 1, r, r + 1, r + 50, len(ctx.entries)]
+        parts = [experiments._lt_chunk(ctx, pattern, b) for b in zip(cuts, cuts[1:])]
+        assert tuple(map(sum, zip(*parts))) == whole
+
+    def test_more_than_sixteen_primes(self):
+        # 20 pattern primes, a wider signature than the usual 16 bits, with
+        # the signs of the pair (5, -24), which moves the bits of 2 and 3
+        x = 300
+
+        def sign(d1, d2, p):
+            return kronecker(d1, p) if d2 % p == 0 else kronecker(d2, p)
+
+        pattern = [(p, sign(5, -24, p)) for p in sieve_primes(71)]
+        assert len(pattern) == 20
+        ds = brute_discriminants(x)
+        matched = sum(
+            all(sign(d1, d2, p) == want for p, want in pattern)
+            for d2 in ds for d1 in ds if abs(d1 * d2) <= x
+        )
+        assert matched >= 1
+        assert density_lt(x, pattern).rows[0].count == matched
+
+    def test_more_than_thirty_two_primes_refused(self):
+        with pytest.raises(ValueError, match="32"):
+            density_lt(1000, [(p, 1) for p in sieve_primes(139)])
 
     def test_range_split_independence(self, ctx2000):
         # the (lo, hi) ranges of D2 add up to the whole-table count
