@@ -688,17 +688,17 @@ def density_pollack(
     )
 
 
-def _pattern_d2(chis, pattern, sig_type, a: int, b: int):
+def _pattern_d2(chis, pattern, a: int, b: int):
     """Signature and weight of the D2 in [a, b): bit k marks pattern prime k
     dividing D2, which moves its constraint to chi_{D1}; the weight is 1 where
     every other pattern prime already has its sign at chi_{D2}, else 0, with
     signature 0."""
-    moved = np.zeros(b - a, dtype=sig_type)
+    moved = np.zeros(b - a, dtype=np.uint32)
     live = np.ones(b - a, dtype=bool)
     for k, ((_, want), chi) in enumerate(zip(pattern, chis)):
         chi2 = chi[a:b]
         zero = chi2 == 0
-        moved |= zero * sig_type(1 << k)
+        moved |= zero.astype(np.uint32) << np.uint32(k)
         live &= zero | (chi2 == want)
     moved *= live  # no D1 matches: signature 0 reads no D1 column
     return moved, live
@@ -724,11 +724,10 @@ def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
     # density_lemma cached is read, and none is stored.
     n = max(hi, int(ctx.prefix[lo])) if lo < hi else 0
     chis = [ctx.chi[p] if p in ctx.chi else _chi_values(ctx.entries[:n], p) for p, _ in pattern]
-    sig_type = np.uint16 if len(pattern) <= 16 else np.uint32
     _, matched = _pair_sums(
         ctx,
         bounds,
-        partial(_pattern_d2, chis, pattern, sig_type),
+        partial(_pattern_d2, chis, pattern),
         partial(_pattern_d1, chis, pattern),
         (),
     )

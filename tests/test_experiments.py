@@ -462,7 +462,7 @@ class TestDensityLT:
         assert tuple(map(sum, zip(*parts))) == whole
 
     def test_more_than_sixteen_primes(self):
-        # 20 pattern primes, a wider signature than the usual 16 bits, with
+        # 20 pattern primes, more than the CLI's 16, with
         # the signs of the pair (5, -24), which moves the bits of 2 and 3
         x = 300
 
