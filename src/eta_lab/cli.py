@@ -4,18 +4,19 @@
     eta-lab eta D1 D2 [--cap 100000]
     eta-lab sigma D1 D2 K N
     eta-lab qexp D1 D2 K --terms M
-    eta-lab scan --x X [--cap] [--workers W]
+    eta-lab scan --x X [--K 1000] [--workers W]
     eta-lab densities --x X [--lemma 2,3,5,7] [--pollack KMAX] [--lt 2:-1,3:+1] [--workers W]
-    eta-lab audit --x X [--cap] [--workers W]
+    eta-lab audit --x X [--workers W]
     eta-lab verify [--quick]
 
 Every command runs in one process; `scan`, `densities` and `audit` accept
 --workers and ignore it. `verify` compares against the packaged golden file
 alone and never writes it. Exit codes: 0 success, 1 usage or invalid input
 (every bound and every --lemma, --pollack and --lt selection is checked
-before any work), 2 computational check failure or cap exhaustion. All
-outputs flow through one serialization layer; --no-timestamp makes any
-command byte-deterministic.
+before any work), 2 a failed `verify` criterion or an `eta` scan that
+exhausts its --cap. Only `eta` takes --cap: over a table every eta is at most
+n(D2). All outputs flow through one serialization layer; --no-timestamp
+makes any command byte-deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from . import __version__
 from .constants import SERIES_NAMES, combined_constant, mu_constant, rigorous_constant
 from .newform import (
     DEFAULT_ETA_CAP,
-    CapExceededError,
     NewformPair,
     eta_sign_trace,
     q_expansion,
@@ -227,7 +227,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="average eta over all pairs |D1*D2| <= x")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ETA_CAP)
     p.add_argument("--workers", type=int, default=1, help=_ONE_PROCESS)
     p.add_argument("--K", type=int, default=1000, dest="k_terms")
     _add_common(p)
@@ -245,7 +244,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="exact decomposition audit of sum eta")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ETA_CAP)
     p.add_argument("--workers", type=int, default=1, help=_ONE_PROCESS)
     _add_common(p)
 
@@ -310,10 +308,10 @@ def _cmd_scan(args) -> int:
 
     x = _check_x(args.x)
     k = _check_k(args.k_terms)
-    report = scan_pairs(x, cap=args.cap, workers=args.workers, k_terms=k)
+    report = scan_pairs(x, workers=args.workers, k_terms=k)
     # the ignored worker count is left out of the echo, so the bytes are the
     # same for any --workers
-    config = {"x": x, "cap": args.cap, "K": k}
+    config = {"x": x, "K": k}
     _emit(args, "scan", config, report)
     return 0
 
@@ -368,8 +366,8 @@ def _cmd_audit(args) -> int:
     from .experiments import decomposition_audit
 
     x = _check_x(args.x)
-    report = decomposition_audit(x, cap=args.cap)
-    _emit(args, "audit", {"x": x, "cap": args.cap}, report)
+    report = decomposition_audit(x)
+    _emit(args, "audit", {"x": x}, report)
     return 0
 
 
@@ -407,9 +405,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_digits(args.digits)
         return _HANDLERS[args.command](args)
-    except CapExceededError as exc:
-        print(f"eta-lab: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"eta-lab: invalid input: {exc}", file=sys.stderr)
         return 1

@@ -81,7 +81,6 @@ from .constants import (
     rigorous_constant,
     sign_probability,
 )
-from .newform import DEFAULT_ETA_CAP, CapExceededError
 from .reports import (
     AuditReport,
     AverageReport,
@@ -94,7 +93,6 @@ from .reports import (
 
 __all__ = [
     "ScanContext",
-    "CapExceededError",
     "PairScanReport",
     "AuditReport",
     "DensityReport",
@@ -124,13 +122,17 @@ _N_SCAN_LIMIT = 1_000_000  # prime budget for resolving n(D); never binding in p
 
 # chi_D(2) by D mod 8: 0 for even D, +1 at 1 and 7, -1 at 3 and 5
 _CHI2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
-# Entries per slice of the per-entry Euler path: its Python lists hold one
+# Entries per slice of the Euler-criterion path: its int64 temporaries hold one
 # slice, never the whole table.
 _EULER_SLICE = 1 << 16
+# Density primes lie below this bound, so that Euler's criterion squares
+# residues below p, and so below 2^62, in int64.
+DENSITY_PRIME_LIMIT = 1 << 31
 
 
 def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
-    """chi_D(p) for an array of discriminants, as int8."""
+    """chi_D(p) for an array of discriminants and a prime p < DENSITY_PRIME_LIMIT,
+    as int8."""
     if p == 2:
         return _CHI2[d & 7]  # two's complement low bits == value mod 8
     if p <= len(d):
@@ -143,14 +145,21 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
         np.remainder(r, p, out=r)
         tab[r] = 1
         return tab[np.mod(d, p)]
-    # p exceeds the input (and may exceed any fixed-width integer): Euler's
-    # criterion per entry, in Python integers, one slice at a time;
-    # D^((p-1)/2) mod p is 0, 1 or p - 1
+    # p exceeds the input: Euler's criterion, D^((p-1)/2) mod p in {0, 1, p - 1},
+    # by square-and-multiply in int64, one slice at a time
     e = (p - 1) // 2
     out = np.empty(len(d), dtype=np.int8)
     for lo in range(0, len(d), _EULER_SLICE):
-        powers = (pow(a, e, p) for a in d[lo : lo + _EULER_SLICE].tolist())
-        out[lo : lo + _EULER_SLICE] = [r if r < 2 else -1 for r in powers]
+        base = d[lo : lo + _EULER_SLICE].astype(np.int64)
+        np.remainder(base, p, out=base)
+        acc = base.copy()
+        for bit in bin(e)[3:]:  # the bits of e after its leading 1
+            np.multiply(acc, acc, out=acc)
+            np.remainder(acc, p, out=acc)
+            if bit == "1":
+                np.multiply(acc, base, out=acc)
+                np.remainder(acc, p, out=acc)
+        out[lo : lo + _EULER_SLICE] = np.where(acc < 2, acc, -1)
     return out
 
 
@@ -235,6 +244,16 @@ def _prefix_counts(abs_values: np.ndarray, x: int) -> np.ndarray:
     values = np.concatenate([head, counts[::-1]]).astype(np.int32)
     runs = np.concatenate([np.ones(len(head), dtype=np.intp), -np.diff(ends)[::-1]])
     return np.repeat(values, runs)
+
+
+def _context(x: int, ctx: ScanContext | None) -> ScanContext:
+    """ctx, or a new context at x if it is None; ValueError if ctx was built
+    at another x."""
+    if ctx is None:
+        return build_context(x)
+    if ctx.x != x:
+        raise ValueError(f"the context was built at x = {ctx.x}, not at x = {x}")
+    return ctx
 
 
 def build_context(x: int) -> ScanContext:
@@ -392,13 +411,8 @@ def _negative_bits(ctx: ScanContext, bits: int, u: int, v: int) -> np.ndarray:
     return out
 
 
-def _scan_chunk(ctx: ScanContext, cap: int, bounds: tuple[int, int]):
+def _scan_chunk(ctx: ScanContext, bounds: tuple[int, int]):
     lo, hi = bounds
-    n2 = ctx.nvals[lo:hi]
-    if lo < hi and int(n2.max()) > cap:
-        over = np.flatnonzero((n2 > cap) & (ctx.entries[lo:hi] != 1))
-        if len(over):
-            raise CapExceededError(int(ctx.entries[0]), int(ctx.entries[lo + over[0]]), cap)
     pairs_total = int(ctx.prefix[lo:hi].sum())
     # D = 1 heads the table; its pairs are excluded, and its n(D) = 0 weighs them out
     pairs_excluded = int(ctx.prefix[0]) if lo == 0 < hi else 0
@@ -417,7 +431,6 @@ def _scan_chunk(ctx: ScanContext, cap: int, bounds: tuple[int, int]):
 
 def scan_pairs(
     x: int,
-    cap: int = DEFAULT_ETA_CAP,
     workers: int = 1,
     ctx: ScanContext | None = None,
     k_terms: int = 1000,
@@ -426,14 +439,12 @@ def scan_pairs(
 
     Pairs with D2 = 1 have no negative coefficient and are excluded from
     numerator and denominator alike; their count is reported because they
-    are a visible fraction at desk scale. Any pair whose scan would pass
-    `cap` raises CapExceededError (never triggered for cap >= max n(D)).
-    `workers` is accepted and ignored, so callers that record a worker count
-    keep working; the kernel runs in this process.
+    are a visible fraction at desk scale. Every eta is at most n(D2), so no
+    scan needs a cap. `workers` is accepted and ignored, so callers that
+    record a worker count keep working; the kernel runs in this process.
     """
-    if ctx is None:
-        ctx = build_context(x)
-    pairs_total, pairs_excluded, sum_eta = _scan_chunk(ctx, cap, (0, len(ctx.entries)))
+    ctx = _context(x, ctx)
+    pairs_total, pairs_excluded, sum_eta = _scan_chunk(ctx, (0, len(ctx.entries)))
     included = pairs_total - pairs_excluded
     avg = Fraction(sum_eta, included) if included else Fraction(0)
 
@@ -457,7 +468,7 @@ def scan_pairs(
 # decomposition_audit: definitional per-pair engine
 # ---------------------------------------------------------------------------
 
-def _audit_chunk(ctx: ScanContext, cap: int, scan_primes: tuple[int, ...], bounds):
+def _audit_chunk(ctx: ScanContext, scan_primes: tuple[int, ...], bounds):
     lo, hi = bounds
     entries = ctx.entries
     nvals = ctx.nvals
@@ -482,8 +493,6 @@ def _audit_chunk(ctx: ScanContext, cap: int, scan_primes: tuple[int, ...], bound
             pairs_excluded += c
             continue
         n2 = int(nvals[i2])
-        if n2 > cap:
-            raise CapExceededError(int(entries[0]), d2, cap)
         for i1 in range(c):
             d1 = int(entries[i1])
             eta_p = 0
@@ -525,11 +534,7 @@ def _audit_chunk(ctx: ScanContext, cap: int, scan_primes: tuple[int, ...], bound
     )
 
 
-def decomposition_audit(
-    x: int,
-    cap: int = DEFAULT_ETA_CAP,
-    ctx: ScanContext | None = None,
-) -> AuditReport:
+def decomposition_audit(x: int, ctx: ScanContext | None = None) -> AuditReport:
     """Exact audit of the sum decomposition
 
         sum eta = sum n(D2) + sum_{eta | D2} n(D1) - sum_{eta | D2} n(D2)
@@ -541,8 +546,7 @@ def decomposition_audit(
     where those disagree. Examples are the 10 smallest by |D1*D2| (ties by
     table position of D2, then D1).
     """
-    if ctx is None:
-        ctx = build_context(x)
+    ctx = _context(x, ctx)
     max_n = int(ctx.nvals.max()) if len(ctx.nvals) else 2
     scan_primes = sieve_primes(max(2, max_n))
     (
@@ -556,7 +560,7 @@ def decomposition_audit(
         violations,
         mismatches,
         examples,
-    ) = _audit_chunk(ctx, cap, scan_primes, (0, len(ctx.entries)))
+    ) = _audit_chunk(ctx, scan_primes, (0, len(ctx.entries)))
     return AuditReport(
         x=x,
         pairs_total=pairs_total,
@@ -578,9 +582,14 @@ def decomposition_audit(
 # ---------------------------------------------------------------------------
 
 def check_prime(p: int) -> int:
-    """p itself, or ValueError if p is not prime or lies beyond MR_LIMIT."""
+    """p itself, or ValueError if p is not prime or not below
+    DENSITY_PRIME_LIMIT."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if p >= DENSITY_PRIME_LIMIT:
+        raise ValueError(
+            f"p = {p} is not below 2^31: Euler's criterion squares residues mod p in int64"
+        )
     return p
 
 
@@ -619,8 +628,7 @@ def density_lemma(x: int, p: int, ctx: ScanContext | None = None) -> DensityRepo
     exactly on both sides. A non-prime p is rejected.
     """
     check_prime(p)
-    if ctx is None:
-        ctx = build_context(x)
+    ctx = _context(x, ctx)
     chi = ctx.chi_array(p)
     total = len(chi)
     rows = []
@@ -654,8 +662,7 @@ def density_pollack(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if ctx is None:
-        ctx = build_context(x)
+    ctx = _context(x, ctx)
     nv = ctx.nvals[ctx.entries != 1]
     total = len(nv)
     if total == 0:
@@ -747,8 +754,7 @@ def density_lt(
     are rejected, as is a pattern of more than 32 primes.
     """
     pat = check_pattern(pattern)
-    if ctx is None:
-        ctx = build_context(x)
+    ctx = _context(x, ctx)
     pairs_total, matched = _lt_chunk(ctx, pat, (0, len(ctx.entries)))
     pred = Fraction(1)
     for p, s in pat:
@@ -779,8 +785,7 @@ def pair_count_check(x: int, ctx: ScanContext | None = None) -> CountReport:
     """
     if x < 2:
         raise ValueError(f"x must be >= 2 so the log x reference is nonzero, got {x}")
-    if ctx is None:
-        ctx = build_context(x)
+    ctx = _context(x, ctx)
     # iterate D1, prefix-count the admissible D2 range
     observed = int(ctx.prefix.sum())
     zeta2 = float((ZETA2_LO + ZETA2_HI) / 2)
@@ -795,20 +800,19 @@ def _average(x: int, kind: str, values: np.ndarray, ref: RigorousValue) -> Avera
                          reference=ref, delta=avg - ref.midpoint)
 
 
-def average_nd(x: int, ctx: ScanContext | None = None, k_terms: int = 1000) -> AverageReport:
+def average_nd(x: int, ctx: ScanContext | None = None) -> AverageReport:
     """Average of n(D) over fundamental |D| <= x, D != 1, against Theta.
 
     An x with no D != 1 (x < 3) is rejected.
     """
-    if ctx is None:
-        ctx = build_context(x)
+    ctx = _context(x, ctx)
     nv = ctx.nvals[ctx.entries != 1]
     if len(nv) == 0:
         raise ValueError(f"no fundamental discriminant D != 1 with |D| <= {x}")
-    return _average(x, "n(D)", nv, rigorous_constant("Theta", k_terms))
+    return _average(x, "n(D)", nv, rigorous_constant("Theta", 1000))
 
 
-def average_n1(x: int, k_terms: int = 1000) -> AverageReport:
+def average_n1(x: int) -> AverageReport:
     """Average of n_1(p) over odd primes p <= x, against the Erdos constant.
 
     The prime 2 is excluded (every residue is a square mod 2); dropping a
@@ -824,4 +828,4 @@ def average_n1(x: int, k_terms: int = 1000) -> AverageReport:
     n1 = np.zeros(len(odd), dtype=np.int64)
     for p, alive, _, neg in _sign_pass(np.where(odd % 4 == 1, odd, -odd)):
         n1[alive[neg]] = p
-    return _average(x, "n_1(p)", n1, rigorous_constant("erdos", k_terms))
+    return _average(x, "n_1(p)", n1, rigorous_constant("erdos", 1000))

@@ -24,7 +24,6 @@ from .arith import is_fundamental, iter_primes, kronecker
 
 __all__ = [
     "DEFAULT_ETA_CAP",
-    "CapExceededError",
     "NewformPair",
     "EtaResult",
     "QExpansion",
@@ -41,15 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_ETA_CAP = 100_000
-
-
-class CapExceededError(RuntimeError):
-    """A pair's eta scan would exceed the configured cap."""
-
-    def __init__(self, d1: int, d2: int, cap: int):
-        self.pair = (d1, d2)
-        self.cap = cap
-        super().__init__(f"eta({d1}, {d2}) exceeds cap {cap}")
 
 
 @dataclass(frozen=True)

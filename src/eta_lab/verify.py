@@ -52,7 +52,7 @@ from .experiments import (
     pair_count_check,
     scan_pairs,
 )
-from .newform import DEFAULT_ETA_CAP, NewformPair, eta, sigma_coefficient, sigma_sign_at_prime
+from .newform import NewformPair, eta, sigma_coefficient, sigma_sign_at_prime
 
 __all__ = ["CriterionResult", "run_criteria", "load_golden", "brute_force_pair_sum"]
 
@@ -329,8 +329,8 @@ def _crit_11_determinism() -> tuple[bool, str]:
     # the pair kernel over the whole table and over eight ranges of D2
     ctx = build_context(100_000)
     cuts = [len(ctx.entries) * i // 8 for i in range(9)]
-    parts = [_scan_chunk(ctx, DEFAULT_ETA_CAP, b) for b in zip(cuts, cuts[1:])]
-    split_ok = _scan_chunk(ctx, DEFAULT_ETA_CAP, (0, cuts[-1])) == tuple(map(sum, zip(*parts)))
+    parts = [_scan_chunk(ctx, b) for b in zip(cuts, cuts[1:])]
+    split_ok = _scan_chunk(ctx, (0, cuts[-1])) == tuple(map(sum, zip(*parts)))
     return bytes_ok and split_ok, (
         f"scan x=1e5 stdout, --output and rerun byte-identical: {bytes_ok} "
         f"({len(runs[0])} bytes); whole-table and 8-range kernel sums equal: {split_ok}"

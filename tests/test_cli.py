@@ -519,16 +519,16 @@ class TestDensitiesCommand:
         assert rc == 1
 
     def test_large_prime_is_decided_at_once(self, tmp_path):
-        # primes far beyond trial division; the --lt one does not fit int64
+        # the two largest density primes, far beyond trial division
         start = time.perf_counter()
         rc, text = run_cli(
-            ["densities", "--x", "10", "--lemma", str(10**18 + 3), "--lt", f"{10**23 + 117}:1",
+            ["densities", "--x", "10", "--lemma", str(2**31 - 1), "--lt", f"{2**31 - 19}:1",
              "--no-timestamp"],
             tmp_path,
         )
         assert time.perf_counter() - start < 1.0
         assert rc == 0
-        assert f"chi(p={10**18 + 3})=+1" in text
+        assert f"chi(p={2**31 - 1})=-1" in text
 
     def test_prime_beyond_the_primality_range_exits_1(self, tmp_path, capsys):
         rc, _ = run_cli(["densities", "--x", "10", "--lemma", str(10**30 + 57)], tmp_path)
@@ -540,7 +540,9 @@ class TestDensitiesCommand:
         [["--lemma", "4"], ["--lemma", "2,x"], ["--lemma", str(10**30 + 57)],
          ["--lemma", "3", "--pollack", "0"], ["--pollack", "-5"],
          ["--lt", "2"], ["--lt", "2:5"], ["--lt", "2:+1,2:-1"], ["--lemma", "3,3"],
-         density_selection(cli.MAX_DENSITY_PRIMES + 1)],
+         density_selection(cli.MAX_DENSITY_PRIMES + 1),
+         # primes from 2^31 on, up to the primality range
+         ["--lemma", str(2**31 + 11)], ["--lt", f"{10**23 + 117}:1"]],
     )
     def test_refused_before_the_context(self, tmp_path, monkeypatch, flags):
         def fail(*args, **kwargs):
@@ -580,6 +582,19 @@ class TestUsageErrors:
         proc = run_module(["scan"])
         assert proc.returncode == 1
         assert "--x" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    def test_table_commands_take_no_cap(self, monkeypatch, capsys, command):
+        # every eta over a table is at most n(D2); only `eta` keeps --cap
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran for a refused command line")
+
+        for name in ("scan_pairs", "build_context", "decomposition_audit"):
+            monkeypatch.setattr(experiments, name, fail)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--x", "1000", "--cap", "5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
     def test_version_flag(self):
         proc = run_module(["--version"])

@@ -14,7 +14,6 @@ from eta_lab.arith import is_fundamental, iter_primes, kronecker, least_nonresid
 from eta_lab import experiments
 from eta_lab.constants import combined_constant, rigorous_constant
 from eta_lab.experiments import (
-    CapExceededError,
     _chi_values,
     build_context,
     decomposition_audit,
@@ -26,7 +25,7 @@ from eta_lab.experiments import (
     pair_count_check,
     scan_pairs,
 )
-from eta_lab.newform import DEFAULT_ETA_CAP, least_negative_prime
+from eta_lab.newform import least_negative_prime
 from eta_lab.verify import brute_force_pair_sum
 
 
@@ -148,10 +147,6 @@ class TestScanPairs:
         assert rep.avg_eta >= 2
         assert rep.pairs_excluded <= rep.pairs_total
 
-    def test_tiny_cap_raises(self, ctx2000):
-        with pytest.raises(CapExceededError):
-            scan_pairs(2000, cap=2, ctx=ctx2000)
-
     def test_refs_and_deltas_present(self, ctx2000):
         rep = scan_pairs(2000, ctx=ctx2000, k_terms=120)
         assert rep.refs == {
@@ -170,7 +165,7 @@ def _split(ctx) -> int:
 
 def _audit_totals(ctx, bounds):
     primes = sieve_primes(max(2, int(ctx.nvals.max())))
-    return experiments._audit_chunk(ctx, DEFAULT_ETA_CAP, primes, bounds)[:3]
+    return experiments._audit_chunk(ctx, primes, bounds)[:3]
 
 
 class TestPairKernel:
@@ -189,12 +184,12 @@ class TestPairKernel:
                 pair = SimpleNamespace(
                     entries=top.entries[[i, j]], nvals=top.nvals[[i, j]], prefix=np.array([0, 1])
                 )
-                got = experiments._audit_chunk(pair, DEFAULT_ETA_CAP, primes, (1, 2))[:3]
+                got = experiments._audit_chunk(pair, primes, (1, 2))[:3]
                 by_product[abs(d[i] * d[j])] += got
         expected = by_product.cumsum(axis=0)
         for x in range(1, 3001):
             ctx = build_context(x)
-            got = experiments._scan_chunk(ctx, DEFAULT_ETA_CAP, (0, len(ctx.entries)))
+            got = experiments._scan_chunk(ctx, (0, len(ctx.entries)))
             assert got == tuple(expected[x]), x
 
     @pytest.mark.parametrize("x", [26, 3000, 100_000])
@@ -203,7 +198,7 @@ class TestPairKernel:
         r = _split(ctx)
         n = len(ctx.entries)
         for lo, hi in ((0, r), (r, n), (0, r + 1), (r - 1, r + 1), (max(1, r - 7), min(n, r + 9))):
-            got = experiments._scan_chunk(ctx, DEFAULT_ETA_CAP, (lo, hi))
+            got = experiments._scan_chunk(ctx, (lo, hi))
             assert got == _audit_totals(ctx, (lo, hi)), (lo, hi)
 
 
@@ -229,7 +224,7 @@ class TestSampledAudit1e7:
         ranges = [(r - 4, r + 4), (long, long + 1)]
         ranges += [(lo, min(n, lo + budget // int(ctx7.prefix[lo]))) for lo in starts]
         for lo, hi in ranges:
-            got = experiments._scan_chunk(ctx7, DEFAULT_ETA_CAP, (lo, hi))
+            got = experiments._scan_chunk(ctx7, (lo, hi))
             assert got == _audit_totals(ctx7, (lo, hi)), (lo, hi)
 
     def test_whole_table_is_the_sum_of_ranges(self, ctx7):
@@ -237,8 +232,8 @@ class TestSampledAudit1e7:
         r = _split(ctx7)
         rng = random.Random(7)
         cuts = sorted({0, 1, r - 1, r, r + 1, n, *(rng.randrange(n) for _ in range(5))})
-        parts = [experiments._scan_chunk(ctx7, DEFAULT_ETA_CAP, b) for b in zip(cuts, cuts[1:])]
-        whole = experiments._scan_chunk(ctx7, DEFAULT_ETA_CAP, (0, n))
+        parts = [experiments._scan_chunk(ctx7, b) for b in zip(cuts, cuts[1:])]
+        whole = experiments._scan_chunk(ctx7, (0, n))
         assert whole == tuple(map(sum, zip(*parts)))
 
 
@@ -305,7 +300,7 @@ class TestAudit:
         primes = sieve_primes(int(ctx2000.nvals.max()))
         n = len(ctx2000.entries)
         parts = [
-            experiments._audit_chunk(ctx2000, DEFAULT_ETA_CAP, primes, (lo, hi))
+            experiments._audit_chunk(ctx2000, primes, (lo, hi))
             for lo, hi in ((0, 1), (1, n // 3), (n // 3, n))
         ]
         totals = [sum(part[i] for part in parts) for i in range(9)]
@@ -336,7 +331,7 @@ class TestDensityLemma:
     @pytest.mark.parametrize("p", [3, 7, 1009, 1223, 1000003])
     def test_chi_table_matches_kronecker(self, ctx2000, p):
         # p <= len(entries) builds the residue table from squares; larger p
-        # applies Euler's criterion to the distinct residues only
+        # applies Euler's criterion to each entry
         chi = ctx2000.chi_array(p)
         assert [int(c) for c in chi] == [kronecker(int(d), p) for d in ctx2000.entries]
 
@@ -348,6 +343,20 @@ class TestDensityLemma:
         chi = _chi_values(ctx.entries, p)
         assert chi.dtype == np.int8
         assert chi.tolist() == [kronecker(int(d), p) for d in ctx.entries]
+
+    def test_chi_is_kronecker_on_both_sides_of_the_table_length(self):
+        # the residue table serves p <= len(d), Euler's criterion the larger
+        # p, over two slices for the largest density prime 2^31 - 1
+        entries = build_context(120_000).entries
+        for n, p in ((1222, 1223), (1223, 1223), (1224, 1223),
+                     (experiments._EULER_SLICE + 5, 2**31 - 1)):
+            d = entries[:n]
+            assert _chi_values(d, p).tolist() == [kronecker(int(v), p) for v in d], (n, p)
+
+    def test_prime_beyond_the_int64_euler_range_is_refused(self):
+        assert experiments.check_prime(2**31 - 1) == 2**31 - 1
+        with pytest.raises(ValueError, match="2\\^31"):
+            density_lemma(10, 2**31 + 11)
 
     def test_large_prime_costs_what_the_input_costs(self):
         p = 10_000_019
@@ -514,6 +523,28 @@ def test_small_x_is_refused(fn, x):
         fn(x)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, ctx: scan_pairs(x, ctx=ctx),
+        lambda x, ctx: decomposition_audit(x, ctx=ctx),
+        lambda x, ctx: density_lemma(x, 2, ctx),
+        lambda x, ctx: density_pollack(x, 2, ctx),
+        lambda x, ctx: density_lt(x, [(2, 1)], ctx),
+        pair_count_check,
+        average_nd,
+    ],
+    ids=["scan_pairs", "decomposition_audit", "density_lemma", "density_pollack",
+         "density_lt", "pair_count_check", "average_nd"],
+)
+def test_context_of_another_x_is_refused(call, ctx2000):
+    # a report for x read from a table of another x would be silently wrong
+    for x in (1000, 3000):
+        with pytest.raises(ValueError, match="built at x = 2000"):
+            call(x, ctx2000)
+    call(2000, ctx2000)
+
+
 class TestAverages:
     def test_average_nd_at_x10(self):
         # n over {-3, -4, 5, -7, 8, -8} is [2, 3, 2, 3, 3, 5]:
@@ -543,6 +574,6 @@ class TestAverages:
         assert rep.count == len(ds)
 
     def test_delta_fields(self, ctx2000):
-        rep = average_nd(2000, ctx2000, k_terms=120)
-        assert rep.reference == rigorous_constant("Theta", 120)
+        rep = average_nd(2000, ctx2000)
+        assert rep.reference == rigorous_constant("Theta", 1000)
         assert rep.delta == rep.average - rep.reference.midpoint
