@@ -69,10 +69,10 @@ MAX_L_WORK = 30_000
 # digits: 0.97 s for `--pollack 2500 --format json` on the same host.
 MAX_POLLACK = 2500
 # Each distinct prime of `densities --lemma` and `--lt` keeps a full-length
-# int8 chi column, 0.61 bytes per unit of x. Over the 35 MB base, the costliest
+# int8 chi column, 0.61 bytes per unit of x. Over the 34 MB base, the costliest
 # 16-prime selection measured (primes just below the table length, split
-# between the options) grew by 34 bytes per unit of x at 1e7 and 3e7
-# (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X; 24 took 39 at 1e7.
+# between the options) grew by 20 bytes per unit of x at 1e7 and 3e7
+# (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X.
 MAX_DENSITY_PRIMES = 16
 # Places after the point of every printed decimal. The enclosures at the
 # default K = 1000 are 1e-304 to 1e-296 wide, so 300 places resolve them.
@@ -108,10 +108,12 @@ def _add_common(p: _Parser) -> None:
                    help="omit the timestamp for byte-deterministic output")
 
 
-# Peak RSS growth per unit of x over the 35 MB of `scan --x 1`, measured
-# with os.wait4 on `scan --x X` at 1e5, 1e6 and 1e7 (24, 26 and 26 bytes on
-# a 2-vCPU x86-64 host, Python 3.11, numpy 2.4), times 1.5 for margin.
-# `scan --x 1e8` peaked at 2.4 GiB there, 26 bytes per unit.
+# Peak RSS growth per unit of x over the 34 MB of `scan --x 1`, measured
+# with os.wait4 on `scan --x X` at 1e6, 1e7 and 1e8: 13, 12 and 11 bytes on a
+# 2-vCPU x86-64 host (Python 3.11, numpy 2.4); `scan --x 1e8` peaked at
+# 1.12 GiB. The costliest `densities` selection measured grew by 20 bytes per
+# unit at 1e7 (see MAX_DENSITY_PRIMES). The estimate keeps the margin it had
+# when the build peaked at twice its context (26 bytes per unit for `scan`).
 _BYTES_PER_X = 40
 
 
@@ -132,8 +134,7 @@ def _check_x(x: int) -> int:
         raise ValueError("--x must be >= 1")
     if x > MAX_X:
         raise ValueError(
-            f"--x {x} exceeds {MAX_X}: the sieve and chi tables would need "
-            "multiple GB; shard the range or raise the limit in source"
+            f"--x {x} exceeds {MAX_X}, the largest table bound accepted"
         )
     available = _mem_available()
     if available is not None and x * _BYTES_PER_X > available:

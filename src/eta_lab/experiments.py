@@ -32,15 +32,19 @@ where the AND is empty.
 Both engines read one sign pass: for p = 2, 3, 5, ... up to max n(D),
 build_context computes chi_D(p) only over the D still without a -1 (an
 index array that shrinks at every prime) and takes n(D) (the first p with
-chi = -1) and the qmask bit (chi = 0, i.e. p | D) from it. For each used
-bit q it then stores chi_{D1}(q) over the first max{prefix[D2] : q in
-qmask(D2)} entries only, the part the pair kernel can read. Full chi
+chi = -1) and the qmask bit (chi = 0, i.e. p | D) from it. The pass runs one
+slice of the table at a time, writing into the context's own columns. For
+each used bit q it then stores chi_{D1}(q) over the first max{prefix[D2] :
+q in qmask(D2)} entries only, the part the pair kernel can read. Full chi
 columns are built lazily and cached by density_lemma; density_lt builds
 its pattern columns per call and reads a cached one. average_n1 runs the
 same pass over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
 
 The context is int32 (entries, |D|, prefix counts), uint8 (n(D), at most
-103 below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8).
+103 below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8). Every
+pass over the table (the sign pass, each chi column, the n(D) counts) works
+one slice at a time, so no temporary grows with the table, in the build as
+in the kernels: the build peaks at about the context it returns.
 
 Every engine runs in one process; a worker pool paid for itself only in
 audits at x >= 3e5. Every kernel still takes a (lo, hi) range of D2, so
@@ -122,9 +126,11 @@ _N_SCAN_LIMIT = 1_000_000  # prime budget for resolving n(D); never binding in p
 
 # chi_D(2) by D mod 8: 0 for even D, +1 at 1 and 7, -1 at 3 and 5
 _CHI2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
-# Entries per slice of the Euler-criterion path: its int64 temporaries hold one
-# slice, never the whole table.
-_EULER_SLICE = 1 << 16
+# Entries per slice of every pass over the whole table (the sign pass of
+# build_context, each chi column, the n(D) counts): their temporaries hold one
+# slice, never the table. 2^16 and 2^17 built the 1e6 and 1e7 contexts in equal
+# time.
+_TABLE_SLICE = 1 << 16
 # Density primes lie below this bound, so that Euler's criterion squares
 # residues below p, and so below 2^62, in int64.
 DENSITY_PRIME_LIMIT = 1 << 31
@@ -132,25 +138,32 @@ DENSITY_PRIME_LIMIT = 1 << 31
 
 def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
     """chi_D(p) for an array of discriminants and a prime p < DENSITY_PRIME_LIMIT,
-    as int8."""
+    as int8, one slice at a time."""
+    out = np.empty(len(d), dtype=np.int8)
     if p == 2:
-        return _CHI2[d & 7]  # two's complement low bits == value mod 8
+        for lo in range(0, len(d), _TABLE_SLICE):
+            # two's complement low bits == value mod 8
+            np.take(_CHI2, d[lo : lo + _TABLE_SLICE] & 7, out=out[lo : lo + _TABLE_SLICE])
+        return out
     if p <= len(d):
         # residue table from the squares 1^2..((p-1)/2)^2, squared and
-        # reduced in place in one int64 array
+        # reduced in place, one slice of int64 at a time
         tab = np.full(p, -1, dtype=np.int8)
         tab[0] = 0
-        r = np.arange(1, (p + 1) // 2, dtype=np.int64)
-        np.multiply(r, r, out=r)
-        np.remainder(r, p, out=r)
-        tab[r] = 1
-        return tab[np.mod(d, p)]
+        half = (p + 1) // 2
+        for lo in range(1, half, _TABLE_SLICE):
+            r = np.arange(lo, min(lo + _TABLE_SLICE, half), dtype=np.int64)
+            np.multiply(r, r, out=r)
+            np.remainder(r, p, out=r)
+            tab[r] = 1
+        for lo in range(0, len(d), _TABLE_SLICE):
+            np.take(tab, np.mod(d[lo : lo + _TABLE_SLICE], p), out=out[lo : lo + _TABLE_SLICE])
+        return out
     # p exceeds the input: Euler's criterion, D^((p-1)/2) mod p in {0, 1, p - 1},
-    # by square-and-multiply in int64, one slice at a time
+    # by square-and-multiply in int64
     e = (p - 1) // 2
-    out = np.empty(len(d), dtype=np.int8)
-    for lo in range(0, len(d), _EULER_SLICE):
-        base = d[lo : lo + _EULER_SLICE].astype(np.int64)
+    for lo in range(0, len(d), _TABLE_SLICE):
+        base = d[lo : lo + _TABLE_SLICE].astype(np.int64)
         np.remainder(base, p, out=base)
         acc = base.copy()
         for bit in bin(e)[3:]:  # the bits of e after its leading 1
@@ -159,7 +172,7 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
             if bit == "1":
                 np.multiply(acc, base, out=acc)
                 np.remainder(acc, p, out=acc)
-        out[lo : lo + _EULER_SLICE] = np.where(acc < 2, acc, -1)
+        out[lo : lo + _TABLE_SLICE] = np.where(acc < 2, acc, -1)
     return out
 
 
@@ -198,6 +211,9 @@ class ScanContext:
     holds chi_{D1}(q) over the first max{prefix[D2] : q in qmask(D2)}
     entries only. chi and chi_array hold full-length columns, built on
     first use; a truncated column never enters them.
+
+    These arrays are the only ones as long as the table: build_context and
+    every engine that reads the context keep their temporaries to one slice.
     """
 
     x: int
@@ -258,28 +274,35 @@ def _context(x: int, ctx: ScanContext | None) -> ScanContext:
 
 def build_context(x: int) -> ScanContext:
     """Sieve |D| <= x, count the prefixes, and derive n(D), the qmask and the
-    kernel's chi columns from one sign pass over the D still alive."""
+    kernel's chi columns from one sign pass over the D still alive, run one
+    slice of the table at a time."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     table = sieve_fundamental(x)
     entries = table.entries
-    abs_values = table.abs_values
-    prefix = _prefix_counts(abs_values, x)
+    prefix = _prefix_counts(table.abs_values, x)
     nvals = np.zeros(len(entries), dtype=np.uint8)
     qmask = np.zeros(len(entries), dtype=np.uint32)
-    prefix_chi: dict[int, np.ndarray] = {}
     passed: list[int] = []
-    for bit, (p, alive, chi_p, neg) in enumerate(_sign_pass(entries)):
-        nvals[alive[neg]] = p
-        # for fundamental D, p | D exactly when chi_D(p) = 0
-        divides = alive[chi_p == 0]
-        if len(divides):
-            if bit >= 32:
-                raise RuntimeError("qmask would need more than 32 prime bits")
-            qmask[divides] |= np.uint32(1 << bit)
-            # the pair kernel reads chi_{D1}(p) only within these D2's prefixes
-            prefix_chi[p] = _chi_values(entries[: int(prefix[divides].max())], p)
-        passed.append(p)
+    first: dict[int, int] = {}  # qmask prime -> the first entry it divides
+    for lo in range(0, len(entries), _TABLE_SLICE):
+        hi = lo + _TABLE_SLICE
+        # every slice's pass starts at p = 2, so bit i is the i-th prime throughout
+        for bit, (p, alive, chi_p, neg) in enumerate(_sign_pass(entries[lo:hi])):
+            nvals[lo:hi][alive[neg]] = p
+            # for fundamental D, p | D exactly when chi_D(p) = 0
+            divides = alive[chi_p == 0]
+            if len(divides):
+                if bit >= 32:
+                    raise RuntimeError("qmask would need more than 32 prime bits")
+                qmask[lo:hi][divides] |= np.uint32(1 << bit)
+                first.setdefault(p, lo + int(divides[0]))
+            if bit == len(passed):
+                passed.append(p)
+    # the pair kernel reads chi_{D1}(p) only within the prefixes of the D2 with
+    # bit p; prefix does not increase along the table, so the first is longest
+    prefix_chi = {p: _chi_values(entries[: int(prefix[first[p]])], p)
+                  for p in passed if p in first}
     return ScanContext(
         x=x,
         table=table,
@@ -631,9 +654,13 @@ def density_lemma(x: int, p: int, ctx: ScanContext | None = None) -> DensityRepo
     ctx = _context(x, ctx)
     chi = ctx.chi_array(p)
     total = len(chi)
+    # chi takes only -1, 0 and +1, so its sum and its nonzero count give the
+    # three counts, with no temporary as long as the column
+    net, nonzero = int(chi.sum()), int(np.count_nonzero(chi))
+    counts = {1: (nonzero + net) // 2, -1: (nonzero - net) // 2, 0: total - nonzero}
     rows = []
     for sign in (1, -1, 0):
-        cnt = int((chi == sign).sum())
+        cnt = counts[sign]
         obs = Fraction(cnt, total)
         pred = sign_probability(p, sign)
         rel = abs(obs - pred) / pred
@@ -663,17 +690,19 @@ def density_pollack(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     ctx = _context(x, ctx)
-    nv = ctx.nvals[ctx.entries != 1]
-    total = len(nv)
+    # D = 1 heads the table, the one entry with n(D) = 0
+    total = len(ctx.nvals) - 1
     if total == 0:
         raise ValueError(f"no fundamental discriminant D != 1 with |D| <= {x}")
-    counts = np.bincount(nv).tolist()
+    counts = np.zeros(256, dtype=np.int64)
+    for lo in range(0, len(ctx.nvals), _TABLE_SLICE):
+        counts += np.bincount(ctx.nvals[lo : lo + _TABLE_SLICE], minlength=256)
     rows = []
     warnings = []
     uniform_bound = log(x) ** (1 / 3) if x > 1 else 0.0
     preds = least_negative_densities(k_max)
     for k, (p, pred) in enumerate(zip(default_primes(k_max), preds), 1):
-        cnt = counts[p] if p < len(counts) else 0
+        cnt = int(counts[p]) if p < len(counts) else 0
         obs = Fraction(cnt, total)
         rows.append(
             DensityRow(
@@ -793,8 +822,7 @@ def pair_count_check(x: int, ctx: ScanContext | None = None) -> CountReport:
     return CountReport(x=x, observed=observed, reference=reference, ratio=observed / reference)
 
 
-def _average(x: int, kind: str, values: np.ndarray, ref: RigorousValue) -> AverageReport:
-    total, count = int(values.sum()), len(values)
+def _average(x: int, kind: str, total: int, count: int, ref: RigorousValue) -> AverageReport:
     avg = Fraction(total, count)
     return AverageReport(x=x, kind=kind, total=total, count=count, average=avg,
                          reference=ref, delta=avg - ref.midpoint)
@@ -806,10 +834,11 @@ def average_nd(x: int, ctx: ScanContext | None = None) -> AverageReport:
     An x with no D != 1 (x < 3) is rejected.
     """
     ctx = _context(x, ctx)
-    nv = ctx.nvals[ctx.entries != 1]
-    if len(nv) == 0:
+    # D = 1 heads the table, the one entry with n(D) = 0
+    count = len(ctx.nvals) - 1
+    if count == 0:
         raise ValueError(f"no fundamental discriminant D != 1 with |D| <= {x}")
-    return _average(x, "n(D)", nv, rigorous_constant("Theta", 1000))
+    return _average(x, "n(D)", int(ctx.nvals.sum()), count, rigorous_constant("Theta", 1000))
 
 
 def average_n1(x: int) -> AverageReport:
@@ -822,10 +851,16 @@ def average_n1(x: int) -> AverageReport:
     """
     if x < 3:
         raise ValueError("x must be >= 3 so at least one odd prime enters")
-    odd = np.array(sieve_primes(x)[1:], dtype=np.int64)
+    # slot i stands for the odd number 2i + 1; strike the odd multiples of
+    # each odd p <= sqrt(x) from p^2 on, a step of 2p
+    slots = np.ones((x + 1) // 2, dtype=bool)
+    slots[0] = False
+    for p in sieve_primes(max(2, isqrt(x)))[1:]:
+        slots[p * p // 2 :: p] = False
+    odd = 2 * np.flatnonzero(slots) + 1
     # p* = +-p = 1 mod 4 is a fundamental discriminant and, by quadratic
     # reciprocity (with (2/p) set by p mod 8), n(p*) = n_1(p)
-    n1 = np.zeros(len(odd), dtype=np.int64)
+    n1 = np.zeros(len(odd), dtype=np.uint8)
     for p, alive, _, neg in _sign_pass(np.where(odd % 4 == 1, odd, -odd)):
         n1[alive[neg]] = p
-    return _average(x, "n_1(p)", n1, rigorous_constant("erdos", 1000))
+    return _average(x, "n_1(p)", int(n1.sum()), len(n1), rigorous_constant("erdos", 1000))

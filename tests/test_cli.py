@@ -147,6 +147,14 @@ class TestMemoryRefusal:
         rc, _ = run_cli(["scan", "--x", "1000", "--K", "20"], tmp_path)
         assert rc == 0
 
+    def test_above_max_x_names_only_the_bound(self, monkeypatch):
+        monkeypatch.setattr(cli, "_mem_available", lambda: None)
+        with pytest.raises(ValueError) as exc:
+            cli._check_x(cli.MAX_X + 1)
+        assert str(exc.value) == (
+            f"--x {cli.MAX_X + 1} exceeds {cli.MAX_X}, the largest table bound accepted"
+        )
+
     def test_desk_scale_fits_a_small_machine(self, monkeypatch):
         monkeypatch.setattr(cli, "_mem_available", lambda: 2 * 2**30)
         assert cli._check_x(10**7) == 10**7

@@ -3,6 +3,7 @@
 import multiprocessing
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from types import SimpleNamespace
@@ -129,6 +130,92 @@ class TestContext:
         chi = _chi_values(d, 2)
         assert chi.dtype == np.int8
         assert chi.tolist() == [kronecker(int(v), 2) for v in d]
+
+
+def context_parts(ctx):
+    """What build_context derives from the table, as comparable bytes and tuples."""
+    return (
+        ctx.nvals.tobytes(),
+        ctx.qmask.tobytes(),
+        ctx.prefix.tobytes(),
+        ctx.cache_primes,
+        [(p, chi.tobytes()) for p, chi in ctx.prefix_chi.items()],
+    )
+
+
+class TestSlicedPasses:
+    """The sign pass, the chi columns and the n(D) counts run one slice of the
+    table at a time; the slice length changes no value."""
+
+    # every x to 300 at 7 entries a slice puts each table edge at each offset
+    # in a slice; all of 1..3000 at both lengths took 112 s
+    @pytest.mark.parametrize("rows, xs", [
+        (7, [*range(1, 301), 3000]),
+        (64, [*range(1, 3001, 13), 3000, 100_000]),
+    ])
+    def test_build_context_equals_a_one_slice_build(self, monkeypatch, rows, xs):
+        for x in xs:
+            monkeypatch.setattr(experiments, "_TABLE_SLICE", 1 << 30)
+            whole = context_parts(build_context(x))
+            monkeypatch.setattr(experiments, "_TABLE_SLICE", rows)
+            assert context_parts(build_context(x)) == whole, x
+
+    @pytest.mark.parametrize("p", [2, 3, 11, 53, 1009])
+    def test_chi_is_kronecker_across_slice_edges(self, monkeypatch, p):
+        # 2 gathers by D mod 8, 3 and 11 read the residue table, whose squares
+        # span several slices at 53; 1009 exceeds the input and takes Euler's
+        # criterion
+        monkeypatch.setattr(experiments, "_TABLE_SLICE", 7)
+        d = build_context(1000).entries[:200]
+        assert _chi_values(d, p).tolist() == [kronecker(int(v), p) for v in d]
+
+    def test_sliced_counts_match_a_one_slice_count(self, monkeypatch):
+        ctx = build_context(2000)
+        monkeypatch.setattr(experiments, "_TABLE_SLICE", 1 << 30)
+        whole = (density_pollack(2000, 6, ctx), average_nd(2000, ctx))
+        monkeypatch.setattr(experiments, "_TABLE_SLICE", 7)
+        assert (density_pollack(2000, 6, ctx), average_nd(2000, ctx)) == whole
+
+
+class TestPeakMemory:
+    """No pass over the 1e6 table allocates a temporary as long as the table."""
+
+    @pytest.fixture(scope="class")
+    def ctx6(self):
+        return build_context(10**6)
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_build_context_peaks_at_its_context(self):
+        # an N-length sign pass peaked at twice the context (19.7 against 10.1 MiB)
+        peak, ctx = self.peak(lambda: build_context(10**6))
+        arrays = (ctx.entries, ctx.abs_values, ctx.nvals, ctx.prefix, ctx.qmask,
+                  *ctx.prefix_chi.values())
+        assert peak <= sum(a.nbytes for a in arrays) + 2 * 10**6
+
+    # density_pollack counts one slice at a time in intp; average_nd sums in place
+    @pytest.mark.parametrize("engine, bytes_per_entry", [
+        (lambda c: density_pollack(10**6, 6, c), 4),
+        (lambda c: average_nd(10**6, c), 1),
+    ])
+    def test_nd_counts_peak_below_one_column(self, ctx6, engine, bytes_per_entry):
+        engine(ctx6)  # the reference constants are computed once per process
+        assert self.peak(lambda: engine(ctx6))[0] < bytes_per_entry * len(ctx6.entries)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_density_lemma_peaks_at_its_column_plus_one_slice(self, ctx6, p):
+        ctx = build_context(10**6)  # a context without a cached column at p
+        density_lemma(10**6, p, ctx6)  # a first call pays the one-time allocations
+        assert self.peak(lambda: density_lemma(10**6, p, ctx))[0] < (
+            len(ctx.entries) + 16 * experiments._TABLE_SLICE
+        )
 
 
 class TestScanPairs:
@@ -339,7 +426,7 @@ class TestDensityLemma:
         # p beyond the table takes Euler's criterion one slice at a time
         ctx = build_context(150_000)
         p = 1_000_003
-        assert p > len(ctx.entries) > experiments._EULER_SLICE
+        assert p > len(ctx.entries) > experiments._TABLE_SLICE
         chi = _chi_values(ctx.entries, p)
         assert chi.dtype == np.int8
         assert chi.tolist() == [kronecker(int(d), p) for d in ctx.entries]
@@ -349,7 +436,7 @@ class TestDensityLemma:
         # p, over two slices for the largest density prime 2^31 - 1
         entries = build_context(120_000).entries
         for n, p in ((1222, 1223), (1223, 1223), (1224, 1223),
-                     (experiments._EULER_SLICE + 5, 2**31 - 1)):
+                     (experiments._TABLE_SLICE + 5, 2**31 - 1)):
             d = entries[:n]
             assert _chi_values(d, p).tolist() == [kronecker(int(v), p) for v in d], (n, p)
 
