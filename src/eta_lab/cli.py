@@ -69,10 +69,10 @@ MAX_L_WORK = 30_000
 # digits: 0.97 s for `--pollack 2500 --format json` on the same host.
 MAX_POLLACK = 2500
 # Each distinct prime of `densities --lemma` and `--lt` keeps a full-length
-# int8 chi column, 0.61 bytes per unit of x. Over the 34 MB base, the costliest
-# 16-prime selection measured (primes just below the table length, split
-# between the options) grew by 20 bytes per unit of x at 1e7 and 3e7
-# (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X.
+# int8 chi column, 0.61 bytes per unit of x. The costliest 16-prime selection
+# measured (primes just below the table length, 8 with --lemma and 8 with
+# --lt, and --pollack 4) peaked at 246 MB at 1e7, 665 MB at 3e7 and 2.13 GB
+# at 1e8 (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X.
 MAX_DENSITY_PRIMES = 16
 # Places after the point of every printed decimal. The enclosures at the
 # default K = 1000 are 1e-304 to 1e-296 wide, so 300 places resolve them.
@@ -108,13 +108,13 @@ def _add_common(p: _Parser) -> None:
                    help="omit the timestamp for byte-deterministic output")
 
 
-# Peak RSS growth per unit of x over the 34 MB of `scan --x 1`, measured
-# with os.wait4 on `scan --x X` at 1e6, 1e7 and 1e8: 13, 12 and 11 bytes on a
-# 2-vCPU x86-64 host (Python 3.11, numpy 2.4); `scan --x 1e8` peaked at
-# 1.12 GiB. The costliest `densities` selection measured grew by 20 bytes per
-# unit at 1e7 (see MAX_DENSITY_PRIMES). The estimate keeps the margin it had
-# when the build peaked at twice its context (26 bytes per unit for `scan`).
-_BYTES_PER_X = 40
+# Peak RSS, measured with os.wait4 in a fresh interpreter on a 2-vCPU x86-64
+# host (Python 3.11, numpy 2.4). The costliest `densities` selection (see
+# MAX_DENSITY_PRIMES) is the worst command: it grows by 21.1, 21.0 and 21.0
+# bytes per unit of x at 1e7, 3e7 and 1e8 over the 35 MB of `scan --x 1`, and
+# peaks at 2.13 GB at 1e8, 21.3 bytes per unit; `scan --x 1e8` peaks at
+# 1.21 GB. The estimate is 17% above the worst of these.
+_BYTES_PER_X = 25
 
 
 def _mem_available() -> int | None:

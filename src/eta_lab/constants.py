@@ -48,12 +48,14 @@ nothing is computed at import time.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import ceil, floor, lcm, log
 
-from .arith import sieve_primes
+from .arith import iter_primes
 
 __all__ = [
     "SERIES_NAMES",
@@ -163,14 +165,8 @@ def default_primes(k_terms: int) -> tuple[int, ...]:
     """The first k_terms primes p_1 < ... < p_K."""
     if k_terms < 1:
         raise ValueError("k_terms must be >= 1")
-    limit = 64
-    if k_terms > 16:
-        limit = int(k_terms * (log(k_terms) + log(log(k_terms)) + 1.1)) + 16
-    while True:
-        primes = sieve_primes(limit)
-        if len(primes) >= k_terms:
-            return primes[:k_terms]
-        limit *= 2
+    # iter_primes re-sieves over doubling limits; sys.maxsize never stops it
+    return tuple(islice(iter_primes(sys.maxsize), k_terms))
 
 
 def _check_name(name: str) -> None:

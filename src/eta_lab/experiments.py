@@ -644,6 +644,19 @@ def check_pattern(pattern: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], 
     return pat
 
 
+def _row(label: str, count: int, total: int, predicted: Fraction) -> DensityRow:
+    """One density row: the observed share count/total against `predicted`."""
+    observed = Fraction(count, total)
+    return DensityRow(
+        label=label,
+        count=count,
+        total=total,
+        observed=observed,
+        predicted=predicted,
+        relative_error=abs(observed - predicted) / predicted,
+    )
+
+
 def density_lemma(x: int, p: int, ctx: ScanContext | None = None) -> DensityReport:
     """Observed vs predicted proportions of chi_D(p) over |D| <= x.
 
@@ -658,22 +671,11 @@ def density_lemma(x: int, p: int, ctx: ScanContext | None = None) -> DensityRepo
     # three counts, with no temporary as long as the column
     net, nonzero = int(chi.sum()), int(np.count_nonzero(chi))
     counts = {1: (nonzero + net) // 2, -1: (nonzero - net) // 2, 0: total - nonzero}
-    rows = []
-    for sign in (1, -1, 0):
-        cnt = counts[sign]
-        obs = Fraction(cnt, total)
-        pred = sign_probability(p, sign)
-        rel = abs(obs - pred) / pred
-        rows.append(
-            DensityRow(
-                label=f"chi(p={p})={sign:+d}" if sign else f"chi(p={p})=0",
-                count=cnt,
-                total=total,
-                observed=obs,
-                predicted=pred,
-                relative_error=rel,
-            )
-        )
+    rows = [
+        _row(f"chi(p={p})={sign:+d}" if sign else f"chi(p={p})=0",
+             counts[sign], total, sign_probability(p, sign))
+        for sign in (1, -1, 0)
+    ]
     return DensityReport(x=x, kind="sign-density", rows=rows)
 
 
@@ -703,17 +705,7 @@ def density_pollack(
     preds = least_negative_densities(k_max)
     for k, (p, pred) in enumerate(zip(default_primes(k_max), preds), 1):
         cnt = int(counts[p]) if p < len(counts) else 0
-        obs = Fraction(cnt, total)
-        rows.append(
-            DensityRow(
-                label=f"n(D)=p_{k}={p}",
-                count=cnt,
-                total=total,
-                observed=obs,
-                predicted=pred,
-                relative_error=abs(obs - pred) / pred,
-            )
-        )
+        rows.append(_row(f"n(D)=p_{k}={p}", cnt, total, pred))
         if p > uniform_bound:
             warnings.append(
                 f"p_{k} = {p} exceeds (log x)^(1/3) = {uniform_bound:.3f}; "
@@ -788,17 +780,10 @@ def density_lt(
     pred = Fraction(1)
     for p, s in pat:
         pred *= pair_sign_probability(p, s)
-    obs = Fraction(matched, pairs_total)
     label = ",".join(f"{p}:{s:+d}" if s else f"{p}:0" for p, s in pat)
-    row = DensityRow(
-        label=label,
-        count=matched,
-        total=pairs_total,
-        observed=obs,
-        predicted=pred,
-        relative_error=abs(obs - pred) / pred,
+    return DensityReport(
+        x=x, kind="pair-sign-density", rows=[_row(label, matched, pairs_total, pred)]
     )
-    return DensityReport(x=x, kind="pair-sign-density", rows=[row])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ It is the only layer that renders: the engines hand it integers, exact
 rationals and RigorousValue enclosures, so one report serializes at any digits.
 
 CSV schemas are frozen; changing a column set is a breaking version bump.
+The scan, audit and density JSON and the audit CSV columns are the fields of
+their report dataclasses, in declaration order, so reordering or renaming a
+field changes the schema just as a CSV column does.
 CSV is ASCII with comma separators, a header row and LF newlines; envelope
 metadata rides along as leading '#' comment lines. JSON carries every exact
 rational as decimal strings of numerator and denominator; oversized
@@ -19,7 +22,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import ceil, floor
@@ -47,6 +50,7 @@ SCAN_CSV_HEADER = (
     "x,pairs_total,pairs_excluded,sum_eta,avg_eta,ref_theta,ref_combined,"
     "ref_Theta,delta_theta,delta_combined,delta_Theta"
 )
+_SCAN_REFS = ("theta", "combined", "Theta")
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +100,16 @@ class DensityRow:
     total: int
     observed: Fraction
     predicted: Fraction
-    relative_error: Fraction | None
+    relative_error: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DensityReport:
-    x: int
     kind: str
-    rows: list[DensityRow]
+    x: int
     excluded: int = 0
     warnings: list[str] = field(default_factory=list)
+    rows: list[DensityRow]
 
 
 @dataclass(frozen=True)
@@ -177,80 +181,52 @@ def _frac_json(q: Fraction) -> dict:
     return {"num": _int_json(q.numerator), "den": _int_json(q.denominator)}
 
 
+def _exact_json(value, digits: int):
+    """The JSON of a report value: a dataclass is its fields in declaration
+    order, a Fraction its numerator and denominator, a RigorousValue its
+    decimal at `digits` places; dicts and lists map element by element."""
+    if isinstance(value, Fraction):
+        return _frac_json(value)
+    if isinstance(value, RigorousValue):
+        return render_decimal(value, digits)
+    if is_dataclass(value):
+        return {f.name: _exact_json(getattr(value, f.name), digits) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _exact_json(v, digits) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_exact_json(v, digits) for v in value]
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Per-payload tables: (csv_header, csv_rows, text_lines, json_dict)
 # ---------------------------------------------------------------------------
 
 def _scan_table(r: PairScanReport, digits: int):
+    js = _exact_json(r, digits)
+    refs = js["refs"]
     avg = format_fixed(r.avg_eta, digits)
-    refs = {name: render_decimal(rv, digits) for name, rv in r.refs.items()}
-    row = [
-        r.x,
-        r.pairs_total,
-        r.pairs_excluded,
-        r.sum_eta,
-        avg,
-        refs["theta"],
-        refs["combined"],
-        refs["Theta"],
-        format_fixed(r.deltas["theta"], digits, plus=True),
-        format_fixed(r.deltas["combined"], digits, plus=True),
-        format_fixed(r.deltas["Theta"], digits, plus=True),
-    ]
+    deltas = {name: format_fixed(d, digits, plus=True) for name, d in r.deltas.items()}
+    row = [r.x, r.pairs_total, r.pairs_excluded, r.sum_eta, avg]
+    row += [refs[name] for name in _SCAN_REFS] + [deltas[name] for name in _SCAN_REFS]
     text = [
         f"pair scan, |D1*D2| <= {r.x}",
         f"  ordered pairs        {r.pairs_total}",
         f"  excluded (D2 = 1)    {r.pairs_excluded}",
         f"  sum eta              {r.sum_eta}",
         f"  average eta          {avg}",
-        f"  vs theta             {refs['theta']}  (delta {row[8]})",
-        f"  vs Theta*(1-beta)+alpha  {refs['combined']}  (delta {row[9]})",
-        f"  vs Theta             {refs['Theta']}  (delta {row[10]})",
+        f"  vs theta             {refs['theta']}  (delta {deltas['theta']})",
+        f"  vs Theta*(1-beta)+alpha  {refs['combined']}  (delta {deltas['combined']})",
+        f"  vs Theta             {refs['Theta']}  (delta {deltas['Theta']})",
     ]
-    js = {
-        "x": r.x,
-        "pairs_total": r.pairs_total,
-        "pairs_excluded": r.pairs_excluded,
-        "sum_eta": r.sum_eta,
-        "avg_eta": _frac_json(r.avg_eta),
-        "refs": refs,
-        "deltas": {k: _frac_json(v) for k, v in r.deltas.items()},
-    }
     return SCAN_CSV_HEADER.split(","), [row], text, js
 
 
 def _audit_table(r: AuditReport, digits: int):
-    header = [
-        "x",
-        "pairs_total",
-        "pairs_excluded",
-        "lhs_sum_eta",
-        "rhs_sum_n_d2",
-        "rhs_hit_sum_n_d1",
-        "rhs_hit_sum_n_d2",
-        "difference",
-        "hit_pairs",
-        "nondivisor_violations",
-        "mismatch_count",
-        "mismatch_examples",
-    ]
-    packed = ";".join(
-        f"{m.d1}:{m.d2}:{m.eta}:{m.n_d1}" for m in r.mismatch_examples
-    )
-    row = [
-        r.x,
-        r.pairs_total,
-        r.pairs_excluded,
-        r.lhs_sum_eta,
-        r.rhs_sum_n_d2,
-        r.rhs_hit_sum_n_d1,
-        r.rhs_hit_sum_n_d2,
-        r.difference,
-        r.hit_pairs,
-        r.nondivisor_violations,
-        r.mismatch_count,
-        packed,
-    ]
+    header = [f.name for f in fields(AuditReport)]
+    # the examples are the last field, packed into one cell
+    packed = ";".join(f"{m.d1}:{m.d2}:{m.eta}:{m.n_d1}" for m in r.mismatch_examples)
+    row = [getattr(r, name) for name in header[:-1]] + [packed]
     text = [
         f"decomposition audit, |D1*D2| <= {r.x} (D2 = 1 excluded: {r.pairs_excluded} pairs)",
         f"  sum eta (lhs)                      {r.lhs_sum_eta}",
@@ -266,36 +242,17 @@ def _audit_table(r: AuditReport, digits: int):
         text.append(
             f"    (D1, D2) = ({m.d1}, {m.d2}): eta = {m.eta}, n(D1) = {m.n_d1}"
         )
-    js = {
-        "x": r.x,
-        "pairs_total": r.pairs_total,
-        "pairs_excluded": r.pairs_excluded,
-        "lhs_sum_eta": r.lhs_sum_eta,
-        "rhs_sum_n_d2": r.rhs_sum_n_d2,
-        "rhs_hit_sum_n_d1": r.rhs_hit_sum_n_d1,
-        "rhs_hit_sum_n_d2": r.rhs_hit_sum_n_d2,
-        "difference": r.difference,
-        "hit_pairs": r.hit_pairs,
-        "nondivisor_violations": r.nondivisor_violations,
-        "mismatch_count": r.mismatch_count,
-        "mismatch_examples": [
-            {"d1": m.d1, "d2": m.d2, "eta": m.eta, "n_d1": m.n_d1}
-            for m in r.mismatch_examples
-        ],
-    }
-    return header, [row], text, js
+    return header, [row], text, _exact_json(r, digits)
 
 
 def _density_table(reports: list[DensityReport], digits: int):
     header = ["kind", "x", "label", "count", "total", "observed", "predicted", "relative_error"]
     rows = []
     text = []
-    js_reports = []
     for rep in reports:
         text.append(f"{rep.kind}, |D| or |D1*D2| <= {rep.x}"
                     + (f" (excluded: {rep.excluded})" if rep.excluded else ""))
         for row in rep.rows:
-            rel = "" if row.relative_error is None else format_sci(row.relative_error, 6)
             rows.append(
                 [
                     rep.kind,
@@ -305,39 +262,18 @@ def _density_table(reports: list[DensityReport], digits: int):
                     row.total,
                     format_fixed(row.observed, digits),
                     format_fixed(row.predicted, digits),
-                    rel,
+                    format_sci(row.relative_error, 6),
                 ]
             )
             text.append(
                 f"  {row.label:24s} observed {row.count}/{row.total}"
                 f" = {format_fixed(row.observed, 8)}"
                 f"  predicted {format_fixed(row.predicted, 8)}"
-                + (f"  rel.err {format_sci(row.relative_error, 3)}" if row.relative_error is not None else "")
+                f"  rel.err {format_sci(row.relative_error, 3)}"
             )
         for w in rep.warnings:
             text.append(f"  warning: {w}")
-        js_reports.append(
-            {
-                "kind": rep.kind,
-                "x": rep.x,
-                "excluded": rep.excluded,
-                "warnings": list(rep.warnings),
-                "rows": [
-                    {
-                        "label": row.label,
-                        "count": row.count,
-                        "total": row.total,
-                        "observed": _frac_json(row.observed),
-                        "predicted": _frac_json(row.predicted),
-                        "relative_error": None
-                        if row.relative_error is None
-                        else _frac_json(row.relative_error),
-                    }
-                    for row in rep.rows
-                ],
-            }
-        )
-    return header, rows, text, {"reports": js_reports}
+    return header, rows, text, {"reports": _exact_json(reports, digits)}
 
 
 def _constants_table(values: list[RigorousValue], digits: int):

@@ -121,7 +121,7 @@ def _crit_1_constants() -> tuple[bool, str]:
     )
     return ok, (
         f"theta={th_s} Theta={big_s} combined={comb_s} "
-        f"width={float(comb.width):.1e} in {elapsed:.2f}s"
+        f"width={float(comb.width):.1e} in {elapsed:.2f}s (bound 30 s)"
     )
 
 
@@ -215,7 +215,7 @@ def _crit_4_lemma(ctx6: ScanContext) -> tuple[bool, str]:
             worst = max(worst, row.relative_error)
     elapsed = time.time() - t0
     ok = worst < Fraction(1, 100) and elapsed < 120.0
-    return ok, f"worst relative error {float(worst):.2e} in {elapsed:.1f}s"
+    return ok, f"worst relative error {float(worst):.2e} in {elapsed:.1f}s (bound 120 s)"
 
 
 def _crit_5_pollack(ctx6: ScanContext) -> tuple[bool, str]:

@@ -2,6 +2,7 @@
 byte determinism."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -23,6 +24,11 @@ from eta_lab.reports import build_envelope, serialize
 SCAN_HEADER = (
     "x,pairs_total,pairs_excluded,sum_eta,avg_eta,ref_theta,ref_combined,"
     "ref_Theta,delta_theta,delta_combined,delta_Theta"
+)
+AUDIT_HEADER = (
+    "x,pairs_total,pairs_excluded,lhs_sum_eta,rhs_sum_n_d2,rhs_hit_sum_n_d1,"
+    "rhs_hit_sum_n_d2,difference,hit_pairs,nondivisor_violations,mismatch_count,"
+    "mismatch_examples"
 )
 
 
@@ -107,6 +113,16 @@ class TestScanCommand:
             text = serialize(env, "text", digits)
             assert f"  vs theta             {refs['theta']}  (delta " in text
             assert f"  vs Theta             {refs['Theta']}  (delta " in text
+
+    def test_json_key_order_frozen(self, tmp_path):
+        rc, text = run_cli(["scan", "--x", "2000", "--format", "json", "--no-timestamp"], tmp_path)
+        assert rc == 0
+        payload = json.loads(text)["payload"]
+        assert list(payload) == [
+            "x", "pairs_total", "pairs_excluded", "sum_eta", "avg_eta", "refs", "deltas",
+        ]
+        assert list(payload["avg_eta"]) == ["num", "den"]
+        assert list(payload["refs"]) == list(payload["deltas"]) == ["theta", "combined", "Theta"]
 
     def test_average_prints_exact_digits(self, tmp_path):
         # 8978/2587 = 3.47042906841901816776188635485097..., past any float
@@ -514,6 +530,26 @@ class TestDensitiesCommand:
         assert lines[0] == "kind,x,label,count,total,observed,predicted,relative_error"
         assert len(lines) == 1 + 6 + 1  # header, two lemma reports, one pattern row
 
+    def test_json_key_order_frozen(self, tmp_path):
+        rc, text = run_cli(
+            ["densities", "--x", "2000", "--lemma", "3", "--pollack", "2", "--lt", "2:-1",
+             "--format", "json", "--no-timestamp"],
+            tmp_path,
+        )
+        assert rc == 0
+        reports = json.loads(text)["payload"]["reports"]
+        assert [r["kind"] for r in reports] == [
+            "sign-density", "least-negative-density", "pair-sign-density",
+        ]
+        for rep in reports:
+            assert list(rep) == ["kind", "x", "excluded", "warnings", "rows"]
+            for row in rep["rows"]:
+                assert list(row) == [
+                    "label", "count", "total", "observed", "predicted", "relative_error",
+                ]
+                assert all(list(row[k]) == ["num", "den"]
+                           for k in ("observed", "predicted", "relative_error"))
+
     def test_requires_a_selection(self, tmp_path):
         rc, _ = run_cli(["densities", "--x", "2000"], tmp_path)
         assert rc == 1
@@ -581,6 +617,23 @@ class TestAuditCommand:
         assert "eta | D2 with eta != n(D1)" in text
         assert "(D1, D2) = (5, -15): eta = 3, n(D1) = 2" in text
 
+    def test_csv_schema_frozen(self, tmp_path):
+        rc, text = run_cli(["audit", "--x", "2000", "--format", "csv", "--no-timestamp"], tmp_path)
+        assert rc == 0
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        assert lines[0] == AUDIT_HEADER
+        assert len(lines) == 2
+        assert "5:-15:3:2" in lines[1].rsplit(",", 1)[1].split(";")
+
+    def test_json_key_order_frozen(self, tmp_path):
+        rc, text = run_cli(["audit", "--x", "2000", "--format", "json", "--no-timestamp"], tmp_path)
+        assert rc == 0
+        payload = json.loads(text)["payload"]
+        assert ",".join(payload) == AUDIT_HEADER
+        assert payload["mismatch_examples"]
+        for m in payload["mismatch_examples"]:
+            assert list(m) == ["d1", "d2", "eta", "n_d1"]
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
@@ -621,3 +674,25 @@ class TestTimestamps:
         assert rc == 0
         head = text.splitlines()[0]
         assert head == "eta-lab 0.1.0 | sigma"
+
+
+class TestDigestTool:
+    """tools/cli_digest.py hashes the output of a fixed command set; each
+    command must reach a handler, not stop at a usage error."""
+
+    @pytest.fixture(scope="class")
+    def digest(self):
+        path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+        spec = importlib.util.spec_from_file_location("cli_digest", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_command_parses(self, digest):
+        parser = cli.build_parser()
+        groups = digest.commands()
+        assert len(groups["tables-1..3000"]) == 3000 * 3 * 3
+        for cmds in groups.values():
+            for argv in cmds:
+                args = parser.parse_args([*argv, "--no-timestamp"])
+                assert args.command in cli._HANDLERS
