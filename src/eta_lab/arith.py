@@ -62,19 +62,30 @@ def sieve_primes(limit: int) -> tuple[int, ...]:
 def iter_primes(limit: int):
     """Yield primes <= limit in increasing order, sieving over doubling limits.
 
-    Each round re-sieves up to twice the previous limit (starting at 256)
-    and yields only the primes it adds. Stateless; cheap when the consumer
-    stops early, which is the normal case for first-sign scans.
+    The first round sieves to 256; each later round sieves only the new
+    segment (lo, hi], hi = 2 lo, striking it with the primes found so far,
+    which include every prime <= sqrt(hi) since lo >= sqrt(2 lo). So a walk
+    to p costs one sieve to p. Cheap when the consumer stops early, which is
+    the normal case for first-sign scans.
     """
     if limit < 2:
         return
-    seen, hi = 0, 256
-    while True:
-        primes = sieve_primes(min(hi, limit))
-        yield from primes[seen:]
-        if hi >= limit:
-            return
-        seen, hi = len(primes), 2 * hi
+    lo = min(256, limit)
+    base = list(sieve_primes(lo))
+    yield from base
+    while lo < limit:
+        hi = min(2 * lo, limit)
+        segment = bytearray([1]) * (hi - lo)  # segment[i] stands for lo + 1 + i
+        for p in base:
+            if p * p > hi:
+                break
+            start = max(p * p, (lo // p + 1) * p)
+            segment[start - lo - 1 :: p] = bytearray(len(range(start, hi + 1, p)))
+        found = list(compress(range(lo + 1, hi + 1), segment))
+        yield from found
+        if base[-1] <= isqrt(limit):
+            base += found
+        lo = hi
 
 
 # Miller-Rabin with the first 12 primes as bases is exact below psi_12, the

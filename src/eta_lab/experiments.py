@@ -29,16 +29,19 @@ the pattern primes dividing D2 as the signature, the D1 mask marking the
 pattern primes where chi_{D1} misses its wanted sign, and a pair matching
 where the AND is empty.
 
-Both engines read one sign pass: for p = 2, 3, 5, ... up to max n(D),
-build_context computes chi_D(p) only over the D still without a -1 (an
-index array that shrinks at every prime) and takes n(D) (the first p with
-chi = -1) and the qmask bit (chi = 0, i.e. p | D) from it. The pass runs one
-slice of the table at a time, writing into the context's own columns. For
-each used bit q it then stores chi_{D1}(q) over the first max{prefix[D2] :
-q in qmask(D2)} entries only, the part the pair kernel can read. Full chi
-columns are built lazily and cached by density_lemma; density_lt builds
-its pattern columns per call and reads a cached one. average_n1 runs the
-same pass over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
+Both engines read n(D) (the first p with chi_D(p) = -1) and the qmask
+bits (chi = 0, i.e. p | D, below n(D)) from one function, _signs, run on
+one slice of the table at a time. Its first stage is a wheel: every sign at
+2, 3, 5, 7, 11 and 13 depends only on D mod 120120, so one gather from two
+residue tables settles each D with n(D) <= 13 and gives qmask bits 0..5.
+The D it leaves (about 4% at 1e6) take the sign pass from p = 17 on, which
+computes chi_D(p) only over the D still without a -1 (an index array that
+shrinks at every prime). For each used bit q build_context then stores
+chi_{D1}(q) over the first max{prefix[D2] : q in qmask(D2)} entries only,
+the part the pair kernel can read. Full chi columns are built lazily and
+cached by density_lemma; density_lt builds its pattern columns per call and
+reads a cached one. average_n1 runs _signs over the p* = +-p = 1 mod 4,
+since n_1(p) = n(p*).
 
 The context is int32 (entries, |D|, prefix counts), uint8 (n(D), at most
 103 below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8). Every
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import isqrt, log
 from typing import Iterable
 
@@ -136,6 +139,16 @@ _TABLE_SLICE = 1 << 16
 DENSITY_PRIME_LIMIT = 1 << 31
 
 
+def _residues(d: np.ndarray, m: int) -> np.ndarray:
+    """d mod m in d's dtype, as d - m * (d // m): numpy divides by a scalar
+    several times faster than it takes a remainder. m * (d // m) lies within m
+    of d, so it fits the dtype wherever |d| + m does."""
+    r = np.floor_divide(d, m)
+    r *= -m
+    r += d
+    return r
+
+
 def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
     """chi_D(p) for an array of discriminants and a prime p < DENSITY_PRIME_LIMIT,
     as int8, one slice at a time."""
@@ -157,7 +170,7 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
             np.remainder(r, p, out=r)
             tab[r] = 1
         for lo in range(0, len(d), _TABLE_SLICE):
-            np.take(tab, np.mod(d[lo : lo + _TABLE_SLICE], p), out=out[lo : lo + _TABLE_SLICE])
+            np.take(tab, _residues(d[lo : lo + _TABLE_SLICE], p), out=out[lo : lo + _TABLE_SLICE])
         return out
     # p exceeds the input: Euler's criterion, D^((p-1)/2) mod p in {0, 1, p - 1},
     # by square-and-multiply in int64
@@ -176,20 +189,23 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _sign_pass(entries: np.ndarray):
-    """One pass over the primes p = 2, 3, 5, ... for an array of discriminants.
+def _sign_pass(entries: np.ndarray, start: int):
+    """One pass over the primes p >= start for an array of discriminants.
 
     Yields (p, alive, chi, neg): alive is the int32 index array of the
-    D != 1 with no -1 at any prime below p, chi = chi_D(p) at those
+    D != 1 with no -1 at any prime in [start, p), chi = chi_D(p) at those
     positions only, and neg the mask chi == -1, which then also shrinks
-    alive. Stops once every D != 1 has met a -1, so the last p yielded is
-    max n(D).
+    alive. Stops once every D != 1 has met a -1. _signs runs it from the
+    first prime after the residue tables' primes, on the D they leave
+    without a -1.
     """
     alive = np.arange(len(entries), dtype=np.int32)[entries != 1]
     d = entries[alive]
     for p in iter_primes(_N_SCAN_LIMIT):
         if len(alive) == 0:
             return
+        if p < start:
+            continue
         chi = _chi_values(d, p)
         neg = chi == -1
         yield p, alive, chi, neg
@@ -197,6 +213,74 @@ def _sign_pass(entries: np.ndarray):
         alive, d = alive[keep], d[keep]
     if len(alive):
         raise RuntimeError("n(D) scan exhausted its prime budget")
+
+
+# The residue tables' primes: chi_D(2) depends only on D mod 8 and chi_D(p),
+# p odd, only on D mod p, so every sign at these primes, and with them n(D)
+# where it is at most 13 and qmask bits 0..5, depends only on D mod _WHEEL.
+# Adding 17 (2,042,040 entries) made the tables' first build take 26-29 ms
+# instead of 2 ms and saved less than that below x = 1e7, where one fresh
+# process builds one context.
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL = 8 * 3 * 5 * 7 * 11 * 13
+
+
+@cache
+def _residue_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(n, bits), two uint8 tables indexed by D mod _WHEEL, built on first
+    use: n is the first wheel prime p_i with chi_D(p_i) = -1, 0 if there is
+    none, and bit i of bits is set where chi_D(p_i) = 0 and p_i < n (or
+    n = 0). Six bits fit a byte, so the tables hold 240 KB for the process.
+
+    The digits chi_D(p_i) + 1 form a base-3 code, each digit tiled from its
+    prime's own period (8 for p = 2) across the wheel; n and bits are then
+    lookups of the code in 3^6-entry tables. Read-only: every caller shares
+    them.
+    """
+    code = np.zeros(1, dtype=np.int16)
+    for i, p in enumerate(_WHEEL_PRIMES):
+        period = 8 if p == 2 else p
+        digit = np.array([(kronecker(a, p) + 1) * 3**i for a in range(period)], dtype=np.int16)
+        code = np.tile(code, period)
+        code += np.tile(digit, len(code) // period)
+    # code = digit_0 + 3 * (the code of the later primes), so from the last
+    # prime back: digit 0 gives n = p and clears the later bits, digit 1 sets bit 0
+    n_of, bits_of = [0], [0]
+    for p in reversed(_WHEEL_PRIMES):
+        n_of = [v for n in n_of for v in (p, n, n)]
+        bits_of = [v for b in bits_of for v in (0, 2 * b + 1, 2 * b)]
+    n_of, bits_of = np.array(n_of, dtype=np.uint8), np.array(bits_of, dtype=np.uint8)
+    tables = n_of[code], bits_of[code]
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _signs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n(D), qmask) as uint8 and uint32 for a slice of discriminants, n(D) = 0
+    at D = 1.
+
+    One gather by D mod _WHEEL from the residue tables settles every D with
+    n(D) <= 13; the sign pass then runs on the rest only (about 4% of them
+    at 1e6), from p = 17 and qmask bit 6 on, so bit i is still the i-th
+    prime. Raises RuntimeError if a qmask would need more than 32 bits.
+    """
+    n_table, bits_table = _residue_tables()
+    r = _residues(d, _WHEEL)
+    n = np.take(n_table, r)
+    qmask = np.take(bits_table, r).astype(np.uint32)
+    rest = np.flatnonzero(n == 0)
+    rest_pass = _sign_pass(d[rest], _WHEEL_PRIMES[-1] + 1)
+    for bit, (p, alive, chi_p, neg) in enumerate(rest_pass, start=len(_WHEEL_PRIMES)):
+        at = rest[alive]
+        n[at[neg]] = p
+        # for fundamental D, p | D exactly when chi_D(p) = 0
+        divides = at[chi_p == 0]
+        if len(divides):
+            if bit >= 32:
+                raise RuntimeError("qmask would need more than 32 prime bits")
+            qmask[divides] |= np.uint32(1 << bit)
+    return n, qmask
 
 
 @dataclass(eq=False)
@@ -274,42 +358,39 @@ def _context(x: int, ctx: ScanContext | None) -> ScanContext:
 
 def build_context(x: int) -> ScanContext:
     """Sieve |D| <= x, count the prefixes, and derive n(D), the qmask and the
-    kernel's chi columns from one sign pass over the D still alive, run one
-    slice of the table at a time."""
+    kernel's chi columns, one slice of the table at a time: _signs settles
+    each D with n(D) <= 13 and its qmask bits 0..5 by one gather mod 120120
+    and runs the sign pass from p = 17 on the rest."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     table = sieve_fundamental(x)
     entries = table.entries
     prefix = _prefix_counts(table.abs_values, x)
-    nvals = np.zeros(len(entries), dtype=np.uint8)
-    qmask = np.zeros(len(entries), dtype=np.uint32)
-    passed: list[int] = []
-    first: dict[int, int] = {}  # qmask prime -> the first entry it divides
+    nvals = np.empty(len(entries), dtype=np.uint8)
+    qmask = np.empty(len(entries), dtype=np.uint32)
+    first: dict[int, int] = {}  # qmask bit -> the first entry with it
+    seen = 0  # the qmask bits met so far
     for lo in range(0, len(entries), _TABLE_SLICE):
         hi = lo + _TABLE_SLICE
-        # every slice's pass starts at p = 2, so bit i is the i-th prime throughout
-        for bit, (p, alive, chi_p, neg) in enumerate(_sign_pass(entries[lo:hi])):
-            nvals[lo:hi][alive[neg]] = p
-            # for fundamental D, p | D exactly when chi_D(p) = 0
-            divides = alive[chi_p == 0]
-            if len(divides):
-                if bit >= 32:
-                    raise RuntimeError("qmask would need more than 32 prime bits")
-                qmask[lo:hi][divides] |= np.uint32(1 << bit)
-                first.setdefault(p, lo + int(divides[0]))
-            if bit == len(passed):
-                passed.append(p)
+        nvals[lo:hi], qmask[lo:hi] = _signs(entries[lo:hi])
+        q = qmask[lo:hi]
+        new = int(np.bitwise_or.reduce(q)) & ~seen
+        seen |= new
+        for bit in range(new.bit_length()):
+            if new >> bit & 1:
+                first[bit] = lo + int(np.argmax(q & np.uint32(1 << bit)))
+    primes = tuple(iter_primes(int(nvals.max()) - 1))  # the primes below max n(D)
     # the pair kernel reads chi_{D1}(p) only within the prefixes of the D2 with
     # bit p; prefix does not increase along the table, so the first is longest
-    prefix_chi = {p: _chi_values(entries[: int(prefix[first[p]])], p)
-                  for p in passed if p in first}
+    prefix_chi = {primes[b]: _chi_values(entries[: int(prefix[first[b]])], primes[b])
+                  for b in sorted(first)}
     return ScanContext(
         x=x,
         table=table,
         nvals=nvals,
         prefix=prefix,
         qmask=qmask,
-        cache_primes=tuple(passed[:-1]),  # the primes below max n(D)
+        cache_primes=primes,
         prefix_chi=prefix_chi,
     )
 
@@ -830,9 +911,9 @@ def average_n1(x: int) -> AverageReport:
     """Average of n_1(p) over odd primes p <= x, against the Erdos constant.
 
     The prime 2 is excluded (every residue is a square mod 2); dropping a
-    single prime does not move the limit. n_1(p) comes from the n(D) table
-    pass, not from arith.least_nonresidue, which the tests keep as the
-    scalar oracle.
+    single prime does not move the limit. n_1(p) is n(p*) from _signs, the
+    same residue-table gather and sign pass that build n(D), not from
+    arith.least_nonresidue, which the tests keep as the scalar oracle.
     """
     if x < 3:
         raise ValueError("x must be >= 3 so at least one odd prime enters")
@@ -845,7 +926,5 @@ def average_n1(x: int) -> AverageReport:
     odd = 2 * np.flatnonzero(slots) + 1
     # p* = +-p = 1 mod 4 is a fundamental discriminant and, by quadratic
     # reciprocity (with (2/p) set by p mod 8), n(p*) = n_1(p)
-    n1 = np.zeros(len(odd), dtype=np.uint8)
-    for p, alive, _, neg in _sign_pass(np.where(odd % 4 == 1, odd, -odd)):
-        n1[alive[neg]] = p
+    n1 = _signs(np.where(odd % 4 == 1, odd, -odd))[0]
     return _average(x, "n_1(p)", int(n1.sum()), len(n1), rigorous_constant("erdos", 1000))

@@ -47,6 +47,11 @@ class TestSievePrimes:
     def test_iter_primes_blocks_match_sieve(self, limit):
         assert list(iter_primes(limit)) == trial_division_primes(limit)
 
+    # each round after the first sieves only its segment (lo, hi]
+    @pytest.mark.parametrize("limit", [255, 256, 257, 511, 512, 513, 10**5])
+    def test_iter_primes_segments_match_sieve_primes(self, limit):
+        assert tuple(iter_primes(limit)) == sieve_primes(limit)
+
 
 class TestIsPrime:
     def test_matches_trial_division_below_1e5(self):

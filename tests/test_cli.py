@@ -393,6 +393,17 @@ class TestNumpyStaysUnloaded:
         )
         assert self.numpy_loaded_after(code)
 
+    def test_residue_tables_wait_for_the_first_context(self):
+        code = (
+            "from eta_lab import experiments\n"
+            "print(experiments._residue_tables.cache_info().currsize)\n"
+            "experiments.build_context(10)\n"
+            "print(experiments._residue_tables.cache_info().currsize)\n"
+        )
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
+
 
 class TestNoProcessPool:
     """No command starts a process pool, whatever --workers says."""

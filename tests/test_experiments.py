@@ -132,6 +132,60 @@ class TestContext:
         assert chi.tolist() == [kronecker(int(v), 2) for v in d]
 
 
+def sign_rule(signs):
+    """(n, bits) of a sequence of chi_D(p_i) over the residue tables' primes."""
+    bits = 0
+    for i, (p, chi) in enumerate(zip(experiments._WHEEL_PRIMES, signs)):
+        if chi == -1:
+            return p, bits
+        if chi == 0:
+            bits |= 1 << i
+    return 0, bits
+
+
+class TestResidueTables:
+    """n(D) <= 13 and qmask bits 0..5 by D mod 120120, against arith.kronecker."""
+
+    def test_every_class_of_each_primes_period(self):
+        # chi_D(p_i) from kronecker on each prime's own period, spread over
+        # the wheel; the sign rule then runs per distinct sign vector
+        wheel = np.arange(experiments._WHEEL)
+        signs = np.stack([
+            np.array([kronecker(a, p) for a in range(8 if p == 2 else p)])[wheel % (8 if p == 2 else p)]
+            for p in experiments._WHEEL_PRIMES
+        ], axis=1)
+        vectors, where = np.unique(signs, axis=0, return_inverse=True)
+        rules = np.array([sign_rule(v) for v in vectors.tolist()])[where.ravel()]
+        n, bits = experiments._residue_tables()
+        assert experiments._WHEEL == 120120
+        assert n.tolist() == rules[:, 0].tolist()
+        assert bits.tolist() == rules[:, 1].tolist()
+
+    def test_sampled_residues(self):
+        n, bits = experiments._residue_tables()
+        for r in random.Random(16).sample(range(experiments._WHEEL), 2000):
+            expected = sign_rule([kronecker(r, p) for p in experiments._WHEEL_PRIMES])
+            assert (int(n[r]), int(bits[r])) == expected, r
+
+    def test_cache_primes_when_the_tables_settle_every_d(self):
+        # every |D| <= 230 has n(D) <= 13, so the pass after the tables meets
+        # no D; -231 = -3*7*11 is the first D with n(D) = 17
+        ctx = build_context(230)
+        assert int(ctx.nvals.max()) == 13
+        assert ctx.cache_primes == (2, 3, 5, 7, 11)
+        ctx = build_context(231)
+        assert (int(ctx.entries[-1]), int(ctx.nvals[-1])) == (-231, 17)
+        assert ctx.cache_primes == (2, 3, 5, 7, 11, 13)
+
+    def test_bit_six_is_seventeen(self):
+        # -1496 = -8*11*17 is the first D with 17 | D and n(D) > 17
+        ctx = build_context(1496)
+        assert ctx.cache_primes[6] == 17
+        bit6 = (ctx.qmask >> 6) & 1 == 1
+        assert np.array_equal(bit6, (ctx.entries % 17 == 0) & (ctx.nvals > 17))
+        assert ctx.entries[bit6].tolist() == [-1496]
+
+
 def context_parts(ctx):
     """What build_context derives from the table, as comparable bytes and tuples."""
     return (
