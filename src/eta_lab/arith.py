@@ -15,13 +15,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 from typing import TYPE_CHECKING
 
-# numpy is imported inside the two functions that use it, so that the
-# commands which build no discriminant table start without it.
+# numpy is imported inside the functions that use it, so that the commands
+# which build no discriminant table start without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -214,15 +215,13 @@ def is_fundamental(d: int) -> bool:
 class DiscriminantTable:
     """All fundamental discriminants D with |D| <= bound.
 
-    `entries` is ordered by increasing |D|, negative member first on ties.
-    `abs_values` is the parallel array of |D| (non-decreasing), which makes
-    prefix counts a binary search. Both are int32, since every accepted
-    bound is below 2^31.
+    `entries` is int32, since every accepted bound is below 2^31, and is
+    ordered by increasing |D|, negative member first on ties. It is the only
+    array stored: |D| is derived from it where it is needed.
     """
 
     bound: int
     entries: np.ndarray        # int32, canonical order
-    abs_values: np.ndarray     # int32, |entries|, non-decreasing
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -230,17 +229,29 @@ class DiscriminantTable:
     def __iter__(self):
         return iter(int(d) for d in self.entries)
 
+    @property
+    def abs_values(self) -> np.ndarray:
+        """|entries| (non-decreasing, int32), a new array on each access."""
+        import numpy as np
+
+        return np.abs(self.entries)
+
     def count_upto(self, y: int) -> int:
-        """#{D fundamental : |D| <= y} for any y <= bound, O(log) time."""
+        """#{D fundamental : |D| <= y} for any y <= bound, O(log) time.
+
+        A binary search on |D| read entry by entry, so nothing as long as the
+        table is allocated.
+        """
         if y > self.bound:
             raise ValueError(f"count_upto({y}) exceeds table bound {self.bound}")
         if y < 1:
             return 0
-        import numpy as np
+        return bisect_right(self.entries, y, key=abs)
 
-        # y in the table's own dtype: a Python int would have numpy cast the
-        # whole table to int64 for the search
-        return int(np.searchsorted(self.abs_values, self.abs_values.dtype.type(y), side="right"))
+
+# slots per slice of sieve_fundamental's fill: its temporaries, two int64
+# arrays of one slice's set slots, stay below 1 MiB whatever the bound
+_SLOT_SLICE = 1 << 16
 
 
 def sieve_fundamental(bound: int) -> DiscriminantTable:
@@ -249,8 +260,10 @@ def sieve_fundamental(bound: int) -> DiscriminantTable:
     Squarefree sieve (multiples of p^2 struck), then one bool slot per
     candidate: slot 2y holds D = -y and slot 2y + 1 holds D = +y, so the
     set slots come out of np.flatnonzero already in canonical order, with
-    no sort. Temporaries: three bool bytes per integer up to `bound`, and the
-    int64 positions of the set slots.
+    no sort. The set slots are counted, `entries` is allocated once, and each
+    slice of _SLOT_SLICE slots is filled with its own np.flatnonzero.
+    Temporaries: three bool bytes per integer up to `bound`, then the two of
+    the slots and two int64 arrays of one slice's set slots.
     """
     import numpy as np
 
@@ -278,14 +291,19 @@ def sieve_fundamental(bound: int) -> DiscriminantTable:
     slots[16::32] = m[2::4]
     del sf, m
 
-    index = np.flatnonzero(slots)
-    del slots
-    positive = (index & 1).astype(bool)
-    index >>= 1
-    abs_values = index.astype(np.int32)
-    del index
-    entries = np.where(positive, abs_values, -abs_values)
-    return DiscriminantTable(bound=bound, entries=entries, abs_values=abs_values)
+    entries = np.empty(np.count_nonzero(slots), dtype=np.int32)
+    done = 0
+    for lo in range(0, len(slots), _SLOT_SLICE):
+        index = np.flatnonzero(slots[lo : lo + _SLOT_SLICE])
+        index += lo
+        sign = index & 1  # slot 2y + 1 holds +y, slot 2y holds -y
+        sign <<= 1
+        sign -= 1
+        index >>= 1
+        index *= sign
+        entries[done : done + len(index)] = index
+        done += len(index)
+    return DiscriminantTable(bound=bound, entries=entries)
 
 
 # ---------------------------------------------------------------------------

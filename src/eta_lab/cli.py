@@ -71,8 +71,8 @@ MAX_POLLACK = 2500
 # Each distinct prime of `densities --lemma` and `--lt` keeps a full-length
 # int8 chi column, 0.61 bytes per unit of x. The costliest 16-prime selection
 # measured (primes just below the table length, 8 with --lemma and 8 with
-# --lt, and --pollack 4) peaked at 246 MB at 1e7, 665 MB at 3e7 and 2.13 GB
-# at 1e8 (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X.
+# --lt, and --pollack 4) peaked at 218.5 MB at 1e7, 588.5 MB at 3e7 and
+# 1.88 GB at 1e8 (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X.
 MAX_DENSITY_PRIMES = 16
 # Places after the point of every printed decimal. The enclosures at the
 # default K = 1000 are 1e-304 to 1e-296 wide, so 300 places resolve them.
@@ -108,12 +108,13 @@ def _add_common(p: _Parser) -> None:
                    help="omit the timestamp for byte-deterministic output")
 
 
-# Peak RSS, measured with os.wait4 in a fresh interpreter on a 2-vCPU x86-64
-# host (Python 3.11, numpy 2.4). The costliest `densities` selection (see
-# MAX_DENSITY_PRIMES) is the worst command: it grows by 21.1, 21.0 and 21.0
-# bytes per unit of x at 1e7, 3e7 and 1e8 over the 35 MB of `scan --x 1`, and
-# peaks at 2.13 GB at 1e8, 21.3 bytes per unit; `scan --x 1e8` peaks at
-# 1.21 GB. The estimate is 17% above the worst of these.
+# Peak RSS, measured with os.wait4 in a fresh interpreter (tools/peak_rss.py)
+# on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), in MB (10^6 bytes). The costliest
+# `densities` selection (see MAX_DENSITY_PRIMES) is the worst command: it
+# grows by 18.7, 18.6 and 18.5 bytes per unit of x at 1e7, 3e7 and 1e8 over
+# the 31.9 MB of `scan --x 1`, and peaks at 1.88 GB at 1e8, 18.8 bytes per
+# unit; `scan --x 1e8` peaks at 0.96 GB. The estimate is 33% above the worst
+# of these. Below 21.5 it would accept 1e8 with 2 GiB available.
 _BYTES_PER_X = 25
 
 

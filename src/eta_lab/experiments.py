@@ -43,8 +43,9 @@ cached by density_lemma; density_lt builds its pattern columns per call and
 reads a cached one. average_n1 runs _signs over the p* = +-p = 1 mod 4,
 since n_1(p) = n(p*).
 
-The context is int32 (entries, |D|, prefix counts), uint8 (n(D), at most
-103 below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8). Every
+The context is int32 (entries, prefix counts), uint8 (n(D), at most 103
+below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8); |D| is not
+stored, and build_context holds it only while it counts the prefixes. Every
 pass over the table (the sign pass, each chi column, the n(D) counts) works
 one slice at a time, so no temporary grows with the table, in the build as
 in the kernels: the build peaks at about the context it returns.
@@ -296,8 +297,9 @@ class ScanContext:
     entries only. chi and chi_array hold full-length columns, built on
     first use; a truncated column never enters them.
 
-    These arrays are the only ones as long as the table: build_context and
-    every engine that reads the context keep their temporaries to one slice.
+    These arrays are the only ones as long as the table; |D| is not among
+    them (abs_values computes it on each access). build_context and every
+    engine that reads the context keep their temporaries to one slice.
     """
 
     x: int
@@ -318,6 +320,7 @@ class ScanContext:
 
     @property
     def abs_values(self) -> np.ndarray:
+        """|entries|, a new int32 array on each access."""
         return self.table.abs_values
 
     def chi_array(self, p: int) -> np.ndarray:
@@ -365,7 +368,7 @@ def build_context(x: int) -> ScanContext:
         raise ValueError(f"x must be >= 1, got {x}")
     table = sieve_fundamental(x)
     entries = table.entries
-    prefix = _prefix_counts(table.abs_values, x)
+    prefix = _prefix_counts(table.abs_values, x)  # |D|, for this call only
     nvals = np.empty(len(entries), dtype=np.uint8)
     qmask = np.empty(len(entries), dtype=np.uint32)
     first: dict[int, int] = {}  # qmask bit -> the first entry with it

@@ -18,7 +18,6 @@ identical configs serialize to identical bytes.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import sys
@@ -165,6 +164,9 @@ def _int_json(n: int):
     """Decimal string of n, or a digest object when absurdly large."""
     digits = int(n.bit_length() * 0.30103) + 1
     if digits > _MAX_EXACT_DIGITS:
+        # imported here: hashlib loads OpenSSL, a few MiB that no other path needs
+        import hashlib
+
         h = hashlib.sha256(hex(n).encode()).hexdigest()
         return {"sha256_of_hex": h, "bit_length": n.bit_length()}
     if digits > 4000:

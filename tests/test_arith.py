@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eta_lab import arith
 from eta_lab.arith import (
     MR_LIMIT,
     is_fundamental,
@@ -162,6 +163,28 @@ class TestFundamental:
             assert table.entries.tolist() == brute, x
             assert table.abs_values.tolist() == [abs(d) for d in brute], x
 
+    def test_table_matches_brute_force_at_slice_ends(self):
+        # bound b has 2(b + 1) slots: for each of one and two slice lengths,
+        # slot arrays ending one discriminant short of it, at it and past it
+        s = arith._SLOT_SLICE
+        bounds = [b for n in (s, 2 * s) for b in (n // 2 - 2, n // 2 - 1, n // 2)]
+        brute = [d for a in range(1, max(bounds) + 1) for d in (-a, a) if is_fundamental(d)]
+        for x in bounds:
+            assert sieve_fundamental(x).entries.tolist() == [d for d in brute if abs(d) <= x], x
+
+    def test_sieve_peaks_at_its_flags_and_table(self):
+        # the int64 positions of every set slot, with two int32 copies, once
+        # peaked at about twice this
+        x = 10**6
+        tracemalloc.start()
+        try:
+            n = len(sieve_fundamental(x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_slice = 8 * arith._SLOT_SLICE  # int64 positions of a whole slice
+        assert peak < 3 * (x + 1) + 4 * n + 2 * one_slice
+
     def test_table_x1(self):
         assert list(sieve_fundamental(1)) == [1]
 
@@ -190,14 +213,11 @@ class TestFundamental:
 
     def test_prefix_counts_match_brute_force(self):
         table = sieve_fundamental(500)
-        for y in range(1, 501, 7):
-            brute = sum(
-                1
-                for a in range(1, y + 1)
-                for d in (-a, a)
-                if is_fundamental(d)
-            )
-            assert table.count_upto(y) == brute
+        brute = 0
+        for y in range(1, 501):
+            brute += is_fundamental(-y) + is_fundamental(y)
+            assert table.count_upto(y) == brute, y
+        assert table.count_upto(0) == 0
 
     def test_count_upto_searches_the_table_in_place(self):
         # a search for a Python int once cast the whole int32 table to int64
@@ -205,7 +225,7 @@ class TestFundamental:
         tracemalloc.start()
         try:
             assert table.count_upto(1000) == 608
-            assert tracemalloc.get_traced_memory()[1] < table.abs_values.nbytes // 10
+            assert tracemalloc.get_traced_memory()[1] < table.entries.nbytes // 10
         finally:
             tracemalloc.stop()
 

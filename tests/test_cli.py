@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -405,6 +406,36 @@ class TestNumpyStaysUnloaded:
         assert proc.stdout.split() == ["0", "1"]
 
 
+class TestHashlibStaysUnloaded:
+    """hashlib loads OpenSSL; only the digest of an integer too long to print needs it."""
+
+    def test_import_and_scan_leave_openssl_unloaded(self):
+        code = (
+            "import os, sys\n"
+            "import eta_lab.cli\n"
+            "print('_hashlib' in sys.modules)\n"
+            "for fmt in ('text', 'csv', 'json'):\n"
+            "    argv = ['scan', '--x', '1000', '--format', fmt, '--output', os.devnull]\n"
+            "    assert eta_lab.cli.main(argv) == 0, fmt\n"
+            "print('_hashlib' in sys.modules)\n"
+        )
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
+    def test_oversized_integer_becomes_its_digest(self):
+        import hashlib
+
+        from eta_lab import reports
+
+        n = 10**reports._MAX_EXACT_DIGITS * 3 + 1  # 50,001 digits
+        assert reports._int_json(n) == {
+            "sha256_of_hex": hashlib.sha256(hex(n).encode()).hexdigest(),
+            "bit_length": n.bit_length(),
+        }
+        assert reports._int_json(10**4000) == "1" + "0" * 4000
+
+
 class TestNoProcessPool:
     """No command starts a process pool, whatever --workers says."""
 
@@ -707,3 +738,25 @@ class TestDigestTool:
             for argv in cmds:
                 args = parser.parse_args([*argv, "--no-timestamp"])
                 assert args.command in cli._HANDLERS
+
+
+class TestPeakRssTool:
+    """tools/peak_rss.py passes the command's output and exit code through
+    and reports its peak RSS in both MiB and MB."""
+
+    TOOL = Path(__file__).resolve().parents[1] / "tools" / "peak_rss.py"
+
+    def test_reports_one_command(self):
+        proc = run_python([str(self.TOOL), "eta", "5", "-3", "--format", "csv"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("#")
+        m = re.fullmatch(r"exit 0  wall \S+ s  peak RSS (\S+) MiB \((\S+) MB\)",
+                         proc.stderr.splitlines()[-1])
+        assert m, proc.stderr
+        mib, mb = map(float, m.groups())
+        assert mb == pytest.approx(mib * 2**20 / 10**6, abs=0.1)
+
+    def test_passes_a_refusal_through(self):
+        proc = run_python([str(self.TOOL), "scan", "--x", "0"])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith("exit 1  ")
