@@ -11,12 +11,13 @@
 
 Every command runs in one process; `scan`, `densities` and `audit` accept
 --workers and ignore it. `verify` compares against the packaged golden file
-alone and never writes it. Exit codes: 0 success, 1 usage or invalid input
-(every bound and every --lemma, --pollack and --lt selection is checked
-before any work), 2 a failed `verify` criterion or an `eta` scan that
-exhausts its --cap. Only `eta` takes --cap: over a table every eta is at most
-n(D2). All outputs flow through one serialization layer; --no-timestamp
-makes any command byte-deterministic.
+alone and never writes it. Exit codes: 0 success, 1 usage, invalid input
+or an --output that cannot be written (every bound, the --output path and
+every --lemma, --pollack and --lt selection are checked before any work),
+2 a failed `verify` criterion or an `eta` scan that exhausts its --cap.
+Only `eta` takes --cap: over a table every eta is at most n(D2). All
+outputs flow through one serialization layer; --no-timestamp makes any
+command byte-deterministic.
 """
 
 from __future__ import annotations
@@ -95,8 +96,11 @@ def _emit(args, command: str, config: dict, payload) -> None:
     text = serialize(env, args.format, args.digits)
     if args.output in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(args.output).write_text(text)
+    except OSError as exc:  # a path that _check_output passed can still fail
+        raise ValueError(f"--output {args.output}: {exc.strerror or exc}") from exc
 
 
 def _add_common(p: _Parser) -> None:
@@ -179,6 +183,17 @@ def _check_bits(k: int, n: int) -> None:
 def _check_digits(digits: int) -> None:
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"--digits {digits} is outside 1..{MAX_DIGITS}")
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse an --output that cannot be written, before any work."""
+    if path in (None, "-"):
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"--output {path} is a directory")
+    if not target.parent.is_dir():
+        raise ValueError(f"--output {path}: {target.parent} is not a directory")
 
 
 def _check_l_value(d2: int, k: int) -> None:
@@ -406,6 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_digits(args.digits)
+        _check_output(args.output)
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"eta-lab: invalid input: {exc}", file=sys.stderr)

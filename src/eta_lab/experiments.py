@@ -34,9 +34,9 @@ bits (chi = 0, i.e. p | D, below n(D)) from one function, _signs, run on
 one slice of the table at a time. Its first stage is a wheel: every sign at
 2, 3, 5, 7, 11 and 13 depends only on D mod 120120, so one gather from two
 residue tables settles each D with n(D) <= 13 and gives qmask bits 0..5.
-The D it leaves (about 4% at 1e6) take the sign pass from p = 17 on, which
-computes chi_D(p) only over the D still without a -1 (an index array that
-shrinks at every prime). For each used bit q build_context then stores
+The D it leaves (about 4% at 1e6) walk the primes from 17 to their largest
+|D| (n(D) < |D| for fundamental D != 1), each prime computing chi_D(p) only
+over the D still without a -1. For each used bit q build_context then stores
 chi_{D1}(q) over the first max{prefix[D2] : q in qmask(D2)} entries only,
 the part the pair kernel can read. Full chi columns are built lazily and
 cached by density_lemma; density_lt builds its pattern columns per call and
@@ -65,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
+from itertools import islice
 from math import isqrt, log
 from typing import Iterable
 
@@ -121,15 +122,10 @@ __all__ = [
     "average_n1",
 ]
 
-_N_SCAN_LIMIT = 1_000_000  # prime budget for resolving n(D); never binding in practice
-
-
 # ---------------------------------------------------------------------------
 # Context: discriminant table plus derived arrays shared by all experiments
 # ---------------------------------------------------------------------------
 
-# chi_D(2) by D mod 8: 0 for even D, +1 at 1 and 7, -1 at 3 and 5
-_CHI2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
 # Entries per slice of every pass over the whole table (the sign pass of
 # build_context, each chi column, the n(D) counts): their temporaries hold one
 # slice, never the table. 2^16 and 2^17 built the 1e6 and 1e7 contexts in equal
@@ -150,28 +146,33 @@ def _residues(d: np.ndarray, m: int) -> np.ndarray:
     return r
 
 
+def _chi_table(p: int) -> np.ndarray:
+    """chi_D(p) as int8 by D mod m, m = 8 for p = 2 and m = p for odd p: for a
+    fundamental D the sign at p depends on D mod m only. It is 0 at the
+    multiples of p, +1 at +-1 mod 8 for p = 2 and at the squares of
+    1..(p - 1)/2 mod an odd p (one slice of int64 at a time), -1 elsewhere."""
+    tab = np.full(8 if p == 2 else p, -1, dtype=np.int8)
+    tab[::p] = 0
+    if p == 2:
+        tab[[1, 7]] = 1
+        return tab
+    half = (p + 1) // 2
+    for lo in range(1, half, _TABLE_SLICE):
+        r = np.arange(lo, min(lo + _TABLE_SLICE, half), dtype=np.int64)
+        np.multiply(r, r, out=r)
+        np.remainder(r, p, out=r)
+        tab[r] = 1
+    return tab
+
+
 def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
     """chi_D(p) for an array of discriminants and a prime p < DENSITY_PRIME_LIMIT,
     as int8, one slice at a time."""
     out = np.empty(len(d), dtype=np.int8)
-    if p == 2:
+    if p == 2 or p <= len(d):
+        tab = _chi_table(p)
         for lo in range(0, len(d), _TABLE_SLICE):
-            # two's complement low bits == value mod 8
-            np.take(_CHI2, d[lo : lo + _TABLE_SLICE] & 7, out=out[lo : lo + _TABLE_SLICE])
-        return out
-    if p <= len(d):
-        # residue table from the squares 1^2..((p-1)/2)^2, squared and
-        # reduced in place, one slice of int64 at a time
-        tab = np.full(p, -1, dtype=np.int8)
-        tab[0] = 0
-        half = (p + 1) // 2
-        for lo in range(1, half, _TABLE_SLICE):
-            r = np.arange(lo, min(lo + _TABLE_SLICE, half), dtype=np.int64)
-            np.multiply(r, r, out=r)
-            np.remainder(r, p, out=r)
-            tab[r] = 1
-        for lo in range(0, len(d), _TABLE_SLICE):
-            np.take(tab, _residues(d[lo : lo + _TABLE_SLICE], p), out=out[lo : lo + _TABLE_SLICE])
+            np.take(tab, _residues(d[lo : lo + _TABLE_SLICE], len(tab)), out=out[lo : lo + _TABLE_SLICE])
         return out
     # p exceeds the input: Euler's criterion, D^((p-1)/2) mod p in {0, 1, p - 1},
     # by square-and-multiply in int64
@@ -188,32 +189,6 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
                 np.remainder(acc, p, out=acc)
         out[lo : lo + _TABLE_SLICE] = np.where(acc < 2, acc, -1)
     return out
-
-
-def _sign_pass(entries: np.ndarray, start: int):
-    """One pass over the primes p >= start for an array of discriminants.
-
-    Yields (p, alive, chi, neg): alive is the int32 index array of the
-    D != 1 with no -1 at any prime in [start, p), chi = chi_D(p) at those
-    positions only, and neg the mask chi == -1, which then also shrinks
-    alive. Stops once every D != 1 has met a -1. _signs runs it from the
-    first prime after the residue tables' primes, on the D they leave
-    without a -1.
-    """
-    alive = np.arange(len(entries), dtype=np.int32)[entries != 1]
-    d = entries[alive]
-    for p in iter_primes(_N_SCAN_LIMIT):
-        if len(alive) == 0:
-            return
-        if p < start:
-            continue
-        chi = _chi_values(d, p)
-        neg = chi == -1
-        yield p, alive, chi, neg
-        keep = np.logical_not(neg, out=neg)  # the consumer is done with neg
-        alive, d = alive[keep], d[keep]
-    if len(alive):
-        raise RuntimeError("n(D) scan exhausted its prime budget")
 
 
 # The residue tables' primes: chi_D(2) depends only on D mod 8 and chi_D(p),
@@ -234,16 +209,14 @@ def _residue_tables() -> tuple[np.ndarray, np.ndarray]:
     n = 0). Six bits fit a byte, so the tables hold 240 KB for the process.
 
     The digits chi_D(p_i) + 1 form a base-3 code, each digit tiled from its
-    prime's own period (8 for p = 2) across the wheel; n and bits are then
-    lookups of the code in 3^6-entry tables. Read-only: every caller shares
-    them.
+    prime's _chi_table across the wheel; n and bits are then lookups of the
+    code in 3^6-entry tables. Read-only: every caller shares them.
     """
     code = np.zeros(1, dtype=np.int16)
     for i, p in enumerate(_WHEEL_PRIMES):
-        period = 8 if p == 2 else p
-        digit = np.array([(kronecker(a, p) + 1) * 3**i for a in range(period)], dtype=np.int16)
-        code = np.tile(code, period)
-        code += np.tile(digit, len(code) // period)
+        digit = (_chi_table(p).astype(np.int16) + 1) * 3**i
+        code = np.tile(code, len(digit))
+        code += np.tile(digit, len(code) // len(digit))
     # code = digit_0 + 3 * (the code of the later primes), so from the last
     # prime back: digit 0 gives n = p and clears the later bits, digit 1 sets bit 0
     n_of, bits_of = [0], [0]
@@ -258,29 +231,42 @@ def _residue_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _signs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n(D), qmask) as uint8 and uint32 for a slice of discriminants, n(D) = 0
-    at D = 1.
+    """(n(D), qmask) as uint8 and uint32 for a slice of fundamental
+    discriminants, n(D) = 0 at D = 1.
 
     One gather by D mod _WHEEL from the residue tables settles every D with
-    n(D) <= 13; the sign pass then runs on the rest only (about 4% of them
-    at 1e6), from p = 17 and qmask bit 6 on, so bit i is still the i-th
-    prime. Raises RuntimeError if a qmask would need more than 32 bits.
+    n(D) <= 13. The D it leaves (about 4% of them at 1e6) then walk the
+    primes from p = 17 and qmask bit 6 on, so bit i is still the i-th prime:
+    at is their index array and rest their values, both filtered at each
+    prime to the D still without a -1. A fundamental D != 1 has n(D) < |D|,
+    so the walk ends at the largest |D| left; a D still without a -1 there
+    is not fundamental, and raises RuntimeError, as does a qmask that would
+    need more than 32 bits.
     """
     n_table, bits_table = _residue_tables()
     r = _residues(d, _WHEEL)
     n = np.take(n_table, r)
     qmask = np.take(bits_table, r).astype(np.uint32)
-    rest = np.flatnonzero(n == 0)
-    rest_pass = _sign_pass(d[rest], _WHEEL_PRIMES[-1] + 1)
-    for bit, (p, alive, chi_p, neg) in enumerate(rest_pass, start=len(_WHEEL_PRIMES)):
-        at = rest[alive]
+    at = np.flatnonzero((n == 0) & (d != 1))
+    rest = d[at]
+    bound = int(np.abs(rest).max()) if len(rest) else 0
+    primes = islice(iter_primes(bound), len(_WHEEL_PRIMES), None)
+    for bit, p in enumerate(primes, start=len(_WHEEL_PRIMES)):
+        if len(at) == 0:
+            break
+        chi = _chi_values(rest, p)
+        neg = chi == -1
         n[at[neg]] = p
         # for fundamental D, p | D exactly when chi_D(p) = 0
-        divides = at[chi_p == 0]
+        divides = at[chi == 0]
         if len(divides):
             if bit >= 32:
                 raise RuntimeError("qmask would need more than 32 prime bits")
             qmask[divides] |= np.uint32(1 << bit)
+        keep = np.logical_not(neg, out=neg)
+        at, rest = at[keep], rest[keep]
+    if len(at):
+        raise RuntimeError(f"{rest[0]} has no -1 below |D|: not a fundamental discriminant")
     return n, qmask
 
 
@@ -298,7 +284,7 @@ class ScanContext:
     first use; a truncated column never enters them.
 
     These arrays are the only ones as long as the table; |D| is not among
-    them (abs_values computes it on each access). build_context and every
+    them (table.abs_values computes it on each access). build_context and every
     engine that reads the context keep their temporaries to one slice.
     """
 
@@ -317,11 +303,6 @@ class ScanContext:
     @property
     def entries(self) -> np.ndarray:
         return self.table.entries
-
-    @property
-    def abs_values(self) -> np.ndarray:
-        """|entries|, a new int32 array on each access."""
-        return self.table.abs_values
 
     def chi_array(self, p: int) -> np.ndarray:
         if p not in self.chi:

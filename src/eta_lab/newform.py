@@ -137,21 +137,6 @@ def sigma_sign_at_prime(pair: NewformPair, p: int) -> int:
     return kronecker(pair.d2, p)
 
 
-def _sign_scan(pair: NewformPair, cap: int) -> tuple[EtaResult, list[tuple[int, int]]]:
-    """eta's verdict and the (prime, sign) of every prime it scanned."""
-    if cap < 2:
-        raise ValueError(f"cap must be >= 2, got {cap}")
-    trace: list[tuple[int, int]] = []
-    if pair.d2 == 1:
-        return EtaResult.never(), trace
-    for p in iter_primes(cap):
-        s = sigma_sign_at_prime(pair, p)
-        trace.append((p, s))
-        if s == -1:
-            return EtaResult.found(p), trace
-    return EtaResult.cap_exceeded(cap), trace
-
-
 def eta(pair: NewformPair, cap: int = DEFAULT_ETA_CAP) -> EtaResult:
     """Least prime p <= cap with a negative p-th coefficient.
 
@@ -160,7 +145,7 @@ def eta(pair: NewformPair, cap: int = DEFAULT_ETA_CAP) -> EtaResult:
     the scan stops at latest at the least prime with chi_{D2}(p) = -1, so
     cap_exceeded only occurs for tiny caps. A cap below 2 is rejected.
     """
-    return _sign_scan(pair, cap)[0]
+    return eta_sign_trace(pair, cap)[0]
 
 
 def least_negative_prime(d: int, cap: int = DEFAULT_ETA_CAP) -> EtaResult:
@@ -188,7 +173,17 @@ def eta_sign_trace(
     """eta(pair, cap) together with the (prime, sign) of every prime its scan
     reads, ending at the first -1; one scan gives both. A cap below 2 is
     rejected, as by eta."""
-    return _sign_scan(pair, cap)
+    if cap < 2:
+        raise ValueError(f"cap must be >= 2, got {cap}")
+    trace: list[tuple[int, int]] = []
+    if pair.d2 == 1:
+        return EtaResult.never(), trace
+    for p in iter_primes(cap):
+        s = sigma_sign_at_prime(pair, p)
+        trace.append((p, s))
+        if s == -1:
+            return EtaResult.found(p), trace
+    return EtaResult.cap_exceeded(cap), trace
 
 
 # ---------------------------------------------------------------------------

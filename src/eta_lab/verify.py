@@ -34,6 +34,8 @@ from .arith import (
     sieve_primes,
 )
 from .constants import (
+    ZETA2_HI,
+    ZETA2_LO,
     combined_constant,
     least_negative_density,
     render_decimal,
@@ -241,7 +243,7 @@ def _crit_6_lt(ctx5: ScanContext) -> tuple[bool, str]:
 
 
 def _crit_7_counts(ctx6: ScanContext) -> tuple[bool, str]:
-    zeta2 = 1.6449340668482264
+    zeta2 = float((ZETA2_LO + ZETA2_HI) / 2)
     count = len(ctx6.entries)
     ref = ctx6.x / zeta2
     rel = abs(count - ref) / ref

@@ -358,6 +358,47 @@ class TestOutputAndSeriesBounds:
         assert rc == 0
 
 
+class TestOutputPath:
+    """An --output that cannot be written is refused before any work, and a
+    write that fails anyway ends in one line, not a traceback."""
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran for a refused input")
+
+        monkeypatch.setattr(experiments, "build_context", fail)
+        monkeypatch.setattr(cli, "eta_sign_trace", fail)
+
+    def bad_paths(self, tmp_path):
+        return [
+            (["scan", "--x", "1000", "--output", str(tmp_path / "missing" / "x")],
+             "is not a directory"),
+            (["eta", "5", "-3", "--output", str(tmp_path)], "is a directory"),
+        ]
+
+    def test_refused_before_any_work(self, tmp_path, capsys, no_engine):
+        for args, message in self.bad_paths(tmp_path):
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("eta-lab: invalid input: --output ") and message in err
+            assert "Traceback" not in err
+
+    def test_stub_is_live(self, tmp_path, no_engine):
+        for args in (["scan", "--x", "1000"], ["eta", "5", "-3"]):
+            with pytest.raises(AssertionError, match="an engine ran"):
+                main([*args, "--output", str(tmp_path / "out.txt")])
+
+    def test_failed_write_exits_1(self, tmp_path, capsys, monkeypatch):
+        def refuse(self, text):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert main(["eta", "5", "-3", "--output", str(tmp_path / "out.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"eta-lab: invalid input: --output {tmp_path / 'out.txt'}: Permission denied\n"
+
+
 class TestNumpyStaysUnloaded:
     """Only the commands that build a discriminant table load numpy."""
 
@@ -738,6 +779,47 @@ class TestDigestTool:
             for argv in cmds:
                 args = parser.parse_args([*argv, "--no-timestamp"])
                 assert args.command in cli._HANDLERS
+
+
+class TestContextDigestTool:
+    """tools/context_digest.py hashes the n(D), qmask and chi columns of each
+    context and the n_1 sums; a smoke run over x <= 50."""
+
+    @pytest.fixture(scope="class")
+    def tool(self):
+        path = Path(__file__).resolve().parents[1] / "tools" / "context_digest.py"
+        spec = importlib.util.spec_from_file_location("context_digest", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_main_prints_each_group_and_the_total(self, tool, monkeypatch, capsys):
+        src = str(Path(eta_lab.__file__).resolve().parents[1])
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setattr(sys, "argv", ["context_digest.py", src])
+        monkeypatch.setattr(tool, "GROUPS", {"contexts-1..50": ("context", range(1, 51)),
+                                             "n1-3..50": ("n1", range(3, 51))})
+        assert tool.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["contexts-1..50", "n1-3..50", "overall"]
+        assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)
+        assert lines[0].split()[-1] == tool.digest("context", range(1, 51))
+
+    @pytest.mark.parametrize("part", ["nvals", "qmask", "prefix_chi"])
+    def test_each_part_moves_the_digest(self, tool, monkeypatch, part):
+        xs = range(1, 51)
+        before = tool.digest("context", xs)
+        real = experiments.build_context
+
+        def altered(x):
+            ctx = real(x)
+            if x == 50:
+                column = getattr(ctx, part)
+                (column[2] if part == "prefix_chi" else column)[-1] ^= 1
+            return ctx
+
+        monkeypatch.setattr(experiments, "build_context", altered)
+        assert tool.digest("context", xs) != before
 
 
 class TestPeakRssTool:

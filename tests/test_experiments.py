@@ -93,7 +93,7 @@ class TestContext:
         density_lemma(100_000, 5, ctx)  # one cached full column, which density_lt reads
 
         def snapshot():
-            arrays = [ctx.entries, ctx.abs_values, ctx.nvals, ctx.prefix, ctx.qmask]
+            arrays = [ctx.entries, ctx.table.abs_values, ctx.nvals, ctx.prefix, ctx.qmask]
             stores = [ctx.prefix_chi, ctx.chi, ctx.negcum, ctx.eqcum]
             return (
                 [a.copy() for a in arrays],
@@ -113,7 +113,7 @@ class TestContext:
 
     def test_prefix_counts(self, ctx2000):
         for i in range(0, len(ctx2000.entries), 97):
-            y = 2000 // int(ctx2000.abs_values[i])
+            y = 2000 // int(ctx2000.table.abs_values[i])
             assert ctx2000.prefix[i] == ctx2000.table.count_upto(y)
 
     # squares and their neighbours, where the split at isqrt(x) sits
@@ -126,10 +126,13 @@ class TestContext:
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_chi_at_two_is_kronecker_for_every_residue(self, dtype):
-        d = np.arange(-40, 41, dtype=dtype)  # every residue mod 8, both signs
-        chi = _chi_values(d, 2)
-        assert chi.dtype == np.int8
-        assert chi.tolist() == [kronecker(int(v), 2) for v in d]
+        # every residue mod 8, both signs; then inputs shorter than the mod-8
+        # table, which still gather from it rather than take Euler's criterion
+        for values in (range(-40, 41), [], [-3]):
+            d = np.array(values, dtype=dtype)
+            chi = _chi_values(d, 2)
+            assert chi.dtype == np.int8
+            assert chi.tolist() == [kronecker(int(v), 2) for v in d]
 
 
 def sign_rule(signs):
@@ -176,6 +179,13 @@ class TestResidueTables:
         ctx = build_context(231)
         assert (int(ctx.entries[-1]), int(ctx.nvals[-1])) == (-231, 17)
         assert ctx.cache_primes == (2, 3, 5, 7, 11, 13)
+
+    @pytest.mark.parametrize("d", [9, 25])
+    def test_signs_refuses_a_square_with_no_minus_one(self, d):
+        # chi_D(p) is never -1 for a square D, so the walk to |D| ends without
+        # one; a fundamental D != 1 always meets its -1 below |D|
+        with pytest.raises(RuntimeError, match="not a fundamental"):
+            experiments._signs(np.array([-3, d, 5], dtype=np.int32))
 
     def test_bit_six_is_seventeen(self):
         # -1496 = -8*11*17 is the first D with 17 | D and n(D) > 17
