@@ -122,16 +122,44 @@ def _add_common(p: _Parser) -> None:
 _BYTES_PER_X = 25
 
 
+# What _mem_available reads: MemAvailable, then the (limit, usage) files of
+# the cgroup v2 and v1 memory controllers.
+_MEMORY_FILES = (
+    "/proc/meminfo",
+    ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
+    ("/sys/fs/cgroup/memory/memory.limit_in_bytes", "/sys/fs/cgroup/memory/memory.usage_in_bytes"),
+)
+# cgroup v1 writes "no limit" as the largest page-aligned int64, about 2^63
+_NO_LIMIT = 2**62
+
+
 def _mem_available() -> int | None:
-    """MemAvailable from /proc/meminfo in bytes, or None if unreadable."""
+    """The bytes this process can still take, or None if nothing is readable:
+    MemAvailable, or less where a cgroup's limit minus its usage leaves less.
+    A limit of "max" (v2) or of _NO_LIMIT and more (v1) is no limit. A
+    container's limit can sit below the host's MemAvailable, and an x above
+    it would be killed out of memory instead of refused."""
+    meminfo, *cgroups = _MEMORY_FILES
+    found = []
     try:
-        with open("/proc/meminfo") as fh:
+        with open(meminfo) as fh:
             for line in fh:
                 if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    found.append(int(line.split()[1]) * 1024)
+                    break
     except (OSError, ValueError, IndexError):
-        return None
-    return None
+        pass
+    for limit_path, usage_path in cgroups:
+        try:
+            with open(limit_path) as fh:
+                limit = fh.read().strip()
+            if limit == "max" or int(limit) >= _NO_LIMIT:
+                continue
+            with open(usage_path) as fh:
+                found.append(max(0, int(limit) - int(fh.read())))
+        except (OSError, ValueError):
+            continue
+    return min(found) if found else None
 
 
 def _check_x(x: int) -> int:

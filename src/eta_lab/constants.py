@@ -51,7 +51,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import ceil, floor, lcm, log
 
@@ -153,8 +153,12 @@ class RigorousValue:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
+    @cached_property
     def midpoint(self) -> Fraction:
+        # computed once per enclosure: lo and hi carry denominators of about
+        # 17,000 bits at K = 1000. cached_property writes the instance
+        # __dict__, not through the frozen __setattr__, and no field changes,
+        # so ==, hash and asdict are those of the fields alone.
         return (self.lo + self.hi) / 2
 
     def contains(self, x: Fraction | int) -> bool:

@@ -21,13 +21,17 @@ The pair kernel splits the D2 at r', the number of D with |D| <= isqrt(x),
 as in Dirichlet's hyperbola method. The few D2 below r' have long D1
 prefixes: each of their signatures walks its longest prefix once, slice by
 slice, and each D2 reads its running total there. Every D2 from r' on has
-|D2| > isqrt(x) and so a prefix of at most r' D1: each distinct signature
-gets one cumulative row over the first r' D1, and each D2 reads row[prefix]
-in a walk over the table in fixed-size slices. No kernel temporary grows
+|D2| > isqrt(x) and so a prefix of at most r' D1: each signature gets one
+cumulative row over the first r' D1, and each D2 reads row[prefix] in a walk
+over the table in fixed-size slices. A signature below 64, of bits 0..5
+alone, is its own row, whether it occurs or not (99.6% of these D2 at 1e6
+and 1e7); only the signatures from 64 on are collected, sorted and found by
+binary search, ranked in the rows after those. No kernel temporary grows
 with the table. The sign-pattern count (density_lt) is the same kernel with
-the pattern primes dividing D2 as the signature, the D1 mask marking the
-pattern primes where chi_{D1} misses its wanted sign, and a pair matching
-where the AND is empty.
+the pattern primes dividing D2 as the signature, in increasing prime order,
+so that the primes dividing the most D2 take the direct rows, the D1 mask
+marking the pattern primes where chi_{D1} misses its wanted sign, and a
+pair matching where the AND is empty.
 
 Both engines read n(D) (the first p with chi_D(p) = -1) and the qmask
 bits (chi = 0, i.e. p | D, below n(D)) from one function, _signs, run on
@@ -421,11 +425,21 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
-def _distinct(d2_side, lo: int, hi: int) -> np.ndarray:
-    """The sorted distinct signatures of the D2 in [lo, hi), one slice at a time."""
-    return _sorted_distinct(np.concatenate([
-        _sorted_distinct(d2_side(a, min(a + _SLICE, hi))[0]) for a in range(lo, hi, _SLICE)
-    ]))
+# Signatures below this are their own row of the big side's cumulative table,
+# occurring or not: those of the wheel primes' bits alone, which at 1e6 and
+# 1e7 are 99.6% of the big-side D2's.
+_DIRECT_ROWS = 1 << len(_WHEEL_PRIMES)
+
+
+def _ranked(d2_side, lo: int, hi: int) -> tuple[int, np.ndarray]:
+    """The OR of the signatures of the D2 in [lo, hi) and, sorted and
+    distinct, those of them >= _DIRECT_ROWS, one slice at a time."""
+    union, high = 0, []
+    for a in range(lo, hi, _SLICE):
+        sig = d2_side(a, min(a + _SLICE, hi))[0]
+        union |= int(np.bitwise_or.reduce(sig))
+        high.append(_sorted_distinct(sig[sig >= _DIRECT_ROWS]))
+    return union, _sorted_distinct(np.concatenate(high))
 
 
 def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int, int]:
@@ -438,7 +452,12 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
     Returns (sum of hits, sum over D2 of w times its misses). A D2 of
     signature 0 has only misses.
 
-    The D2 split at r' (see the module docstring). A cell packs a hit as its
+    The D2 split at r' (see the module docstring). From r' on, one pass over
+    the D2 collects the OR of their signatures, for the one d1_side call, and
+    the distinct signatures >= _DIRECT_ROWS. The cumulative table holds row s
+    for every s < _DIRECT_ROWS, then one row per collected signature in
+    sorted order; a D2 reads row sig, or for sig >= _DIRECT_ROWS row
+    _DIRECT_ROWS plus its rank, at column prefix. A cell packs a hit as its
     value << 32 and a miss as 1. The hits over one D2's prefix are at most
     prefix * |D2| <= x < 2^31, since every value divides D2, so neither
     field overflows.
@@ -466,8 +485,9 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
 
     start = max(lo, split)
     if start < hi:
-        sigs = _distinct(d2_side, start, hi)
-        t = d1_side(int(np.bitwise_or.reduce(sigs)), 0, split)
+        union, high = _ranked(d2_side, start, hi)
+        sigs = np.concatenate([np.arange(_DIRECT_ROWS, dtype=np.uint32), high])
+        t = d1_side(union, 0, split)
         width = split + 1
         table = np.zeros((len(sigs), width), dtype=np.int64)
         rows = max(1, _SLICE // width)
@@ -478,7 +498,10 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
         for a in range(start, hi, _SLICE):
             b = min(a + _SLICE, hi)
             sig, w = d2_side(a, b)
-            at = np.searchsorted(sigs, sig)
+            # row s for s < _DIRECT_ROWS, the rank among the rest after those
+            at = sig.astype(np.intp)
+            up = np.flatnonzero(sig >= _DIRECT_ROWS)
+            at[up] = _DIRECT_ROWS + np.searchsorted(high, sig[up])
             at *= width
             at += ctx.prefix[a:b]
             packed = flat[at]
@@ -814,7 +837,10 @@ def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
     # matches when chi_{D1} has the wanted sign at every moved prime: an
     # empty AND of the two masks, a miss of the pair kernel (no hit values).
     # The columns cover the D2 in bounds and their D1 prefixes; one that
-    # density_lemma cached is read, and none is stored.
+    # density_lemma cached is read, and none is stored. The count does not
+    # depend on the bit order, and in increasing prime order the primes that
+    # divide the most D2 take the bits of the kernel's direct rows.
+    pattern = tuple(sorted(pattern))
     n = max(hi, int(ctx.prefix[lo])) if lo < hi else 0
     chis = [ctx.chi[p] if p in ctx.chi else _chi_values(ctx.entries[:n], p) for p, _ in pattern]
     _, matched = _pair_sums(

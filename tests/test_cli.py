@@ -133,7 +133,8 @@ class TestScanCommand:
 
 
 class TestMemoryRefusal:
-    """--x is refused up front when its estimated footprint exceeds MemAvailable."""
+    """--x is refused up front when its estimated footprint exceeds MemAvailable
+    or what a cgroup memory limit leaves."""
 
     @pytest.fixture
     def no_engine(self, monkeypatch):
@@ -181,6 +182,73 @@ class TestMemoryRefusal:
     def test_reader_returns_bytes_or_none(self):
         got = cli._mem_available()
         assert got is None or (isinstance(got, int) and got > 0)
+
+    @pytest.fixture
+    def memory_files(self, tmp_path, monkeypatch):
+        """Point the reader at temp files: MemAvailable of 8 GiB, and a
+        cgroup v2 and v1 (limit, usage) pair each, written by the test."""
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text(f"MemTotal: {16 * 2**20} kB\nMemAvailable: {8 * 2**20} kB\n")
+        v2 = (tmp_path / "memory.max", tmp_path / "memory.current")
+        v1 = (tmp_path / "memory.limit_in_bytes", tmp_path / "memory.usage_in_bytes")
+        monkeypatch.setattr(cli, "_MEMORY_FILES", (str(meminfo), *(tuple(map(str, f)) for f in (v2, v1))))
+        return meminfo, v2, v1
+
+    def test_cgroup_v2_limit_below_memavailable(self, memory_files):
+        _, (limit, usage), _ = memory_files
+        limit.write_text(f"{3 * 2**30}\n")
+        usage.write_text(f"{2**30}\n")
+        assert cli._mem_available() == 2 * 2**30
+        # an x that MemAvailable alone would accept is refused
+        with pytest.raises(ValueError, match="2.0 GiB of memory is available"):
+            cli._check_x(10**8)
+
+    def test_cgroup_v1_limit_below_memavailable(self, memory_files):
+        _, _, (limit, usage) = memory_files
+        limit.write_text(f"{2**30}\n")
+        usage.write_text(f"{2**29}\n")
+        assert cli._mem_available() == 2**29
+
+    def test_the_tighter_of_both_cgroups(self, memory_files):
+        _, v2, v1 = memory_files
+        for (limit, usage), free in ((v2, 3 * 2**30), (v1, 2**30)):
+            limit.write_text(f"{free + 100}\n")
+            usage.write_text("100\n")
+        assert cli._mem_available() == 2**30
+
+    def test_unlimited_cgroups_leave_memavailable(self, memory_files):
+        _, v2, v1 = memory_files
+        v2[0].write_text("max\n")
+        v1[0].write_text("9223372036854771712\n")  # v1's "no limit"
+        for _, usage in (v2, v1):
+            usage.write_text(f"{2**40}\n")
+        assert cli._mem_available() == 8 * 2**30
+
+    def test_a_limit_above_memavailable_leaves_memavailable(self, memory_files):
+        _, (limit, usage), _ = memory_files
+        limit.write_text(f"{64 * 2**30}\n")
+        usage.write_text("0\n")
+        assert cli._mem_available() == 8 * 2**30
+
+    def test_usage_above_the_limit_leaves_nothing(self, memory_files):
+        _, (limit, usage), _ = memory_files
+        limit.write_text(f"{2**30}\n")
+        usage.write_text(f"{2**31}\n")
+        assert cli._mem_available() == 0
+        with pytest.raises(ValueError):
+            cli._check_x(1)
+
+    def test_unreadable_files_are_skipped(self, memory_files):
+        meminfo, (limit, usage), _ = memory_files
+        limit.write_text(f"{2**30}\n")  # no usage file: the v2 pair is skipped
+        assert cli._mem_available() == 8 * 2**30
+        usage.write_text("garbage\n")
+        assert cli._mem_available() == 8 * 2**30
+        usage.write_text("0\n")
+        meminfo.unlink()
+        assert cli._mem_available() == 2**30
+        limit.unlink()
+        assert cli._mem_available() is None
 
 
 class TestKRefusal:
@@ -842,3 +910,38 @@ class TestPeakRssTool:
         proc = run_python([str(self.TOOL), "scan", "--x", "0"])
         assert proc.returncode == 1
         assert proc.stderr.splitlines()[-1].startswith("exit 1  ")
+
+
+class TestKernelTimeTool:
+    """tools/kernel_time.py times build_context and both pair kernels on one
+    context and prints their medians with the kernels' results."""
+
+    TOOL = Path(__file__).resolve().parents[1] / "tools" / "kernel_time.py"
+
+    def test_times_the_build_and_both_kernels(self):
+        proc = run_python([str(self.TOOL), "2e3", "--lt", "3:-1,2:+1", "--repeat", "2"])
+        assert proc.returncode == 0, proc.stderr
+        head, *lines = proc.stdout.splitlines()
+        ctx = experiments.build_context(2000)
+        assert head == f"x 2000  N {len(ctx.entries)}  repeat 2"
+        num = r"median (\S+) s  min (\S+)  max (\S+)  -> "
+        pairs = int(ctx.prefix.sum())
+        sum_eta = experiments._scan_chunk(ctx, (0, len(ctx.entries)))[2]
+        matched = experiments.density_lt(2000, [(3, -1), (2, 1)], ctx).rows[0].count
+        expected = [
+            ("build_context", f"{pairs} pairs"),
+            ("scan kernel", f"sum eta {sum_eta}"),
+            ("pattern kernel", f"{matched} matched, 2 pattern primes"),
+        ]
+        assert len(lines) == len(expected)
+        for line, (name, result) in zip(lines, expected):
+            m = re.fullmatch(re.escape(name) + r" +" + num + re.escape(result), line)
+            assert m, line
+            median, low, high = map(float, m.groups())
+            assert 0 <= low <= median <= high
+
+    @pytest.mark.parametrize("args", [["0"], ["1.5"], ["100", "--repeat", "0"], ["100", "--lt", "4:+1"]])
+    def test_refuses_bad_arguments(self, args):
+        proc = run_python([str(self.TOOL), *args])
+        assert proc.returncode != 0
+        assert proc.stdout == ""

@@ -1,5 +1,6 @@
 """Exact partial sums, proven tails, enclosures, decimal rendering."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,20 @@ class TestEnclosures:
     def test_rigorous_value_validates(self):
         with pytest.raises(ValueError):
             RigorousValue(name="x", k_terms=1, lo=Fraction(1), hi=Fraction(0))
+
+    def test_midpoint_is_computed_once_and_leaves_the_fields_alone(self):
+        v = rigorous_constant("theta", 200)
+        fresh = RigorousValue(v.name, v.k_terms, v.lo, v.hi)
+        before = (hash(fresh), dataclasses.asdict(fresh))
+        mid = fresh.midpoint
+        assert mid == (v.lo + v.hi) / 2
+        assert fresh.midpoint is mid  # cached, not recomputed
+        assert fresh == RigorousValue(v.name, v.k_terms, v.lo, v.hi)
+        assert (hash(fresh), dataclasses.asdict(fresh)) == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fresh.lo = Fraction(0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fresh.midpoint = Fraction(0)
 
 
 class TestRenderDecimal:

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from types import SimpleNamespace
 
@@ -338,6 +339,11 @@ class TestPairKernel:
                 got = experiments._audit_chunk(pair, primes, (1, 2))[:3]
                 by_product[abs(d[i] * d[j])] += got
         expected = by_product.cumsum(axis=0)
+        # the range reaches both kinds of the big side's cumulative rows: at
+        # x = 3000, 9 D2 past r' have a qmask >= 64 and read a ranked row,
+        # from D2 = -920 = -8 * 5 * 23 on; every other D2 reads row qmask
+        ranked = np.flatnonzero(top.qmask[_split(top):] >= experiments._DIRECT_ROWS)
+        assert len(ranked) == 9 and top.entries[_split(top) + ranked[0]] == -920
         for x in range(1, 3001):
             ctx = build_context(x)
             got = experiments._scan_chunk(ctx, (0, len(ctx.entries)))
@@ -351,6 +357,27 @@ class TestPairKernel:
         for lo, hi in ((0, r), (r, n), (0, r + 1), (r - 1, r + 1), (max(1, r - 7), min(n, r + 9))):
             got = experiments._scan_chunk(ctx, (lo, hi))
             assert got == _audit_totals(ctx, (lo, hi)), (lo, hi)
+
+    @pytest.mark.parametrize("x", [3000, 100_000])
+    def test_direct_and_ranked_rows_match_the_audit(self, x):
+        # a big-side D2 whose qmask is below 64 reads row qmask; the others
+        # read a row ranked among the higher qmasks. Ranges straddling r'
+        # with only direct rows and with both; ranked alone, single D2.
+        ctx = build_context(x)
+        r = _split(ctx)
+        ranked = r + np.flatnonzero(ctx.qmask[r:] >= experiments._DIRECT_ROWS)
+        first = int(ranked[0])
+        kinds = {
+            "direct": [(r - 3, r + 60), (r - 1, first)],
+            "ranked": [(int(j), int(j) + 1) for j in ranked[:4]],
+            "both": [(r - 1, first + 1), (r - 3, int(ranked[2]) + 5)],
+        }
+        for kind, ranges in kinds.items():
+            for lo, hi in ranges:
+                high = ctx.qmask[max(lo, r) : hi] >= experiments._DIRECT_ROWS
+                assert kind == ("direct" if not high.any() else "ranked" if high.all() else "both")
+                got = experiments._scan_chunk(ctx, (lo, hi))
+                assert got == _audit_totals(ctx, (lo, hi)), (kind, lo, hi)
 
 
 class TestSampledAudit1e7:
@@ -638,6 +665,41 @@ class TestDensityLT:
         )
         assert matched >= 1
         assert density_lt(x, pattern).rows[0].count == matched
+
+    def test_long_pattern_in_either_order_across_the_split(self):
+        # nine primes with the signs of the pair (-3, 988), 988 = 4 * 13 * 19,
+        # given in decreasing order. _lt_chunk counts in increasing order,
+        # where the D2 moved at 17, 19 or 23 read ranked rows; the kernel in
+        # the given order, where 2 and 3 take bits 8 and 7, reads more of them
+        x = 3000
+        ctx = build_context(x)
+        ents = ctx.entries.tolist()
+
+        def sign(d1, d2, p):
+            return kronecker(d1, p) if d2 % p == 0 else kronecker(d2, p)
+
+        pattern = tuple((p, sign(-3, 988, p)) for p in reversed(sieve_primes(23)))
+        increasing = tuple(sorted(pattern))
+        chis = {order: [_chi_values(ctx.entries, p) for p, _ in order] for order in (pattern, increasing)}
+        r, n = _split(ctx), len(ents)
+        for lo, hi in ((0, n), (r - 5, 700), (r - 1, n)):
+            expected = sum(all(sign(ents[i], ents[j], p) == s for p, s in pattern)
+                           for j in range(lo, hi) for i in range(int(ctx.prefix[j])))
+            assert expected > 0
+            got = experiments._lt_chunk(ctx, pattern, (lo, hi))
+            assert got == experiments._lt_chunk(ctx, increasing, (lo, hi))
+            assert got[1] == expected, (lo, hi)
+            for order, cols in chis.items():
+                _, matched = experiments._pair_sums(
+                    ctx, (lo, hi),
+                    partial(experiments._pattern_d2, cols, order),
+                    partial(experiments._pattern_d1, cols, order),
+                    (),
+                )
+                assert matched == expected, (order, lo, hi)
+        ranked = {order: int(np.count_nonzero(experiments._pattern_d2(cols, order, r, n)[0] >= 64))
+                  for order, cols in chis.items()}
+        assert 0 < ranked[increasing] < ranked[pattern]
 
     def test_more_than_thirty_two_primes_refused(self):
         with pytest.raises(ValueError, match="32"):

@@ -1,0 +1,76 @@
+"""In-process medians of the context build and of the two pair kernels.
+
+    python tools/kernel_time.py X [--lt P:S,...] [--repeat 5]
+
+Imports `eta_lab` from the `src` directory of the checkout holding this file.
+Times `build_context(X)` --repeat times, keeping one context alive at a time,
+then on the last context times the whole-table scan kernel (`_scan_chunk`)
+and the sign-pattern kernel (`_lt_chunk`) for the pattern of --lt (default
+2:+1,3:-1), --repeat times each. Prints the median, minimum and maximum of
+each in seconds, with X, the table size N and the kernels' results, so two
+checkouts can be compared on the same numbers. X may be written as 1e7.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from eta_lab import experiments  # noqa: E402
+
+
+def _bound(text: str) -> int:
+    x = float(text)
+    if x != int(x) or x < 1:
+        raise argparse.ArgumentTypeError(f"X must be a positive integer, got {text}")
+    return int(x)
+
+
+def _timed(fn, repeat: int):
+    """(fn's last result, the `repeat` wall times of fn()), with one result
+    alive at a time."""
+    times = []
+    for _ in range(repeat):
+        out = None
+        start = perf_counter()
+        out = fn()
+        times.append(perf_counter() - start)
+    return out, times
+
+
+def _line(name: str, times: list[float], result) -> str:
+    return (f"{name:<16} median {statistics.median(times):.4f} s  "
+            f"min {min(times):.4f}  max {max(times):.4f}  -> {result}")
+
+
+def main(argv: list[str]) -> int:
+    p = argparse.ArgumentParser(prog="kernel_time.py", description=__doc__.splitlines()[0])
+    p.add_argument("x", type=_bound, metavar="X")
+    p.add_argument("--lt", default="2:+1,3:-1", metavar="P:S,...")
+    p.add_argument("--repeat", type=int, default=5)
+    args = p.parse_args(argv)
+    if args.repeat < 1:
+        p.error("--repeat must be >= 1")
+    try:
+        pattern = experiments.check_pattern(t.partition(":")[::2] for t in args.lt.split(","))
+    except ValueError as exc:
+        p.error(f"--lt {args.lt}: {exc}")
+
+    ctx, times = _timed(lambda: experiments.build_context(args.x), args.repeat)
+    whole = (0, len(ctx.entries))
+    print(f"x {args.x}  N {len(ctx.entries)}  repeat {args.repeat}")
+    print(_line("build_context", times, f"{int(ctx.prefix.sum())} pairs"))
+    scan, times = _timed(lambda: experiments._scan_chunk(ctx, whole), args.repeat)
+    print(_line("scan kernel", times, f"sum eta {scan[2]}"))
+    lt, times = _timed(lambda: experiments._lt_chunk(ctx, pattern, whole), args.repeat)
+    print(_line("pattern kernel", times, f"{lt[1]} matched, {len(pattern)} pattern primes"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
