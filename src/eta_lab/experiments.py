@@ -579,11 +579,14 @@ def scan_pairs(
 # decomposition_audit: definitional per-pair engine
 # ---------------------------------------------------------------------------
 
-def _audit_chunk(ctx: ScanContext, scan_primes: tuple[int, ...], bounds):
+def _audit_chunk(ctx: ScanContext, bounds) -> AuditReport:
+    """The audit of the D2 at table positions [lo, hi). Every eta is at most
+    n(D2), so the sign scan walks the primes up to the largest n(D2) there."""
     lo, hi = bounds
     entries = ctx.entries
     nvals = ctx.nvals
     prefix = ctx.prefix
+    scan_primes = sieve_primes(max(2, int(nvals[lo:hi].max(initial=0))))
 
     pairs_total = 0
     pairs_excluded = 0
@@ -631,17 +634,19 @@ def _audit_chunk(ctx: ScanContext, scan_primes: tuple[int, ...], bounds):
                         del examples[10:]
             elif eta_p != n2:
                 violations += 1
-    return (
-        pairs_total,
-        pairs_excluded,
-        lhs,
-        rhs_n_d2,
-        rhs_hit_n_d1,
-        rhs_hit_n_d2,
-        hit_pairs,
-        violations,
-        mismatches,
-        examples,
+    return AuditReport(
+        x=ctx.x,
+        pairs_total=pairs_total,
+        pairs_excluded=pairs_excluded,
+        lhs_sum_eta=lhs,
+        rhs_sum_n_d2=rhs_n_d2,
+        rhs_hit_sum_n_d1=rhs_hit_n_d1,
+        rhs_hit_sum_n_d2=rhs_hit_n_d2,
+        difference=lhs - (rhs_n_d2 + rhs_hit_n_d1 - rhs_hit_n_d2),
+        hit_pairs=hit_pairs,
+        nondivisor_violations=violations,
+        mismatch_count=mismatches,
+        mismatch_examples=[e[3] for e in examples],
     )
 
 
@@ -658,34 +663,7 @@ def decomposition_audit(x: int, ctx: ScanContext | None = None) -> AuditReport:
     table position of D2, then D1).
     """
     ctx = _context(x, ctx)
-    max_n = int(ctx.nvals.max()) if len(ctx.nvals) else 2
-    scan_primes = sieve_primes(max(2, max_n))
-    (
-        pairs_total,
-        pairs_excluded,
-        lhs,
-        rhs_n_d2,
-        rhs_hit_n_d1,
-        rhs_hit_n_d2,
-        hit_pairs,
-        violations,
-        mismatches,
-        examples,
-    ) = _audit_chunk(ctx, scan_primes, (0, len(ctx.entries)))
-    return AuditReport(
-        x=x,
-        pairs_total=pairs_total,
-        pairs_excluded=pairs_excluded,
-        lhs_sum_eta=lhs,
-        rhs_sum_n_d2=rhs_n_d2,
-        rhs_hit_sum_n_d1=rhs_hit_n_d1,
-        rhs_hit_sum_n_d2=rhs_hit_n_d2,
-        difference=lhs - (rhs_n_d2 + rhs_hit_n_d1 - rhs_hit_n_d2),
-        hit_pairs=hit_pairs,
-        nondivisor_violations=violations,
-        mismatch_count=mismatches,
-        mismatch_examples=[e[3] for e in examples],
-    )
+    return _audit_chunk(ctx, (0, len(ctx.entries)))
 
 
 # ---------------------------------------------------------------------------

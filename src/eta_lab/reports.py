@@ -384,8 +384,7 @@ def _verify_table(payload: dict, digits: int):
         text.append(f"[{c['status'].upper():4s}] {c['id']:>2} {c['name']}: {c['detail']}")
     npass = sum(1 for c in payload["criteria"] if c["status"] == "pass")
     nfail = sum(1 for c in payload["criteria"] if c["status"] == "fail")
-    nskip = sum(1 for c in payload["criteria"] if c["status"] == "skip")
-    text.append(f"{npass} passed, {nfail} failed, {nskip} skipped")
+    text.append(f"{npass} passed, {nfail} failed")
     return header, rows, text, payload
 
 

@@ -1,11 +1,11 @@
 """Acceptance suite: every criterion at its pinned tolerance.
 
-Runs the same criteria as `eta-lab verify` (full mode, golden comparison
-against the packaged golden file) and asserts each one, printing the
-measured detail line. Criterion 6 is a known red, kept at its stated
-tolerance: the pair sign-pattern proportions approach the product formula
-only logarithmically and sit 7-18 percent away at x = 10^5; the exact
-counts behind it are golden-pinned instead (see notes in eta_lab.verify).
+Runs the same criteria as `eta-lab verify` (golden comparison against the
+packaged golden file) and asserts each one, printing the measured detail
+line. Criterion 6 is a known red, kept at its stated tolerance: the pair
+sign-pattern proportions approach the product formula only logarithmically
+and sit 7-18 percent away at x = 10^5; the exact counts behind it are
+golden-pinned instead (see notes in eta_lab.verify).
 """
 
 import os
@@ -21,7 +21,7 @@ from eta_lab.verify import run_criteria
 
 @pytest.fixture(scope="module")
 def results():
-    out = {r.cid: r for r in run_criteria(quick=False)}
+    out = {r.cid: r for r in run_criteria()}
     print()
     for r in sorted(out.values(), key=lambda r: r.cid):
         print(f"[{r.status.upper():4s}] {r.cid:>2} {r.name}: {r.detail}")
@@ -63,9 +63,16 @@ def test_criterion_06_pair_pattern_proportions_1e5(results):
 
 
 def test_criterion_06_is_labelled_known_red(results):
-    # the documented failure reads apart from a new regression
+    # the documented failure reads apart from a new regression: its pinned
+    # counts match
     assert results[6].status == "fail"
     assert results[6].detail.startswith("known-red: ")
+    assert results[6].detail.endswith(", golden match")
+
+
+def test_every_other_criterion_runs_and_passes(results):
+    assert sorted(results) == list(range(1, 12))
+    assert [cid for cid, r in results.items() if r.status != "pass"] == [6]
 
 
 def test_criterion_07_discriminant_counts(results):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import eta_lab
-from eta_lab import cli, experiments
+from eta_lab import cli, experiments, verify
 from eta_lab.arith import sieve_primes
 from eta_lab.cli import main
 from eta_lab.constants import combined_constant, mu_constant, render_decimal, rigorous_constant
@@ -786,6 +786,48 @@ class TestAuditCommand:
             assert list(m) == ["d1", "d2", "eta", "n_d1"]
 
 
+class TestVerifyCommand:
+    """How `verify` renders its criteria and sets its exit code, over stubbed
+    results."""
+
+    @pytest.fixture
+    def results(self, monkeypatch):
+        results = [
+            verify.CriterionResult(1, "first", "pass", "fine", 0.5),
+            verify.CriterionResult(6, "sixth", "fail", "known-red: off", 0.25),
+        ]
+        monkeypatch.setattr(verify, "run_criteria", lambda: results)
+        return results
+
+    def test_text_counts_passes_and_failures(self, tmp_path, results):
+        rc, text = run_cli(["verify", "--no-timestamp"], tmp_path)
+        assert rc == 2
+        assert text.splitlines() == [
+            "eta-lab 0.1.0 | verify",
+            "[PASS]  1 first: fine",
+            "[FAIL]  6 sixth: known-red: off",
+            "1 passed, 1 failed",
+        ]
+
+    def test_csv_echoes_no_config(self, tmp_path, results):
+        rc, text = run_cli(["verify", "--format", "csv", "--no-timestamp"], tmp_path)
+        assert rc == 2
+        assert text.splitlines()[1:] == [
+            "# config: ",
+            "id,name,status,seconds,detail",
+            "1,first,pass,0.50,fine",
+            "6,sixth,fail,0.25,known-red: off",
+        ]
+
+    def test_exits_0_when_every_criterion_passes(self, tmp_path, results):
+        del results[1]
+        rc, text = run_cli(["verify", "--format", "json", "--no-timestamp"], tmp_path)
+        assert rc == 0
+        doc = json.loads(text)
+        assert doc["config"] == {}
+        assert [c["status"] for c in doc["payload"]["criteria"]] == ["pass"]
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
         assert run_module(["frobnicate"]).returncode == 1
@@ -807,6 +849,16 @@ class TestUsageErrors:
             main([command, "--x", "1000", "--cap", "5"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+    def test_verify_refuses_quick(self):
+        # verify runs every criterion; its former --quick is a usage error
+        proc = run_module(["verify", "--quick"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert [l for l in proc.stderr.splitlines() if "error" in l] == [
+            "eta-lab: error: unrecognized arguments: --quick"
+        ]
+        assert "Traceback" not in proc.stderr
 
     def test_version_flag(self):
         proc = run_module(["--version"])
@@ -914,7 +966,8 @@ class TestPeakRssTool:
 
 class TestKernelTimeTool:
     """tools/kernel_time.py times build_context and both pair kernels on one
-    context and prints their medians with the kernels' results."""
+    context and prints their medians with the kernels' results, and each
+    kernel's tracemalloc peak."""
 
     TOOL = Path(__file__).resolve().parents[1] / "tools" / "kernel_time.py"
 
@@ -924,21 +977,24 @@ class TestKernelTimeTool:
         head, *lines = proc.stdout.splitlines()
         ctx = experiments.build_context(2000)
         assert head == f"x 2000  N {len(ctx.entries)}  repeat 2"
-        num = r"median (\S+) s  min (\S+)  max (\S+)  -> "
+        num = r"median (\S+) s  min (\S+)  max (\S+)"
+        peak = r"  peak (\d+\.\d\d) MiB"
         pairs = int(ctx.prefix.sum())
         sum_eta = experiments._scan_chunk(ctx, (0, len(ctx.entries)))[2]
         matched = experiments.density_lt(2000, [(3, -1), (2, 1)], ctx).rows[0].count
         expected = [
-            ("build_context", f"{pairs} pairs"),
-            ("scan kernel", f"sum eta {sum_eta}"),
-            ("pattern kernel", f"{matched} matched, 2 pattern primes"),
+            ("build_context", "", f"{pairs} pairs"),
+            ("scan kernel", peak, f"sum eta {sum_eta}"),
+            ("pattern kernel", peak, f"{matched} matched, 2 pattern primes"),
         ]
         assert len(lines) == len(expected)
-        for line, (name, result) in zip(lines, expected):
-            m = re.fullmatch(re.escape(name) + r" +" + num + re.escape(result), line)
+        for line, (name, mem, result) in zip(lines, expected):
+            m = re.fullmatch(re.escape(name) + r" +" + num + mem + "  -> " + re.escape(result), line)
             assert m, line
-            median, low, high = map(float, m.groups())
+            median, low, high = map(float, m.groups()[:3])
             assert 0 <= low <= median <= high
+            # a kernel allocates something, and at x = 2000 far below a MiB
+            assert mem == "" or 0 < float(m.group(4)) < 1
 
     @pytest.mark.parametrize("args", [["0"], ["1.5"], ["100", "--repeat", "0"], ["100", "--lt", "4:+1"]])
     def test_refuses_bad_arguments(self, args):

@@ -4,6 +4,7 @@ import multiprocessing
 import random
 import time
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 from math import isqrt
@@ -28,6 +29,7 @@ from eta_lab.experiments import (
     scan_pairs,
 )
 from eta_lab.newform import least_negative_prime
+from eta_lab.reports import AuditReport
 from eta_lab.verify import brute_force_pair_sum
 
 
@@ -316,8 +318,8 @@ def _split(ctx) -> int:
 
 
 def _audit_totals(ctx, bounds):
-    primes = sieve_primes(max(2, int(ctx.nvals.max())))
-    return experiments._audit_chunk(ctx, primes, bounds)[:3]
+    rep = experiments._audit_chunk(ctx, bounds)
+    return rep.pairs_total, rep.pairs_excluded, rep.lhs_sum_eta
 
 
 class TestPairKernel:
@@ -328,16 +330,15 @@ class TestPairKernel:
         # of two entries; its (pairs, excluded, sum eta) summed by |D1*D2|
         # are its totals at every x <= 3000, while r' moves with isqrt(x)
         top = build_context(3000)
-        primes = sieve_primes(int(top.nvals.max()))
         by_product = np.zeros((3001, 3), dtype=np.int64)
         d = top.entries.tolist()
         for j in range(len(d)):
             for i in range(int(top.prefix[j])):
                 pair = SimpleNamespace(
-                    entries=top.entries[[i, j]], nvals=top.nvals[[i, j]], prefix=np.array([0, 1])
+                    x=top.x, entries=top.entries[[i, j]], nvals=top.nvals[[i, j]],
+                    prefix=np.array([0, 1]),
                 )
-                got = experiments._audit_chunk(pair, primes, (1, 2))[:3]
-                by_product[abs(d[i] * d[j])] += got
+                by_product[abs(d[i] * d[j])] += _audit_totals(pair, (1, 2))
         expected = by_product.cumsum(axis=0)
         # the range reaches both kinds of the big side's cumulative rows: at
         # x = 3000, 9 D2 past r' have a qmask >= 64 and read a ranked row,
@@ -473,28 +474,26 @@ class TestAudit:
         )
 
     def test_range_split_independence(self, ctx2000):
-        # the (lo, hi) ranges of D2 add up to the whole-table audit
+        # the reports of (lo, hi) ranges of D2 add up, field by field, to the
+        # whole-table audit, and their examples merge into its 10
         whole = decomposition_audit(2000, ctx=ctx2000)
-        primes = sieve_primes(int(ctx2000.nvals.max()))
         n = len(ctx2000.entries)
-        parts = [
-            experiments._audit_chunk(ctx2000, primes, (lo, hi))
-            for lo, hi in ((0, 1), (1, n // 3), (n // 3, n))
-        ]
-        totals = [sum(part[i] for part in parts) for i in range(9)]
-        assert totals == [
-            whole.pairs_total,
-            whole.pairs_excluded,
-            whole.lhs_sum_eta,
-            whole.rhs_sum_n_d2,
-            whole.rhs_hit_sum_n_d1,
-            whole.rhs_hit_sum_n_d2,
-            whole.hit_pairs,
-            whole.nondivisor_violations,
-            whole.mismatch_count,
-        ]
-        examples = sorted((e for part in parts for e in part[9]), key=lambda t: t[:3])
-        assert [e[3] for e in examples[:10]] == whole.mismatch_examples
+        # the cut at 11 splits the examples: D2 = -15 at position 10 gives 4
+        # of the whole's 10, later D2 the rest
+        cuts = (0, 1, 11, n // 3, n)
+        parts = [experiments._audit_chunk(ctx2000, b) for b in zip(cuts, cuts[1:])]
+        assert all(part.x == whole.x for part in parts)
+        counts = [f.name for f in fields(AuditReport)][1:-1]
+        assert counts[0] == "pairs_total" and "difference" in counts
+        for name in counts:
+            assert sum(getattr(part, name) for part in parts) == getattr(whole, name), name
+        position = {d: i for i, d in enumerate(ctx2000.entries.tolist())}
+        examples = sorted(
+            (m for part in parts for m in part.mismatch_examples),
+            key=lambda m: (abs(m.d1 * m.d2), position[m.d2], position[m.d1]),
+        )
+        assert len(parts[1].mismatch_examples) == len(parts[2].mismatch_examples) == 10
+        assert examples[:10] == whole.mismatch_examples
 
 
 class TestDensityLemma:

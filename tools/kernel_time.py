@@ -8,14 +8,18 @@ then on the last context times the whole-table scan kernel (`_scan_chunk`)
 and the sign-pattern kernel (`_lt_chunk`) for the pattern of --lt (default
 2:+1,3:-1), --repeat times each. Prints the median, minimum and maximum of
 each in seconds, with X, the table size N and the kernels' results, so two
-checkouts can be compared on the same numbers. X may be written as 1e7.
+checkouts can be compared on the same numbers. For each kernel it also prints
+the tracemalloc peak of one more, untimed call, in MiB (2^20 bytes): what the
+kernel allocates above the context. X may be written as 1e7.
 """
 
 from __future__ import annotations
 
 import argparse
 import statistics
+from functools import partial
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -43,9 +47,20 @@ def _timed(fn, repeat: int):
     return out, times
 
 
-def _line(name: str, times: list[float], result) -> str:
+def _peak_mib(fn) -> float:
+    """The tracemalloc peak of one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _line(name: str, times: list[float], result, peak: float | None = None) -> str:
+    mem = "" if peak is None else f"  peak {peak:.2f} MiB"
     return (f"{name:<16} median {statistics.median(times):.4f} s  "
-            f"min {min(times):.4f}  max {max(times):.4f}  -> {result}")
+            f"min {min(times):.4f}  max {max(times):.4f}{mem}  -> {result}")
 
 
 def main(argv: list[str]) -> int:
@@ -65,10 +80,13 @@ def main(argv: list[str]) -> int:
     whole = (0, len(ctx.entries))
     print(f"x {args.x}  N {len(ctx.entries)}  repeat {args.repeat}")
     print(_line("build_context", times, f"{int(ctx.prefix.sum())} pairs"))
-    scan, times = _timed(lambda: experiments._scan_chunk(ctx, whole), args.repeat)
-    print(_line("scan kernel", times, f"sum eta {scan[2]}"))
-    lt, times = _timed(lambda: experiments._lt_chunk(ctx, pattern, whole), args.repeat)
-    print(_line("pattern kernel", times, f"{lt[1]} matched, {len(pattern)} pattern primes"))
+    scan_kernel = partial(experiments._scan_chunk, ctx, whole)
+    scan, times = _timed(scan_kernel, args.repeat)
+    print(_line("scan kernel", times, f"sum eta {scan[2]}", _peak_mib(scan_kernel)))
+    lt_kernel = partial(experiments._lt_chunk, ctx, pattern, whole)
+    lt, times = _timed(lt_kernel, args.repeat)
+    print(_line("pattern kernel", times, f"{lt[1]} matched, {len(pattern)} pattern primes",
+                _peak_mib(lt_kernel)))
     return 0
 
 
