@@ -362,6 +362,16 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _terms(flag: str, text: str, parse):
+    """Yield parse of each comma-separated term of a flag's value; ValueError
+    names the flag and the first term that parse refuses."""
+    for term in text.split(","):
+        try:
+            yield parse(term)
+        except ValueError:
+            raise ValueError(f"{flag} {text}: malformed term {term!r}") from None
+
+
 def _cmd_densities(args) -> int:
     from .experiments import (
         build_context,
@@ -375,7 +385,7 @@ def _cmd_densities(args) -> int:
     x = _check_x(args.x)
     if args.lemma is None and args.pollack is None and args.lt is None:
         raise ValueError("densities needs at least one of --lemma, --pollack, --lt")
-    primes = () if args.lemma is None else check_primes(map(int, args.lemma.split(",")), "--lemma")
+    primes = () if args.lemma is None else check_primes(_terms("--lemma", args.lemma, int), "--lemma")
     if args.pollack is not None and args.pollack < 1:
         raise ValueError(f"--pollack {args.pollack} is below 1")
     if args.pollack is not None and args.pollack > MAX_POLLACK:
@@ -383,9 +393,8 @@ def _cmd_densities(args) -> int:
             f"--pollack {args.pollack} exceeds {MAX_POLLACK}: each row carries exact "
             "rationals of O(KMAX) digits"
         )
-    # "P:S,..." -> ("P", "S"), ...; check_pattern reads each as an int
     pattern = None if args.lt is None else check_pattern(
-        t.partition(":")[::2] for t in args.lt.split(",")
+        _terms("--lt", args.lt, lambda t: tuple(map(int, t.partition(":")[::2])))
     )
     distinct = len(set(primes).union(p for p, _ in pattern or ()))
     if distinct > MAX_DENSITY_PRIMES:

@@ -21,17 +21,18 @@ The pair kernel splits the D2 at r', the number of D with |D| <= isqrt(x),
 as in Dirichlet's hyperbola method. The few D2 below r' have long D1
 prefixes: each of their signatures walks its longest prefix once, slice by
 slice, and each D2 reads its running total there. Every D2 from r' on has
-|D2| > isqrt(x) and so a prefix of at most r' D1: each signature gets one
-cumulative row over the first r' D1, and each D2 reads row[prefix] in a walk
-over the table in fixed-size slices. A signature below 64, of bits 0..5
-alone, is its own row, whether it occurs or not (99.6% of these D2 at 1e6
-and 1e7); only the signatures from 64 on are collected, sorted and found by
-binary search, ranked in the rows after those. No kernel temporary grows
-with the table. The sign-pattern count (density_lt) is the same kernel with
-the pattern primes dividing D2 as the signature, in increasing prime order,
-so that the primes dividing the most D2 take the direct rows, the D1 mask
-marking the pattern primes where chi_{D1} misses its wanted sign, and a
-pair matching where the AND is empty.
+|D2| > isqrt(x) and so a prefix of at most r' D1: one walk over these D2 in
+fixed-size slices reads each at column prefix of its signature's cumulative
+row over the first r' D1. The rows of the 64 signatures of bits 0..5 alone
+are built before the walk (99.6% of these D2 at 1e6 and 1e7). The D2 of a
+higher signature are kept, and after the walk read the rows of the distinct
+kept signatures as each block of them is built, so that no table of them all
+is held. The kept D2 are the one kernel temporary that grows with the table,
+0.38% of it at 1e6, 1e7 and 1e8. The sign-pattern count (density_lt) is the
+same kernel with the pattern primes dividing D2 as the signature, in
+increasing prime order, so that the primes dividing the most D2 take the
+direct rows, the D1 mask marking the pattern primes where chi_{D1} misses
+its wanted sign, and a pair matching where the AND is empty.
 
 Both engines read n(D) (the first p with chi_D(p) = -1) and the qmask
 bits (chi = 0, i.e. p | D, below n(D)) from one function, _signs, run on
@@ -51,8 +52,8 @@ The context is int32 (entries, prefix counts), uint8 (n(D), at most 103
 below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8); |D| is not
 stored, and build_context holds it only while it counts the prefixes. Every
 pass over the table (the sign pass, each chi column, the n(D) counts) works
-one slice at a time, so no temporary grows with the table, in the build as
-in the kernels: the build peaks at about the context it returns.
+one slice at a time, so no temporary of the build grows with the table:
+it peaks at about the context it returns.
 
 Every engine runs in one process; a worker pool paid for itself only in
 audits at x >= 3e5. Every kernel still takes a (lo, hi) range of D2, so
@@ -388,8 +389,7 @@ def build_context(x: int) -> ScanContext:
 # ---------------------------------------------------------------------------
 
 # D2 per slice of a kernel's walk over the table, D1 per slice of a long
-# prefix, and about the cells per block of the big side's cumulative rows:
-# no kernel temporary grows with the table.
+# prefix, and about the cells per block of the big side's cumulative rows.
 _SLICE = 1 << 14
 
 
@@ -417,29 +417,9 @@ def _prefix_totals(cells, ends: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    # np.unique took 14 times as long as np.sort on the qmasks at 1e7 (numpy 2.4)
-    s = np.sort(a)
-    keep = np.ones(len(s), dtype=bool)
-    keep[1:] = s[1:] != s[:-1]
-    return s[keep]
-
-
-# Signatures below this are their own row of the big side's cumulative table,
-# occurring or not: those of the wheel primes' bits alone, which at 1e6 and
-# 1e7 are 99.6% of the big-side D2's.
+# Signatures below this, of the wheel primes' bits 0..5 alone, each have a row
+# of the big side's direct table, whether they occur or not.
 _DIRECT_ROWS = 1 << len(_WHEEL_PRIMES)
-
-
-def _ranked(d2_side, lo: int, hi: int) -> tuple[int, np.ndarray]:
-    """The OR of the signatures of the D2 in [lo, hi) and, sorted and
-    distinct, those of them >= _DIRECT_ROWS, one slice at a time."""
-    union, high = 0, []
-    for a in range(lo, hi, _SLICE):
-        sig = d2_side(a, min(a + _SLICE, hi))[0]
-        union |= int(np.bitwise_or.reduce(sig))
-        high.append(_sorted_distinct(sig[sig >= _DIRECT_ROWS]))
-    return union, _sorted_distinct(np.concatenate(high))
 
 
 def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int, int]:
@@ -447,19 +427,18 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
 
     d2_side(a, b) gives, for the D2 in [a, b), a signature bitmask s and an
     integer weight w; d1_side(bits, u, v) gives a uint32 bitmask t for the D1
-    in [u, v), exact at the bits in `bits`. The pair's cell is a hit worth
-    values[b] at the lowest bit b of t & s, or a miss where t & s is 0.
-    Returns (sum of hits, sum over D2 of w times its misses). A D2 of
-    signature 0 has only misses.
+    in [u, v), exact at the bits in `bits` that some D2 carries. The pair's
+    cell is a hit worth values[b] at the lowest bit b of t & s, or a miss
+    where t & s is 0. Returns (sum of hits, sum over D2 of w times its
+    misses). A D2 of signature 0 has only misses. d2_side is asked for each
+    D2 once.
 
-    The D2 split at r' (see the module docstring). From r' on, one pass over
-    the D2 collects the OR of their signatures, for the one d1_side call, and
-    the distinct signatures >= _DIRECT_ROWS. The cumulative table holds row s
-    for every s < _DIRECT_ROWS, then one row per collected signature in
-    sorted order; a D2 reads row sig, or for sig >= _DIRECT_ROWS row
-    _DIRECT_ROWS plus its rank, at column prefix. A cell packs a hit as its
-    value << 32 and a miss as 1. The hits over one D2's prefix are at most
-    prefix * |D2| <= x < 2^31, since every value divides D2, so neither
+    The D2 split at r' (see the module docstring). From r' on, a D2 of
+    signature s < _DIRECT_ROWS reads row s of the direct table at column
+    prefix; the others keep (s, prefix, w) and, after the walk, read the
+    rows of their distinct signatures a block at a time. A cell packs a hit
+    as its value << 32 and a miss as 1. The hits over one D2's prefix are at
+    most prefix * |D2| <= x < 2^31, since every value divides D2, so neither
     field overflows.
     """
     lo, hi = bounds
@@ -469,54 +448,76 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
     lookup[32] = 1
     hits = misses = 0
 
+    def tally(packed: np.ndarray, w: np.ndarray) -> None:
+        """Add the hits and the w-weighted misses of the packed sums, in place."""
+        nonlocal hits, misses
+        hits += int((packed >> 32).sum())
+        packed &= 0xFFFFFFFF
+        misses += int(np.dot(packed, w))
+
     mid = min(hi, split)
     if lo < mid:
         sig, w = d2_side(lo, mid)
         c = ctx.prefix[lo:mid]
         plain = sig == 0
         misses += int(np.dot(c[plain], w[plain].astype(np.int64)))
-        for s in _sorted_distinct(sig[~plain]):
+        # a set: np.unique without return_inverse imports numpy.ma (10-15 ms, 1 MiB)
+        for s in set(sig[~plain].tolist()):
             grp = sig == s
             # prefixes do not increase along the table: reversed, they are the ends
             ends = c[grp][::-1]
-            packed = _prefix_totals(lambda u, v: _cells(d1_side(int(s), u, v) & s, lookup), ends)
-            hits += int((packed >> 32).sum())
-            misses += int(np.dot(packed & 0xFFFFFFFF, w[grp][::-1]))
+            tally(_prefix_totals(lambda u, v: _cells(d1_side(s, u, v) & s, lookup), ends),
+                  w[grp][::-1])
 
     start = max(lo, split)
     if start < hi:
-        union, high = _ranked(d2_side, start, hi)
-        sigs = np.concatenate([np.arange(_DIRECT_ROWS, dtype=np.uint32), high])
-        t = d1_side(union, 0, split)
         width = split + 1
-        table = np.zeros((len(sigs), width), dtype=np.int64)
-        rows = max(1, _SLICE // width)
-        for r in range(0, len(sigs), rows):
-            block = _cells(t & sigs[r : r + rows, None], lookup)
-            np.cumsum(block, axis=1, out=table[r : r + rows, 1:])
-        flat = table.ravel()
+        step = max(1, _SLICE // width)
+
+        def rows(sigs: np.ndarray):
+            """Yield (r, block) for each block of step cumulative rows of sigs
+            from row r on, flat: column j of row i sums the cells of sigs[i]
+            over D1 [0, j)."""
+            t = d1_side(int(np.bitwise_or.reduce(sigs)), 0, split)
+            for r in range(0, len(sigs), step):
+                part = sigs[r : r + step, None]
+                block = np.zeros((len(part), width), dtype=np.int64)
+                np.cumsum(_cells(t & part, lookup), axis=1, out=block[:, 1:])
+                yield r, block.ravel()
+
+        direct = np.concatenate([block for _, block in rows(np.arange(_DIRECT_ROWS, dtype=np.uint32))])
+        high = []
         for a in range(start, hi, _SLICE):
             b = min(a + _SLICE, hi)
             sig, w = d2_side(a, b)
-            # row s for s < _DIRECT_ROWS, the rank among the rest after those
+            prefix = ctx.prefix[a:b]
             at = sig.astype(np.intp)
-            up = np.flatnonzero(sig >= _DIRECT_ROWS)
-            at[up] = _DIRECT_ROWS + np.searchsorted(high, sig[up])
             at *= width
-            at += ctx.prefix[a:b]
-            packed = flat[at]
-            hits += int((packed >> 32).sum())
-            packed &= 0xFFFFFFFF
-            misses += int(np.dot(packed, w))
+            at += prefix
+            up = np.flatnonzero(sig >= _DIRECT_ROWS)
+            high.append((sig[up], prefix[up], w[up]))
+            at[up] = 0  # cell 0 of every row is 0: these D2 read their rows later
+            tally(direct[at], w)
+        # sorted by their cell, the high D2 read each block of the high rows as
+        # it is built: no table of all high rows is held
+        sig, prefix, w = map(np.concatenate, zip(*high))
+        sigs, at = np.unique(sig, return_inverse=True)
+        at = at * width + prefix
+        order = np.argsort(at)
+        at, w = at[order], w[order]
+        cuts = np.searchsorted(at, np.arange(step, len(sigs), step) * width)
+        for (r, block), cells, wt in zip(rows(sigs), np.split(at, cuts), np.split(w, cuts)):
+            tally(block[cells - r * width], wt)
     return hits, misses
 
 
 def _negative_bits(ctx: ScanContext, bits: int, u: int, v: int) -> np.ndarray:
     """uint32 over D1 [u, v): bit b set where b is in bits and chi_{D1}(q_b) =
-    -1, within the stored column of q_b (no D2 with bit b reads beyond it)."""
+    -1, within the stored column of q_b (no D2 with bit b reads beyond it).
+    A bit no D2 carries has no column and stays clear."""
     out = np.zeros(v - u, dtype=np.uint32)
     for b, q in enumerate(ctx.cache_primes):
-        if bits >> b & 1:
+        if bits >> b & 1 and q in ctx.prefix_chi:
             col = ctx.prefix_chi[q][u:v]
             out[: len(col)] |= (col == -1).astype(np.uint32) << np.uint32(b)
     return out

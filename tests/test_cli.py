@@ -860,6 +860,20 @@ class TestUsageErrors:
         ]
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--lt", "2"], "--lt 2: malformed term '2'"),
+         (["--lt", ","], "--lt ,: malformed term ''"),
+         (["--lemma", "2,,3"], "--lemma 2,,3: malformed term ''")],
+    )
+    def test_malformed_density_term_is_named(self, monkeypatch, capsys, flags, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("a context was built for a malformed term")
+
+        monkeypatch.setattr(experiments, "build_context", fail)
+        assert main(["densities", "--x", "100", *flags]) == 1
+        assert capsys.readouterr().err == f"eta-lab: invalid input: {message}\n"
+
     def test_version_flag(self):
         proc = run_module(["--version"])
         assert proc.returncode == 0
@@ -987,6 +1001,12 @@ class TestKernelTimeTool:
             ("scan kernel", peak, f"sum eta {sum_eta}"),
             ("pattern kernel", peak, f"{matched} matched, 2 pattern primes"),
         ]
+        split = ctx.table.count_upto(44)  # isqrt(2000)
+        high = ctx.qmask[split:][ctx.qmask[split:] >= 64]
+        assert len(high) and lines.pop() == (
+            f"scan paths       below r' {split}  direct {len(ctx.entries) - split - len(high)}  "
+            f"high {len(high)} ({len(set(high.tolist()))} signatures)"
+        )
         assert len(lines) == len(expected)
         for line, (name, mem, result) in zip(lines, expected):
             m = re.fullmatch(re.escape(name) + r" +" + num + mem + "  -> " + re.escape(result), line)

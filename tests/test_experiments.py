@@ -341,8 +341,8 @@ class TestPairKernel:
                 by_product[abs(d[i] * d[j])] += _audit_totals(pair, (1, 2))
         expected = by_product.cumsum(axis=0)
         # the range reaches both kinds of the big side's cumulative rows: at
-        # x = 3000, 9 D2 past r' have a qmask >= 64 and read a ranked row,
-        # from D2 = -920 = -8 * 5 * 23 on; every other D2 reads row qmask
+        # x = 3000, 9 D2 past r' have a qmask >= 64 and read a high row, from
+        # D2 = -920 = -8 * 5 * 23 on; every other D2 reads direct row qmask
         ranked = np.flatnonzero(top.qmask[_split(top):] >= experiments._DIRECT_ROWS)
         assert len(ranked) == 9 and top.entries[_split(top) + ranked[0]] == -920
         for x in range(1, 3001):
@@ -361,9 +361,10 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("x", [3000, 100_000])
     def test_direct_and_ranked_rows_match_the_audit(self, x):
-        # a big-side D2 whose qmask is below 64 reads row qmask; the others
-        # read a row ranked among the higher qmasks. Ranges straddling r'
-        # with only direct rows and with both; ranked alone, single D2.
+        # a big-side D2 whose qmask is below 64 reads direct row qmask; the
+        # others read high rows, one per distinct qmask they carry, after the
+        # walk. Ranges straddling r' with only direct rows and with both; high
+        # rows alone, single D2.
         ctx = build_context(x)
         r = _split(ctx)
         ranked = r + np.flatnonzero(ctx.qmask[r:] >= experiments._DIRECT_ROWS)
@@ -379,6 +380,58 @@ class TestPairKernel:
                 assert kind == ("direct" if not high.any() else "ranked" if high.all() else "both")
                 got = experiments._scan_chunk(ctx, (lo, hi))
                 assert got == _audit_totals(ctx, (lo, hi)), (kind, lo, hi)
+
+    @pytest.mark.parametrize("x", [3000, 100_000])
+    def test_each_d2_is_read_once(self, x):
+        # _pair_sums asks d2_side for each D2 once: the ranges it asks for
+        # tile the bounds, for the scan and for a pattern whose big side
+        # carries signatures from 64 on
+        ctx = build_context(x)
+        r, n = _split(ctx), len(ctx.entries)
+        primes = sieve_primes(23)  # nine primes: 17, 19 and 23 take bits 6..8
+        pattern = tuple((p, 1) for p in primes)
+        chis = [experiments._chi_values(ctx.entries, p) for p in primes]
+        sides = {
+            "scan": (lambda a, b: (ctx.qmask[a:b], ctx.nvals[a:b]),
+                     partial(experiments._negative_bits, ctx), ctx.cache_primes[:32]),
+            "pattern": (partial(experiments._pattern_d2, chis, pattern),
+                        partial(experiments._pattern_d1, chis, pattern), ()),
+        }
+        for kind, (d2_side, d1_side, values) in sides.items():
+            assert np.count_nonzero(d2_side(r, n)[0] >= experiments._DIRECT_ROWS) > 0, kind
+            for bounds in ((0, n), (r - 1, r + 1), (r - 3, n), (r - 7, min(n, r + experiments._SLICE + 9))):
+                asked = []
+
+                def recorded(a, b):
+                    asked.append((a, b))
+                    return d2_side(a, b)
+
+                experiments._pair_sums(ctx, bounds, recorded, d1_side, values)
+                asked.sort()
+                assert all(a < b for a, b in asked), (kind, bounds, asked)
+                starts, ends = [a for a, _ in asked], [b for _, b in asked]
+                assert (starts[0], ends[-1]) == bounds and starts[1:] == ends[:-1], (kind, bounds, asked)
+
+    @pytest.mark.parametrize("x", [3000, 100_000])
+    def test_small_slices_match_the_audit(self, monkeypatch, x):
+        # with 64-entry slices every walk takes many slices, and each block of
+        # high rows holds one row, so that block edges fall between the high
+        # D2; a pattern in decreasing prime order gives 2 the high bit 6, and
+        # so gives the most big-side D2 a high signature
+        monkeypatch.setattr(experiments, "_SLICE", 64)
+        ctx = build_context(x)
+        r, n = _split(ctx), len(ctx.entries)
+        for bounds in ((0, r + 1), (r - 3, min(n, r + 2000))):
+            assert experiments._scan_chunk(ctx, bounds) == _audit_totals(ctx, bounds), bounds
+        pattern = tuple((p, -1) for p in reversed(sieve_primes(17)))
+        chis = [experiments._chi_values(ctx.entries, p) for p, _ in pattern]
+        sig = experiments._pattern_d2(chis, pattern, r, n)[0]
+        assert len(set(sig[sig >= experiments._DIRECT_ROWS].tolist())) > 10
+        _, matched = experiments._pair_sums(
+            ctx, (0, n), partial(experiments._pattern_d2, chis, pattern),
+            partial(experiments._pattern_d1, chis, pattern), (),
+        )
+        assert matched == experiments._lt_chunk(ctx, pattern, (0, n))[1] > 0
 
 
 class TestSampledAudit1e7:
@@ -668,7 +721,7 @@ class TestDensityLT:
     def test_long_pattern_in_either_order_across_the_split(self):
         # nine primes with the signs of the pair (-3, 988), 988 = 4 * 13 * 19,
         # given in decreasing order. _lt_chunk counts in increasing order,
-        # where the D2 moved at 17, 19 or 23 read ranked rows; the kernel in
+        # where the D2 moved at 17, 19 or 23 read high rows; the kernel in
         # the given order, where 2 and 3 take bits 8 and 7, reads more of them
         x = 3000
         ctx = build_context(x)
@@ -696,9 +749,9 @@ class TestDensityLT:
                     (),
                 )
                 assert matched == expected, (order, lo, hi)
-        ranked = {order: int(np.count_nonzero(experiments._pattern_d2(cols, order, r, n)[0] >= 64))
-                  for order, cols in chis.items()}
-        assert 0 < ranked[increasing] < ranked[pattern]
+        high = {order: int(np.count_nonzero(experiments._pattern_d2(cols, order, r, n)[0] >= 64))
+                for order, cols in chis.items()}
+        assert 0 < high[increasing] < high[pattern]
 
     def test_more_than_thirty_two_primes_refused(self):
         with pytest.raises(ValueError, match="32"):

@@ -10,7 +10,10 @@ and the sign-pattern kernel (`_lt_chunk`) for the pattern of --lt (default
 each in seconds, with X, the table size N and the kernels' results, so two
 checkouts can be compared on the same numbers. For each kernel it also prints
 the tracemalloc peak of one more, untimed call, in MiB (2^20 bytes): what the
-kernel allocates above the context. X may be written as 1e7.
+kernel allocates above the context. Last, from the context, it prints how many
+D2 take each path of the scan kernel: below r' (the long-prefix walk), the
+direct rows (qmask below 64) and the high rows, with the number of distinct
+high qmasks, one row each. X may be written as 1e7.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import statistics
 from functools import partial
+from math import isqrt
 import sys
 import tracemalloc
 from pathlib import Path
@@ -87,6 +91,11 @@ def main(argv: list[str]) -> int:
     lt, times = _timed(lt_kernel, args.repeat)
     print(_line("pattern kernel", times, f"{lt[1]} matched, {len(pattern)} pattern primes",
                 _peak_mib(lt_kernel)))
+    split = ctx.table.count_upto(isqrt(args.x))
+    big = ctx.qmask[split:]
+    high = big[big >= experiments._DIRECT_ROWS]
+    print(f"scan paths       below r' {split}  direct {len(big) - len(high)}  "
+          f"high {len(high)} ({len(set(high.tolist()))} signatures)")
     return 0
 
 
