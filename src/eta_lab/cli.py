@@ -4,20 +4,21 @@
     eta-lab eta D1 D2 [--cap 100000]
     eta-lab sigma D1 D2 K N
     eta-lab qexp D1 D2 K --terms M
-    eta-lab scan --x X [--K 1000] [--workers W]
-    eta-lab densities --x X [--lemma 2,3,5,7] [--pollack KMAX] [--lt 2:-1,3:+1] [--workers W]
-    eta-lab audit --x X [--workers W]
+    eta-lab scan --x X [--K 1000] [--digits 12] [--workers W]
+    eta-lab densities --x X [--lemma 2,3,5,7] [--pollack KMAX] [--lt 2:-1,3:+1] [--digits 12]
+    eta-lab audit --x X
     eta-lab verify
 
-Every command runs in one process; `scan`, `densities` and `audit` accept
---workers and ignore it. `verify` compares against the packaged golden file
-alone and never writes it. Exit codes: 0 success, 1 usage, invalid input
+Only `constants`, `scan` and `densities` print decimals, and only they take
+--digits. Every command runs in one process; `scan` accepts --workers and
+ignores it. `verify` compares against the packaged golden file alone and
+never writes it. Exit codes: 0 success, 1 usage, invalid input
 or an --output that cannot be written (every bound, the --output path and
 every --lemma, --pollack and --lt selection are checked before any work),
 2 a failed `verify` criterion or an `eta` scan that exhausts its --cap.
 Only `eta` takes --cap: over a table every eta is at most n(D2). All
 outputs flow through one serialization layer; --no-timestamp makes every
-command but `verify` byte-deterministic. `verify` reports wall times: the
+command but `verify` byte-deterministic. `verify` reports elapsed times: the
 details of criteria 1 and 4 print theirs, and its CSV and JSON carry each
 criterion's seconds.
 """
@@ -93,9 +94,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args, command: str, config: dict, payload) -> None:
-    env = build_envelope(command, config, payload, args.no_timestamp)
-    text = serialize(env, args.format, args.digits)
+def _emit(args, config: dict, payload) -> None:
+    env = build_envelope(args.command, config, payload, args.no_timestamp)
+    text = serialize(env, args.format, getattr(args, "digits", 12))
     if args.output in (None, "-"):
         sys.stdout.write(text)
         return
@@ -105,11 +106,14 @@ def _emit(args, command: str, config: dict, payload) -> None:
         raise ValueError(f"--output {args.output}: {exc.strerror or exc}") from exc
 
 
+def _add_digits(p: _Parser) -> None:
+    p.add_argument("--digits", type=int, default=12,
+                   help=f"decimal places, 1 to {MAX_DIGITS} (default 12)")
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--digits", type=int, default=12,
-                   help=f"decimal places, 1 to {MAX_DIGITS} (default 12)")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp for byte-deterministic output")
 
@@ -250,6 +254,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("constants", parents=[], help="rigorous limit constants")
     p.add_argument("--K", type=int, default=1000, dest="k_terms",
                    help="series truncation index (default 1000)")
+    _add_digits(p)
     _add_common(p)
 
     p = sub.add_parser("eta", help="first negative-coefficient prime of one pair")
@@ -276,6 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--workers", type=int, default=1, help=_ONE_PROCESS)
     p.add_argument("--K", type=int, default=1000, dest="k_terms")
+    _add_digits(p)
     _add_common(p)
 
     p = sub.add_parser("densities", help="observed vs predicted densities")
@@ -286,12 +292,11 @@ def build_parser() -> _Parser:
                    help="n(D) = p_k densities for k = 1..KMAX")
     p.add_argument("--lt", default=None, metavar="P:S,...",
                    help="pair sign pattern, e.g. 2:-1,3:+1 or 2:0")
-    p.add_argument("--workers", type=int, default=1, help=_ONE_PROCESS)
+    _add_digits(p)
     _add_common(p)
 
     p = sub.add_parser("audit", help="exact decomposition audit of sum eta")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1, help=_ONE_PROCESS)
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
@@ -307,17 +312,15 @@ def _cmd_constants(args) -> int:
     k = _check_k(args.k_terms)
     values = [rigorous_constant(name, k) for name in SERIES_NAMES]
     values += [combined_constant(k), mu_constant(k)]
-    payload = {"kind": "constants", "values": values}
-    _emit(args, "constants", {"K": k, "digits": args.digits}, payload)
+    _emit(args, {"K": k, "digits": args.digits}, values)
     return 0
 
 
 def _cmd_eta(args) -> int:
     pair = _check_pair(args.d1, args.d2)
     res, trace = eta_sign_trace(pair, args.cap)
-    payload = {"kind": "eta", "d1": args.d1, "d2": args.d2, "cap": args.cap,
-               "result": res, "trace": trace}
-    _emit(args, "eta", {"d1": args.d1, "d2": args.d2, "cap": args.cap}, payload)
+    payload = {"d1": args.d1, "d2": args.d2, "cap": args.cap, "result": res, "trace": trace}
+    _emit(args, {"d1": args.d1, "d2": args.d2, "cap": args.cap}, payload)
     return 2 if res.status == "cap_exceeded" else 0
 
 
@@ -329,9 +332,8 @@ def _cmd_sigma(args) -> int:
     _check_bits(args.k, args.n)
     pair = _check_pair(args.d1, args.d2)
     value = sigma_coefficient(pair, args.k, args.n)
-    payload = {"kind": "sigma", "d1": args.d1, "d2": args.d2, "k": args.k,
-               "n": args.n, "value": value}
-    _emit(args, "sigma", {"d1": args.d1, "d2": args.d2, "k": args.k, "n": args.n}, payload)
+    config = {"d1": args.d1, "d2": args.d2, "k": args.k, "n": args.n}
+    _emit(args, config, {**config, "value": value})
     return 0
 
 
@@ -343,9 +345,8 @@ def _cmd_qexp(args) -> int:
         _check_l_value(args.d2, args.k)
     pair = _check_pair(args.d1, args.d2)
     expansion = q_expansion(pair, args.k, args.terms)
-    payload = {"kind": "qexp", "d1": args.d1, "d2": args.d2, "expansion": expansion}
-    _emit(args, "qexp", {"d1": args.d1, "d2": args.d2, "k": args.k,
-                         "terms": args.terms}, payload)
+    payload = {"d1": args.d1, "d2": args.d2, "expansion": expansion}
+    _emit(args, {"d1": args.d1, "d2": args.d2, "k": args.k, "terms": args.terms}, payload)
     return 0
 
 
@@ -358,7 +359,7 @@ def _cmd_scan(args) -> int:
     # the ignored worker count is left out of the echo, so the bytes are the
     # same for any --workers
     config = {"x": x, "K": k}
-    _emit(args, "scan", config, report)
+    _emit(args, config, report)
     return 0
 
 
@@ -413,7 +414,7 @@ def _cmd_densities(args) -> int:
     if pattern is not None:
         reports.append(density_lt(x, pattern, ctx))
         config["lt"] = args.lt
-    _emit(args, "densities", config, reports)
+    _emit(args, config, reports)
     return 0
 
 
@@ -422,7 +423,7 @@ def _cmd_audit(args) -> int:
 
     x = _check_x(args.x)
     report = decomposition_audit(x)
-    _emit(args, "audit", {"x": x}, report)
+    _emit(args, {"x": x}, report)
     return 0
 
 
@@ -430,15 +431,11 @@ def _cmd_verify(args) -> int:
     from .verify import run_criteria
 
     results = run_criteria()
-    payload = {
-        "kind": "verify",
-        "criteria": [
-            {"id": r.cid, "name": r.name, "status": r.status,
-             "seconds": r.seconds, "detail": r.detail}
-            for r in results
-        ],
-    }
-    _emit(args, "verify", {}, payload)
+    criteria = [
+        {"id": r.cid, "name": r.name, "status": r.status, "seconds": r.seconds, "detail": r.detail}
+        for r in results
+    ]
+    _emit(args, {}, criteria)
     return 0 if all(r.status != "fail" for r in results) else 2
 
 
@@ -458,7 +455,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_digits(args.digits)
+        if "digits" in args:
+            _check_digits(args.digits)
         _check_output(args.output)
         return _HANDLERS[args.command](args)
     except ValueError as exc:

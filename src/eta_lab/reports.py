@@ -344,8 +344,7 @@ def _sigma_table(payload: dict, digits: int):
         f"sigma(D1={payload['d1']}, D2={payload['d2']}, k={payload['k']}, "
         f"n={payload['n']}) = {payload['value']}"
     ]
-    js = dict(payload)
-    return header, [row], text, js
+    return header, [row], text, {"kind": "sigma", **payload}
 
 
 def _qexp_table(payload: dict, digits: int):
@@ -375,44 +374,38 @@ def _qexp_table(payload: dict, digits: int):
     return header, [row], text, js
 
 
-def _verify_table(payload: dict, digits: int):
+def _verify_table(criteria: list[dict], digits: int):
     header = ["id", "name", "status", "seconds", "detail"]
     rows = []
     text = []
-    for c in payload["criteria"]:
+    for c in criteria:
         rows.append([c["id"], c["name"], c["status"], f"{c['seconds']:.2f}", c["detail"]])
         text.append(f"[{c['status'].upper():4s}] {c['id']:>2} {c['name']}: {c['detail']}")
-    npass = sum(1 for c in payload["criteria"] if c["status"] == "pass")
-    nfail = sum(1 for c in payload["criteria"] if c["status"] == "fail")
+    npass = sum(1 for c in criteria if c["status"] == "pass")
+    nfail = sum(1 for c in criteria if c["status"] == "fail")
     text.append(f"{npass} passed, {nfail} failed")
-    return header, rows, text, payload
+    return header, rows, text, {"kind": "verify", "criteria": criteria}
 
 
-def _dispatch(payload, digits: int):
-    if isinstance(payload, PairScanReport):
-        return _scan_table(payload, digits)
-    if isinstance(payload, AuditReport):
-        return _audit_table(payload, digits)
-    if isinstance(payload, list) and payload and isinstance(payload[0], DensityReport):
-        return _density_table(payload, digits)
-    if isinstance(payload, dict):
-        kind = payload.get("kind")
-        if kind == "constants":
-            return _constants_table(payload["values"], digits)
-        if kind == "eta":
-            return _eta_table(payload, digits)
-        if kind == "sigma":
-            return _sigma_table(payload, digits)
-        if kind == "qexp":
-            return _qexp_table(payload, digits)
-        if kind == "verify":
-            return _verify_table(payload, digits)
-    raise TypeError(f"no serializer for payload {type(payload)!r}")
+# the table that renders each command's payload
+_TABLES = {
+    "constants": _constants_table,
+    "eta": _eta_table,
+    "sigma": _sigma_table,
+    "qexp": _qexp_table,
+    "scan": _scan_table,
+    "densities": _density_table,
+    "audit": _audit_table,
+    "verify": _verify_table,
+}
 
 
 def serialize(env: ReportEnvelope, fmt: str, digits: int = 12) -> str:
-    """Render an envelope to 'text', 'csv' or 'json'."""
-    header, rows, text, js = _dispatch(env.payload, digits)
+    """Render an envelope to 'text', 'csv' or 'json', by the table of its
+    command."""
+    if env.command not in _TABLES:
+        raise ValueError(f"no renderer for command {env.command!r}")
+    header, rows, text, js = _TABLES[env.command](env.payload, digits)
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(f"# {env.tool} {env.version} {env.command}\n")

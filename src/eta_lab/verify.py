@@ -109,11 +109,11 @@ def brute_force_pair_sum(x: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 def _crit_1_constants() -> tuple[bool, str]:
-    t0 = time.time()
+    t0 = time.perf_counter()
     th = rigorous_constant("theta", 1000)
     big = rigorous_constant("Theta", 1000)
     comb = combined_constant(1000)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     th_s = render_decimal(th, 10)
     big_s = render_decimal(big, 10)
     comb_s = render_decimal(comb, 14)
@@ -212,13 +212,13 @@ def _crit_3_structure(ctx4: ScanContext) -> tuple[bool, str]:
 
 
 def _crit_4_lemma(ctx6: ScanContext) -> tuple[bool, str]:
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = Fraction(0)
     for p in (2, 3, 5, 7):
         rep = density_lemma(ctx6.x, p, ctx6)
         for row in rep.rows:
             worst = max(worst, row.relative_error)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst < Fraction(1, 100) and elapsed < 120.0
     return ok, f"worst relative error {float(worst):.2e} in {elapsed:.1f}s (bound 120 s)"
 
@@ -395,9 +395,9 @@ def run_criteria() -> list[CriterionResult]:
          _crit_11_determinism),
     ]
     for cid, name, fn in plan:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, detail = fn()
         results.append(
-            CriterionResult(cid, name, "pass" if ok else "fail", detail, time.time() - t0)
+            CriterionResult(cid, name, "pass" if ok else "fail", detail, time.perf_counter() - t0)
         )
     return results

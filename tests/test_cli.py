@@ -546,14 +546,15 @@ class TestHashlibStaysUnloaded:
 
 
 class TestNoProcessPool:
-    """No command starts a process pool, whatever --workers says."""
+    """No command starts a process pool, whatever `scan --workers` says."""
 
     def test_multiprocessing_stays_unloaded(self):
         code = (
             "import os, sys\n"
             "from eta_lab.cli import main\n"
-            "for args in (['audit'], ['scan'], ['densities', '--lt', '2:+1,3:-1']):\n"
-            "    argv = args + ['--x', '2000', '--workers', '3', '--output', os.devnull]\n"
+            "for args in (['audit'], ['scan', '--workers', '3'],\n"
+            "             ['densities', '--lt', '2:+1,3:-1']):\n"
+            "    argv = args + ['--x', '2000', '--output', os.devnull]\n"
             "    assert main(argv) == 0, args\n"
             "print('multiprocessing' in sys.modules)\n"
         )
@@ -570,8 +571,8 @@ class TestNoProcessPool:
         monkeypatch.setattr(multiprocessing, "get_context", fail)
         outputs = []
         for w in ("1", "1000000"):
-            rc, text = run_cli(["audit", "--x", "2000", "--workers", w, "--no-timestamp"],
-                               tmp_path, f"audit_w{w}.txt")
+            rc, text = run_cli(["scan", "--x", "2000", "--workers", w, "--no-timestamp"],
+                               tmp_path, f"scan_w{w}.txt")
             assert rc == 0
             outputs.append(text)
         assert outputs[0] == outputs[1]
@@ -828,6 +829,74 @@ class TestVerifyCommand:
         assert [c["status"] for c in doc["payload"]["criteria"]] == ["pass"]
 
 
+class TestVerifyClock:
+    """`verify` times its criteria with a monotonic clock: a wall clock that
+    jumps 100 s at each reading moves no elapsed time."""
+
+    @pytest.fixture
+    def jumping_wall_clock(self, monkeypatch):
+        readings = iter(range(0, 10**6, 100))
+        monkeypatch.setattr(time, "time", lambda: float(next(readings)))
+
+    def test_criterion_1_stays_inside_its_bound(self, jumping_wall_clock):
+        ok, detail = verify._crit_1_constants()
+        assert ok, detail
+
+    def test_criterion_4_reports_its_own_time(self, jumping_wall_clock):
+        _, detail = verify._crit_4_lemma(experiments.build_context(10_000))
+        assert float(re.search(r" in ([0-9.]+)s ", detail).group(1)) < 100
+
+    def test_each_criterion_reports_its_own_seconds(self, monkeypatch, jumping_wall_clock):
+        monkeypatch.setattr(verify, "build_context", lambda x: None)
+        for name in dir(verify):
+            if name.startswith("_crit_"):
+                monkeypatch.setattr(verify, name, lambda *ctx: (True, "stub"))
+        results = verify.run_criteria()
+        assert len(results) == 11
+        assert all(r.seconds < 100 for r in results)
+
+
+class TestOptionSurface:
+    """Each command takes the options that act on it and no other: an option
+    accepted and ignored is a usage error instead."""
+
+    OPTIONS = {
+        "constants": ["--K", "--digits", "--format", "--output", "--no-timestamp"],
+        "eta": ["--cap", "--format", "--output", "--no-timestamp"],
+        "sigma": ["--format", "--output", "--no-timestamp"],
+        "qexp": ["--terms", "--format", "--output", "--no-timestamp"],
+        "scan": ["--x", "--workers", "--K", "--digits", "--format", "--output", "--no-timestamp"],
+        "densities": ["--x", "--lemma", "--pollack", "--lt", "--digits", "--format", "--output",
+                      "--no-timestamp"],
+        "audit": ["--x", "--format", "--output", "--no-timestamp"],
+        "verify": ["--format", "--output", "--no-timestamp"],
+    }
+
+    def test_each_command_takes_exactly_its_options(self):
+        top = cli.build_parser()
+        (commands,) = (a.choices for a in top._actions if a.dest == "command")
+        got = {
+            name: [s for a in parser._actions if a.dest != "help" for s in a.option_strings]
+            for name, parser in commands.items()
+        }
+        assert got == self.OPTIONS
+        assert sum(map(len, got.values())) == 38
+
+
+class TestRendererTable:
+    """`serialize` renders an envelope by the table of its command."""
+
+    def test_every_command_has_a_table(self):
+        from eta_lab import reports
+
+        assert set(reports._TABLES) == set(cli._HANDLERS)
+
+    def test_unknown_command_is_named(self):
+        env = build_envelope("frobnicate", {}, [], True)
+        with pytest.raises(ValueError, match="no renderer for command 'frobnicate'"):
+            serialize(env, "text")
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
         assert run_module(["frobnicate"]).returncode == 1
@@ -849,6 +918,26 @@ class TestUsageErrors:
             main([command, "--x", "1000", "--cap", "5"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["densities", "--x", "1000", "--lt", "2:+1", "--workers", "2"],
+         ["audit", "--x", "1000", "--workers", "2"],
+         ["eta", "5", "-3", "--digits", "5"],
+         ["sigma", "1", "-4", "3", "3", "--digits", "5"],
+         ["qexp", "1", "-4", "3", "--digits", "5"],
+         ["audit", "--x", "1000", "--digits", "5"],
+         ["verify", "--digits", "5"]],
+    )
+    def test_an_option_that_would_not_act_is_refused(self, monkeypatch, capsys, argv):
+        def fail(args):
+            raise AssertionError("a handler ran for a refused command line")
+
+        monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, fail))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_verify_refuses_quick(self):
         # verify runs every criterion; its former --quick is a usage error

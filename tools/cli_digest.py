@@ -51,11 +51,15 @@ def commands() -> dict[str, list[list[str]]]:
             for argv in _table(x, fmt, audit=x <= 10**5)
         ]
         + _table(10**7, "json", audit=False),
+        # every command that takes --digits, at both ends of its range
         "digits": [
             argv
             for d in ("1", "300")
             for fmt in FORMATS
-            for argv in _table(10**4, fmt, extra=("--digits", d))
+            for argv in [
+                *_table(10**4, fmt, audit=False, extra=("--digits", d)),
+                ["constants", "--digits", d, "--format", fmt],
+            ]
         ],
         "single": [[*argv, "--format", fmt] for argv in SINGLE for fmt in FORMATS],
     }
