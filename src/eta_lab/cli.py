@@ -123,7 +123,7 @@ def _add_common(p: _Parser) -> None:
 # `densities` selection (see MAX_DENSITY_PRIMES) is the worst command: it
 # grows by 18.7, 18.6 and 18.5 bytes per unit of x at 1e7, 3e7 and 1e8 over
 # the 31.9 MB of `scan --x 1`, and peaks at 1.88 GB at 1e8, 18.8 bytes per
-# unit; `scan --x 1e8` peaks at 0.96 GB. The estimate is 33% above the worst
+# unit; `scan --x 1e8` peaks at 0.87 GB. The estimate is 33% above the worst
 # of these. Below 21.5 it would accept 1e8 with 2 GiB available.
 _BYTES_PER_X = 25
 

@@ -41,12 +41,12 @@ one slice of the table at a time. Its first stage is a wheel: every sign at
 residue tables settles each D with n(D) <= 13 and gives qmask bits 0..5.
 The D it leaves (about 4% at 1e6) walk the primes from 17 to their largest
 |D| (n(D) < |D| for fundamental D != 1), each prime computing chi_D(p) only
-over the D still without a -1. For each used bit q build_context then stores
-chi_{D1}(q) over the first max{prefix[D2] : q in qmask(D2)} entries only,
-the part the pair kernel can read. Full chi columns are built lazily and
-cached by density_lemma; density_lt builds its pattern columns per call and
-reads a cached one. average_n1 runs _signs over the p* = +-p = 1 mod 4,
-since n_1(p) = n(p*).
+over the D still without a -1. The context keeps one store of chi columns,
+ctx.chi: build_context puts there, for each used bit q, chi_{D1}(q) over the
+first max{prefix[D2] : q in qmask(D2)} entries, the part the pair kernel can
+read; density_lemma replaces a column by the whole table's, and a kernel
+that needs more than a stored column covers builds its own and stores none.
+average_n1 runs _signs over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
 
 The context is int32 (entries, prefix counts), uint8 (n(D), at most 103
 below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8); |D| is not
@@ -67,11 +67,12 @@ byte-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
 from math import isqrt, log
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -275,18 +276,19 @@ def _signs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n, qmask
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScanContext:
-    """Immutable arrays shared by the pair experiments at one bound x.
+    """The arrays shared by the pair experiments at one bound x.
 
     qmask bit i is set for an entry D iff cache_primes[i] divides D and is
     below n(D); those are exactly the primes at which a pair (D1, D) can go
     negative before n(D) does.
 
-    prefix_chi belongs to the pair kernel: for each used qmask prime q it
-    holds chi_{D1}(q) over the first max{prefix[D2] : q in qmask(D2)}
-    entries only. chi and chi_array hold full-length columns, built on
-    first use; a truncated column never enters them.
+    chi is the one store of chi columns: chi[q] holds chi_{D1}(q) over a
+    prefix of the table, from build_context the longest prefix the pair
+    kernel reads at q. density_lemma replaces a column by the whole table's;
+    a column is only ever replaced by a longer one. The fields cannot be
+    reassigned, and chi is the only part that changes.
 
     These arrays are the only ones as long as the table; |D| is not among
     them (table.abs_values computes it on each access). build_context and every
@@ -299,20 +301,13 @@ class ScanContext:
     prefix: np.ndarray                   # int32; #{D1 : |D1| <= x/|D|}
     qmask: np.ndarray                    # uint32 bitmask over cache_primes
     cache_primes: tuple[int, ...]
-    prefix_chi: dict[int, np.ndarray]
-    chi: dict[int, np.ndarray] = field(default_factory=dict)
-    # unused and always empty; kept because the benchmark's context_bytes reads them
-    negcum: dict = field(default_factory=dict)
-    eqcum: dict = field(default_factory=dict)
+    chi: dict[int, np.ndarray]           # int8 columns by prime
+    # not fields, always empty; kept because the benchmark's context_bytes reads them
+    negcum = eqcum = MappingProxyType({})
 
     @property
     def entries(self) -> np.ndarray:
         return self.table.entries
-
-    def chi_array(self, p: int) -> np.ndarray:
-        if p not in self.chi:
-            self.chi[p] = _chi_values(self.table.entries, p)
-        return self.chi[p]
 
 
 def _prefix_counts(abs_values: np.ndarray, x: int) -> np.ndarray:
@@ -371,17 +366,17 @@ def build_context(x: int) -> ScanContext:
     primes = tuple(iter_primes(int(nvals.max()) - 1))  # the primes below max n(D)
     # the pair kernel reads chi_{D1}(p) only within the prefixes of the D2 with
     # bit p; prefix does not increase along the table, so the first is longest
-    prefix_chi = {primes[b]: _chi_values(entries[: int(prefix[first[b]])], primes[b])
-                  for b in sorted(first)}
-    return ScanContext(
-        x=x,
-        table=table,
-        nvals=nvals,
-        prefix=prefix,
-        qmask=qmask,
-        cache_primes=primes,
-        prefix_chi=prefix_chi,
-    )
+    chi = {primes[b]: _chi_values(entries[: int(prefix[first[b]])], primes[b])
+           for b in sorted(first)}
+    return ScanContext(x=x, table=table, nvals=nvals, prefix=prefix, qmask=qmask,
+                       cache_primes=primes, chi=chi)
+
+
+def _column(ctx: ScanContext, p: int, n: int) -> np.ndarray:
+    """chi_{D}(p) over at least the first n entries: the stored column if it
+    covers them, else a new column of n entries, not stored."""
+    col = ctx.chi.get(p)
+    return col if col is not None and len(col) >= n else _chi_values(ctx.entries[:n], p)
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +509,11 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
 def _negative_bits(ctx: ScanContext, bits: int, u: int, v: int) -> np.ndarray:
     """uint32 over D1 [u, v): bit b set where b is in bits and chi_{D1}(q_b) =
     -1, within the stored column of q_b (no D2 with bit b reads beyond it).
-    A bit no D2 carries has no column and stays clear."""
+    A bit no D2 carries may have no column and then stays clear."""
     out = np.zeros(v - u, dtype=np.uint32)
     for b, q in enumerate(ctx.cache_primes):
-        if bits >> b & 1 and q in ctx.prefix_chi:
-            col = ctx.prefix_chi[q][u:v]
+        if bits >> b & 1 and q in ctx.chi:
+            col = ctx.chi[q][u:v]
             out[: len(col)] |= (col == -1).astype(np.uint32) << np.uint32(b)
     return out
 
@@ -728,11 +723,12 @@ def density_lemma(x: int, p: int, ctx: ScanContext | None = None) -> DensityRepo
     """Observed vs predicted proportions of chi_D(p) over |D| <= x.
 
     Predictions: p/(2p+2) for +1 and -1, 1/(p+1) for 0; rows sum to one
-    exactly on both sides. A non-prime p is rejected.
+    exactly on both sides. A non-prime p is rejected. The whole table's
+    column at p is stored in ctx.chi, replacing a shorter one.
     """
     check_prime(p)
     ctx = _context(x, ctx)
-    chi = ctx.chi_array(p)
+    chi = ctx.chi[p] = _column(ctx, p, len(ctx.entries))
     total = len(chi)
     # chi takes only -1, 0 and +1, so its sum and its nonzero count give the
     # three counts, with no temporary as long as the column
@@ -815,13 +811,13 @@ def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
     # pattern prime fixes the sign at chi_{D2}(p), constant in D1. A pair
     # matches when chi_{D1} has the wanted sign at every moved prime: an
     # empty AND of the two masks, a miss of the pair kernel (no hit values).
-    # The columns cover the D2 in bounds and their D1 prefixes; one that
-    # density_lemma cached is read, and none is stored. The count does not
+    # The columns cover the D2 in bounds and their D1 prefixes; a stored one
+    # that covers them is read, and none is stored. The count does not
     # depend on the bit order, and in increasing prime order the primes that
     # divide the most D2 take the bits of the kernel's direct rows.
     pattern = tuple(sorted(pattern))
     n = max(hi, int(ctx.prefix[lo])) if lo < hi else 0
-    chis = [ctx.chi[p] if p in ctx.chi else _chi_values(ctx.entries[:n], p) for p, _ in pattern]
+    chis = [_column(ctx, p, n) for p, _ in pattern]
     _, matched = _pair_sums(
         ctx,
         bounds,

@@ -1,6 +1,7 @@
 """CLI contracts: frozen CSV schemas, exact JSON rationals, exit codes,
 byte determinism."""
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -1028,7 +1029,7 @@ class TestContextDigestTool:
         assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)
         assert lines[0].split()[-1] == tool.digest("context", range(1, 51))
 
-    @pytest.mark.parametrize("part", ["nvals", "qmask", "prefix_chi"])
+    @pytest.mark.parametrize("part", ["nvals", "qmask", "chi"])
     def test_each_part_moves_the_digest(self, tool, monkeypatch, part):
         xs = range(1, 51)
         before = tool.digest("context", xs)
@@ -1038,7 +1039,7 @@ class TestContextDigestTool:
             ctx = real(x)
             if x == 50:
                 column = getattr(ctx, part)
-                (column[2] if part == "prefix_chi" else column)[-1] ^= 1
+                (column[2] if part == "chi" else column)[-1] ^= 1
             return ctx
 
         monkeypatch.setattr(experiments, "build_context", altered)
@@ -1105,8 +1106,25 @@ class TestKernelTimeTool:
             # a kernel allocates something, and at x = 2000 far below a MiB
             assert mem == "" or 0 < float(m.group(4)) < 1
 
-    @pytest.mark.parametrize("args", [["0"], ["1.5"], ["100", "--repeat", "0"], ["100", "--lt", "4:+1"]])
+    @pytest.mark.parametrize("args", [["0"], ["1.5"], ["100", "--repeat", "0"], ["100", "--lt", "4:+1"],
+                                      ["inf"], ["3e9"]])
     def test_refuses_bad_arguments(self, args):
         proc = run_python([str(self.TOOL), *args])
         assert proc.returncode != 0
         assert proc.stdout == ""
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_x_is_checked_as_the_cli_checks_it(self, monkeypatch):
+        # 1e9 is never run: its build would take about 25 GB
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("kernel_time", self.TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        monkeypatch.setattr(cli, "_mem_available", lambda: None)  # MAX_X alone
+        assert tool._bound("1e7") == 10**7 and tool._bound("1e8") == cli.MAX_X
+        for text in ("1e9", "-inf", "nan", "x", "2.5"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                tool._bound(text)
+        monkeypatch.setattr(cli, "_mem_available", lambda: 10**6)
+        with pytest.raises(argparse.ArgumentTypeError, match="GiB of memory is available"):
+            tool._bound("1e6")

@@ -4,7 +4,7 @@ import multiprocessing
 import random
 import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from functools import partial
 from math import isqrt
@@ -74,22 +74,80 @@ class TestContext:
         # the D2 with that bit, the most the pair kernel can read
         ctx = build_context(x)
         used = int(np.bitwise_or.reduce(ctx.qmask))
-        assert sorted(ctx.prefix_chi) == [
+        assert sorted(ctx.chi) == [
             q for b, q in enumerate(ctx.cache_primes) if (used >> b) & 1
         ]
-        for q, chi in ctx.prefix_chi.items():
+        for q, chi in ctx.chi.items():
             b = ctx.cache_primes.index(q)
             has_bit = (ctx.qmask >> b) & 1 == 1
             assert len(chi) == int(ctx.prefix[has_bit].max()), q
             assert chi.tolist() == [kronecker(int(d), q) for d in ctx.entries[: len(chi)]], q
 
-    def test_chi_array_stays_full_length_after_a_scan(self):
+    def test_lemma_columns_are_full_length_after_a_scan(self):
+        # the kernels store no column, so density_lemma still finds the
+        # kernel's short columns and replaces them by whole ones
         ctx = build_context(2000)
         scan_pairs(2000, ctx=ctx, k_terms=120)
         density_lt(2000, [(2, 1), (3, -1)], ctx)
-        for q in [*ctx.prefix_chi, 7]:
-            assert len(ctx.chi_array(q)) == len(ctx.entries), q
-        assert ctx.chi_array(2).tolist() == [kronecker(int(d), 2) for d in ctx.entries]
+        for q in [*ctx.chi, 7]:
+            density_lemma(2000, q, ctx)
+            assert len(ctx.chi[q]) == len(ctx.entries), q
+        assert ctx.chi[2].tolist() == [kronecker(int(d), 2) for d in ctx.entries]
+
+    def test_density_lemma_replaces_the_kernel_column(self):
+        ctx = build_context(100_000)
+        short = ctx.chi[5]
+        assert len(short) < len(ctx.entries)
+        density_lemma(100_000, 5, ctx)
+        # one store, holding one column at 5, over the whole table
+        assert [f.name for f in fields(ctx) if isinstance(getattr(ctx, f.name), dict)] == ["chi"]
+        assert len(ctx.chi[5]) == len(ctx.entries)
+        assert np.array_equal(ctx.chi[5], _chi_values(ctx.entries, 5))
+        # the kernel's part of the column is unchanged, and a second call keeps it
+        assert np.array_equal(ctx.chi[5][: len(short)], short)
+        column = ctx.chi[5]
+        density_lemma(100_000, 5, ctx)
+        assert ctx.chi[5] is column
+
+    def test_kernels_read_replaced_columns(self):
+        # after density_lemma at kernel primes, both kernels read the whole
+        # columns, over ranges straddling r', and give a fresh context's results
+        x = 100_000
+        fresh, ctx = build_context(x), build_context(x)
+        for p in (2, 3, 5, 7):
+            density_lemma(x, p, ctx)
+        r, n = _split(ctx), len(ctx.entries)
+        pattern = ((2, 1), (3, -1), (5, 0), (7, -1))
+        for bounds in ((0, n), (0, r + 1), (r - 1, r + 1), (r - 7, r + 50), (r, n)):
+            assert experiments._scan_chunk(ctx, bounds) == experiments._scan_chunk(fresh, bounds), bounds
+            assert (experiments._lt_chunk(ctx, pattern, bounds)
+                    == experiments._lt_chunk(fresh, pattern, bounds)), bounds
+        assert scan_pairs(x, ctx=ctx, k_terms=120) == scan_pairs(x, ctx=fresh, k_terms=120)
+
+    def test_column_reads_a_covering_column_and_stores_none(self):
+        ctx = build_context(2000)
+        stored = ctx.chi[3]
+        assert experiments._column(ctx, 3, len(stored)) is stored
+        longer = experiments._column(ctx, 3, len(stored) + 1)
+        assert longer.tolist() == [kronecker(int(d), 3) for d in ctx.entries[: len(stored) + 1]]
+        assert experiments._column(ctx, 1009, 10).tolist() == [
+            kronecker(int(d), 1009) for d in ctx.entries[:10]
+        ]
+        assert ctx.chi[3] is stored and 1009 not in ctx.chi
+
+    def test_context_is_frozen_at_seven_fields(self):
+        ctx = build_context(100)
+        assert [f.name for f in fields(ctx)] == [
+            "x", "table", "nvals", "prefix", "qmask", "cache_primes", "chi",
+        ]
+        with pytest.raises(FrozenInstanceError):
+            ctx.chi = {}
+        with pytest.raises(FrozenInstanceError):
+            ctx.x = 1
+        # read, never set: the two always-empty mappings are class attributes
+        assert dict(ctx.negcum) == dict(ctx.eqcum) == {}
+        with pytest.raises(TypeError):
+            ctx.negcum[2] = np.zeros(1)
 
     def test_kernels_leave_the_context_unchanged(self):
         ctx = build_context(100_000)
@@ -97,7 +155,7 @@ class TestContext:
 
         def snapshot():
             arrays = [ctx.entries, ctx.table.abs_values, ctx.nvals, ctx.prefix, ctx.qmask]
-            stores = [ctx.prefix_chi, ctx.chi, ctx.negcum, ctx.eqcum]
+            stores = [ctx.chi, ctx.negcum, ctx.eqcum]
             return (
                 [a.copy() for a in arrays],
                 [{k: v.copy() for k, v in d.items()} for d in stores],
@@ -206,7 +264,7 @@ def context_parts(ctx):
         ctx.qmask.tobytes(),
         ctx.prefix.tobytes(),
         ctx.cache_primes,
-        [(p, chi.tobytes()) for p, chi in ctx.prefix_chi.items()],
+        [(p, chi.tobytes()) for p, chi in ctx.chi.items()],
     )
 
 
@@ -264,7 +322,7 @@ class TestPeakMemory:
         # an N-length sign pass peaked at twice the context (19.7 against 10.1 MiB);
         # |D| is derived, so only the stored arrays count
         peak, ctx = self.peak(lambda: build_context(10**6))
-        arrays = (ctx.entries, ctx.nvals, ctx.prefix, ctx.qmask, *ctx.prefix_chi.values())
+        arrays = (ctx.entries, ctx.nvals, ctx.prefix, ctx.qmask, *ctx.chi.values())
         assert peak <= sum(a.nbytes for a in arrays) + 2 * 10**6
 
     # density_pollack counts one slice at a time in intp; average_nd sums in place
@@ -562,7 +620,7 @@ class TestDensityLemma:
     def test_chi_table_matches_kronecker(self, ctx2000, p):
         # p <= len(entries) builds the residue table from squares; larger p
         # applies Euler's criterion to each entry
-        chi = ctx2000.chi_array(p)
+        chi = experiments._column(ctx2000, p, len(ctx2000.entries))
         assert [int(c) for c in chi] == [kronecker(int(d), p) for d in ctx2000.entries]
 
     def test_euler_path_spans_slices(self):

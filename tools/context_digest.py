@@ -5,7 +5,7 @@
 Imports `eta_lab` from SRC, the `src` directory of a checkout, and prints one
 SHA-256 per group and one over all groups:
 
-  contexts-*   nvals, qmask, cache_primes and each prefix_chi column of
+  contexts-*   nvals, qmask, cache_primes and each chi column of a fresh
                build_context(x), at x = 1..3000 and 1e4..1e7;
   n1-*         the (total, count) of n_1(p) that average_n1(x) sums, at
                x = 3..3000 and 1e6.
@@ -34,7 +34,7 @@ def context_parts(x: int) -> list[bytes]:
 
     ctx = build_context(x)
     parts = [ctx.nvals.tobytes(), ctx.qmask.tobytes(), repr(ctx.cache_primes).encode()]
-    for p, chi in ctx.prefix_chi.items():
+    for p, chi in ctx.chi.items():
         parts += [str(p).encode(), chi.tobytes()]
     return parts
 

@@ -13,7 +13,9 @@ the tracemalloc peak of one more, untimed call, in MiB (2^20 bytes): what the
 kernel allocates above the context. Last, from the context, it prints how many
 D2 take each path of the scan kernel: below r' (the long-prefix walk), the
 direct rows (qmask below 64) and the high rows, with the number of distinct
-high qmasks, one row each. X may be written as 1e7.
+high qmasks, one row each. X may be written as 1e7; it is refused, as
+`--x` is, above MAX_X or where the CLI's memory estimate exceeds the memory
+available.
 """
 
 from __future__ import annotations
@@ -29,14 +31,23 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eta_lab import experiments  # noqa: E402
+from eta_lab import cli, experiments  # noqa: E402
 
 
 def _bound(text: str) -> int:
-    x = float(text)
-    if x != int(x) or x < 1:
+    """X as an int, refused unless it is a whole number that the CLI's --x
+    check accepts: from 1 to MAX_X, and within its memory estimate."""
+    try:
+        x = float(text)
+        whole = x == int(x)  # int() raises OverflowError at +-inf, ValueError at nan
+    except (OverflowError, ValueError):
+        whole = False
+    if not whole:
         raise argparse.ArgumentTypeError(f"X must be a positive integer, got {text}")
-    return int(x)
+    try:
+        return cli._check_x(int(x))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _timed(fn, repeat: int):
