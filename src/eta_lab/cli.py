@@ -14,7 +14,8 @@ Only `constants`, `scan` and `densities` print decimals, and only they take
 ignores it. `verify` compares against the packaged golden file alone and
 never writes it. Exit codes: 0 success, 1 usage, invalid input
 or an --output that cannot be written (every bound, the --output path and
-every --lemma, --pollack and --lt selection are checked before any work),
+every --lemma, --pollack and --lt selection are checked before any work;
+each of those three may be given once),
 2 a failed `verify` criterion or an `eta` scan that exhausts its --cap.
 Only `eta` takes --cap: over a table every eta is at most n(D2). All
 outputs flow through one serialization layer; --no-timestamp makes every
@@ -75,8 +76,8 @@ MAX_POLLACK = 2500
 # Each distinct prime of `densities --lemma` and `--lt` keeps a full-length
 # int8 chi column, 0.61 bytes per unit of x. The costliest 16-prime selection
 # measured (primes just below the table length, 8 with --lemma and 8 with
-# --lt, and --pollack 4) peaked at 218.5 MB at 1e7, 588.5 MB at 3e7 and
-# 1.88 GB at 1e8 (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X.
+# --lt, and --pollack 4) peaked at 176.5 MB at 1e7, 462.7 MB at 3e7 and
+# 1.46 GB at 1e8 (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X.
 MAX_DENSITY_PRIMES = 16
 # Places after the point of every printed decimal. The enclosures at the
 # default K = 1000 are 1e-304 to 1e-296 wide, so 300 places resolve them.
@@ -106,6 +107,16 @@ def _emit(args, config: dict, payload) -> None:
         raise ValueError(f"--output {args.output}: {exc.strerror or exc}") from exc
 
 
+class _Once(argparse.Action):
+    """Store the option's value, refusing a second occurrence: later values
+    would otherwise replace earlier ones unseen."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_digits(p: _Parser) -> None:
     p.add_argument("--digits", type=int, default=12,
                    help=f"decimal places, 1 to {MAX_DIGITS} (default 12)")
@@ -121,10 +132,12 @@ def _add_common(p: _Parser) -> None:
 # Peak RSS, measured with os.wait4 in a fresh interpreter (tools/peak_rss.py)
 # on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), in MB (10^6 bytes). The costliest
 # `densities` selection (see MAX_DENSITY_PRIMES) is the worst command: it
-# grows by 18.7, 18.6 and 18.5 bytes per unit of x at 1e7, 3e7 and 1e8 over
-# the 31.9 MB of `scan --x 1`, and peaks at 1.88 GB at 1e8, 18.8 bytes per
-# unit; `scan --x 1e8` peaks at 0.87 GB. The estimate is 33% above the worst
-# of these. Below 21.5 it would accept 1e8 with 2 GiB available.
+# grows by 14.5, 14.4 and 14.3 bytes per unit of x at 1e7, 3e7 and 1e8 over
+# the 31.8 MB of `scan --x 1`, and peaks at 1.46 GB at 1e8, 14.6 bytes per
+# unit; `scan --x 1e8` peaks at 0.47 GB. The estimate is 71% above the worst
+# of these; it was set at 33% above, when the context stored its prefix and
+# full qmask, and is kept so that the same inputs are refused. Below 21.5 it
+# would accept 1e8 with 2 GiB available.
 _BYTES_PER_X = 25
 
 
@@ -286,11 +299,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("densities", help="observed vs predicted densities")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--lemma", default=None, metavar="P1,P2,...",
+    p.add_argument("--lemma", action=_Once, default=None, metavar="P1,P2,...",
                    help="per-prime sign densities at these primes")
-    p.add_argument("--pollack", type=int, default=None, metavar="KMAX",
+    p.add_argument("--pollack", action=_Once, type=int, default=None, metavar="KMAX",
                    help="n(D) = p_k densities for k = 1..KMAX")
-    p.add_argument("--lt", default=None, metavar="P:S,...",
+    p.add_argument("--lt", action=_Once, default=None, metavar="P:S,...",
                    help="pair sign pattern, e.g. 2:-1,3:+1 or 2:0")
     _add_digits(p)
     _add_common(p)

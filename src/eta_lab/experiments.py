@@ -24,7 +24,9 @@ slice, and each D2 reads its running total there. Every D2 from r' on has
 |D2| > isqrt(x) and so a prefix of at most r' D1: one walk over these D2 in
 fixed-size slices reads each at column prefix of its signature's cumulative
 row over the first r' D1. The rows of the 64 signatures of bits 0..5 alone
-are built before the walk (99.6% of these D2 at 1e6 and 1e7). The D2 of a
+are built before the walk (99.6% of these D2 at 1e6 and 1e7) and held
+transposed, so that the D2 of one slice, whose prefixes span a few runs,
+read a few columns of 64 cells. The D2 of a
 higher signature are kept, and after the walk read the rows of the distinct
 kept signatures as each block of them is built, so that no table of them all
 is held. The kept D2 are the one kernel temporary that grows with the table,
@@ -48,12 +50,16 @@ read; density_lemma replaces a column by the whole table's, and a kernel
 that needs more than a stored column covers builds its own and stores none.
 average_n1 runs _signs over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
 
-The context is int32 (entries, prefix counts), uint8 (n(D), at most 103
-below 1e8) and uint32 (qmask: at most 26 prime bits below 1e8); |D| is not
-stored, and build_context holds it only while it counts the prefixes. Every
-pass over the table (the sign pass, each chi column, the n(D) counts) works
-one slice at a time, so no temporary of the build grows with the table:
-it peaks at about the context it returns.
+The context stores six bytes per entry: int32 entries, uint8 n(D) (at most
+103 below 1e8) and a uint8 qmask byte. The qmask (at most 26 prime bits below
+1e8) is that byte where it is below 64, and a sorted list of exceptions holds
+the 0.38% of masks from 64 on. The prefix counts #{D1 : |D1| <= x // |D2|}
+do not increase along the table and are kept as their O(r' + isqrt(x)) runs;
+a kernel takes a slice's prefixes by one np.repeat of the runs clipped to it,
+and its pair count as the runs' values times their clipped lengths. |D| is
+not stored. Every pass over the table (the sign pass, the run ends, each chi
+column, the n(D) counts) works one slice at a time, so no temporary of the
+build grows with the table: it peaks at about the context it returns.
 
 Every engine runs in one process; a worker pool paid for itself only in
 audits at x >= 3e5. Every kernel still takes a (lo, hi) range of D2, so
@@ -276,13 +282,30 @@ def _signs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n, qmask
 
 
+# Signatures below this, of the wheel primes' bits 0..5 alone, each have a row
+# of the big side's direct table, whether they occur or not. It is also the
+# context's one-byte qmask's flag for a qmask with a higher bit.
+_DIRECT_ROWS = 1 << len(_WHEEL_PRIMES)
+
+
 @dataclass(frozen=True, eq=False)
 class ScanContext:
     """The arrays shared by the pair experiments at one bound x.
 
     qmask bit i is set for an entry D iff cache_primes[i] divides D and is
     below n(D); those are exactly the primes at which a pair (D1, D) can go
-    negative before n(D) does.
+    negative before n(D) does. prefix[D] is #{D1 : |D1| <= x // |D|}.
+
+    Neither is stored entry by entry. prefix does not increase along the
+    table, so it is kept as runs: run k holds the value runs[0][k] on the
+    entries from the end of run k - 1 up to runs[1][k], an O(r' + isqrt(x))
+    list (see _prefix_runs). The qmask is kept in one byte, qbyte: the mask
+    itself where it is below _DIRECT_ROWS, else the flag _DIRECT_ROWS; qhigh
+    lists, by increasing position, each flagged entry and its uint32 mask
+    (0.38% of the table at 1e6 and 1e7). The slice readers prefix_slice,
+    qmask_slice, runs_in and pair_count are the interface; the prefix and
+    qmask properties build a new whole-table array on each access, as
+    table.abs_values does, and no engine reads them.
 
     chi is the one store of chi columns: chi[q] holds chi_{D1}(q) over a
     prefix of the table, from build_context the longest prefix the pair
@@ -290,18 +313,19 @@ class ScanContext:
     a column is only ever replaced by a longer one. The fields cannot be
     reassigned, and chi is the only part that changes.
 
-    These arrays are the only ones as long as the table; |D| is not among
-    them (table.abs_values computes it on each access). build_context and every
-    engine that reads the context keep their temporaries to one slice.
+    entries, nvals and qbyte are the only arrays as long as the table, six
+    bytes per entry. build_context and every engine that reads the context
+    keep their temporaries to one slice.
     """
 
     x: int
     table: DiscriminantTable
-    nvals: np.ndarray                    # uint8; n(D), 0 at D = 1
-    prefix: np.ndarray                   # int32; #{D1 : |D1| <= x/|D|}
-    qmask: np.ndarray                    # uint32 bitmask over cache_primes
+    nvals: np.ndarray                     # uint8; n(D), 0 at D = 1
+    runs: tuple[np.ndarray, np.ndarray]   # int32 value and intp end of each prefix run
+    qbyte: np.ndarray                     # uint8; qmask if below _DIRECT_ROWS, else _DIRECT_ROWS
+    qhigh: tuple[np.ndarray, np.ndarray]  # intp position and uint32 qmask of each flagged entry
     cache_primes: tuple[int, ...]
-    chi: dict[int, np.ndarray]           # int8 columns by prime
+    chi: dict[int, np.ndarray]            # int8 columns by prime
     # not fields, always empty; kept because the benchmark's context_bytes reads them
     negcum = eqcum = MappingProxyType({})
 
@@ -309,25 +333,91 @@ class ScanContext:
     def entries(self) -> np.ndarray:
         return self.table.entries
 
+    def runs_in(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, lengths) of the prefix runs clipped to the entries [a, b)."""
+        values, ends = self.runs
+        if a >= b:
+            return values[:0], ends[:0]
+        k0, k1 = np.searchsorted(ends, (a, b - 1), side="right")
+        lengths = np.minimum(ends[k0 : k1 + 1], b)
+        lengths[1:] -= ends[k0:k1]  # each later run starts where the one before ends
+        lengths[0] -= a
+        return values[k0 : k1 + 1], lengths
 
-def _prefix_counts(abs_values: np.ndarray, x: int) -> np.ndarray:
-    """#{D1 : |D1| <= x // |D|} for every entry, as int32.
+    def prefix_slice(self, a: int, b: int) -> np.ndarray:
+        """prefix over the entries [a, b), int32."""
+        return np.repeat(*self.runs_in(a, b))
+
+    def pair_count(self, a: int, b: int) -> int:
+        """The sum of prefix over the entries [a, b): the pairs of those D2."""
+        values, lengths = self.runs_in(a, b)
+        return int(np.dot(values.astype(np.int64), lengths))
+
+    def qmask_slice(self, a: int, b: int) -> np.ndarray:
+        """qmask over the entries [a, b), uint32: the byte, with the flagged
+        entries patched from qhigh."""
+        q = self.qbyte[a:b].astype(np.uint32)
+        at, masks = self.qhigh
+        i, j = np.searchsorted(at, (a, b))
+        q[at[i:j] - a] = masks[i:j]
+        return q
+
+    @property
+    def prefix(self) -> np.ndarray:
+        """prefix over the whole table (int32), a new array on each access."""
+        return self.prefix_slice(0, len(self.nvals))
+
+    @property
+    def qmask(self) -> np.ndarray:
+        """qmask over the whole table (uint32), a new array on each access."""
+        return self.qmask_slice(0, len(self.nvals))
+
+
+def _count_upto(entries: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """#{D : |D| <= y} for each y of ys, as intp, reading |D| one slice of the
+    table at a time: each y is searched in the slice where |D| first exceeds
+    it, and a slice no y falls in is skipped."""
+    order = np.argsort(ys, kind="stable")
+    ys = ys[order]
+    counts = np.full(len(ys), len(entries), dtype=np.intp)
+    done = 0
+    for lo in range(0, len(entries), _TABLE_SLICE):
+        if done == len(ys):
+            break
+        hi = min(lo + _TABLE_SLICE, len(entries))
+        if abs(int(entries[hi - 1])) <= ys[done]:
+            continue  # no y falls in this slice
+        a = np.abs(entries[lo:hi])
+        k = int(np.searchsorted(ys, a[-1]))  # the ys below the slice's largest |D|
+        counts[order[done:k]] = lo + np.searchsorted(a, ys[done:k], side="right")
+        done = k
+    return counts
+
+
+def _prefix_runs(table: DiscriminantTable, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of #{D1 : |D1| <= x // |D|} along the table: (values, ends),
+    the int32 value of each run and the intp position where it ends. Empty
+    runs are dropped and equal neighbours merged, so the ends increase.
 
     x // |D| does not increase along the table, so, with r = isqrt(x), the
-    entries whose quotient exceeds r form a head; each of those is a binary
-    search. Every later entry has a quotient v <= r and reads the count
-    #{|D1| <= v} from a table of r entries; the entries sharing v are one
-    contiguous run, so the tail is that table repeated run by run.
+    entries whose quotient exceeds r form a head, one run each. Every later
+    entry has a quotient v <= r, and the entries sharing v are one run, of
+    value #{|D1| <= v}, ending at #{|D| <= x // v}. So the runs take
+    r' + 2r counts of |D| <= y, one pass over the table, and no array as long
+    as it.
     """
     r = isqrt(x)
-    v = np.arange(1, r + 2, dtype=abs_values.dtype)
-    # ends[i] = #{D : |D| <= x // (i + 1)}; quotient v fills [ends[v], ends[v - 1])
-    ends = np.searchsorted(abs_values, x // v, side="right")
-    head = np.searchsorted(abs_values, x // abs_values[: ends[r]], side="right")
-    counts = np.searchsorted(abs_values, v[:r], side="right")
-    values = np.concatenate([head, counts[::-1]]).astype(np.int32)
-    runs = np.concatenate([np.ones(len(head), dtype=np.intp), -np.diff(ends)[::-1]])
-    return np.repeat(values, runs)
+    entries = table.entries
+    head = table.count_upto(x // (r + 1))  # the entries with x // |D| > r
+    v = np.arange(r, 0, -1, dtype=np.int64)
+    head_quotients = x // np.abs(entries[:head].astype(np.int64))
+    counts = _count_upto(entries, np.concatenate([head_quotients, v, x // v]))
+    values = counts[: head + r]
+    ends = np.concatenate([np.arange(1, head + 1), counts[head + r :]])
+    keep = np.diff(ends, prepend=0) > 0
+    values, ends = values[keep], ends[keep]
+    last = np.append(values[1:] != values[:-1], True)
+    return values[last].astype(np.int32), ends[last]
 
 
 def _context(x: int, ctx: ScanContext | None) -> ScanContext:
@@ -341,35 +431,42 @@ def _context(x: int, ctx: ScanContext | None) -> ScanContext:
 
 
 def build_context(x: int) -> ScanContext:
-    """Sieve |D| <= x, count the prefixes, and derive n(D), the qmask and the
-    kernel's chi columns, one slice of the table at a time: _signs settles
+    """Sieve |D| <= x, find the prefix runs, and derive n(D), the qmask and
+    the kernel's chi columns, one slice of the table at a time: _signs settles
     each D with n(D) <= 13 and its qmask bits 0..5 by one gather mod 120120
     and runs the sign pass from p = 17 on the rest."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     table = sieve_fundamental(x)
     entries = table.entries
-    prefix = _prefix_counts(table.abs_values, x)  # |D|, for this call only
     nvals = np.empty(len(entries), dtype=np.uint8)
-    qmask = np.empty(len(entries), dtype=np.uint32)
+    qbyte = np.empty(len(entries), dtype=np.uint8)
+    high_at, high_mask = [], []  # the positions and masks of the qmasks >= _DIRECT_ROWS
     first: dict[int, int] = {}  # qmask bit -> the first entry with it
     seen = 0  # the qmask bits met so far
     for lo in range(0, len(entries), _TABLE_SLICE):
         hi = lo + _TABLE_SLICE
-        nvals[lo:hi], qmask[lo:hi] = _signs(entries[lo:hi])
-        q = qmask[lo:hi]
+        nvals[lo:hi], q = _signs(entries[lo:hi])
+        up = np.flatnonzero(q >= _DIRECT_ROWS)
+        high_at.append(up + lo)
+        high_mask.append(q[up])
+        qbyte[lo:hi] = np.minimum(q, _DIRECT_ROWS)
         new = int(np.bitwise_or.reduce(q)) & ~seen
         seen |= new
         for bit in range(new.bit_length()):
             if new >> bit & 1:
                 first[bit] = lo + int(np.argmax(q & np.uint32(1 << bit)))
     primes = tuple(iter_primes(int(nvals.max()) - 1))  # the primes below max n(D)
+    ctx = ScanContext(x=x, table=table, nvals=nvals, runs=_prefix_runs(table, x), qbyte=qbyte,
+                      qhigh=(np.concatenate(high_at), np.concatenate(high_mask)),
+                      cache_primes=primes, chi={})
     # the pair kernel reads chi_{D1}(p) only within the prefixes of the D2 with
     # bit p; prefix does not increase along the table, so the first is longest
-    chi = {primes[b]: _chi_values(entries[: int(prefix[first[b]])], primes[b])
-           for b in sorted(first)}
-    return ScanContext(x=x, table=table, nvals=nvals, prefix=prefix, qmask=qmask,
-                       cache_primes=primes, chi=chi)
+    # (a D2's pair count is its prefix)
+    for b in sorted(first):
+        n = ctx.pair_count(first[b], first[b] + 1)
+        ctx.chi[primes[b]] = _chi_values(entries[:n], primes[b])
+    return ctx
 
 
 def _column(ctx: ScanContext, p: int, n: int) -> np.ndarray:
@@ -412,11 +509,6 @@ def _prefix_totals(cells, ends: np.ndarray) -> np.ndarray:
     return out
 
 
-# Signatures below this, of the wheel primes' bits 0..5 alone, each have a row
-# of the big side's direct table, whether they occur or not.
-_DIRECT_ROWS = 1 << len(_WHEEL_PRIMES)
-
-
 def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int, int]:
     """Sum one cell per pair over the D2 in bounds and the D1 in each prefix.
 
@@ -453,7 +545,7 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
     mid = min(hi, split)
     if lo < mid:
         sig, w = d2_side(lo, mid)
-        c = ctx.prefix[lo:mid]
+        c = ctx.prefix_slice(lo, mid)
         plain = sig == 0
         misses += int(np.dot(c[plain], w[plain].astype(np.int64)))
         # a set: np.unique without return_inverse imports numpy.ma (10-15 ms, 1 MiB)
@@ -480,18 +572,20 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
                 np.cumsum(_cells(t & part, lookup), axis=1, out=block[:, 1:])
                 yield r, block.ravel()
 
+        # transposed, cell (j, s) at j * _DIRECT_ROWS + s: a slice's prefixes
+        # span a few runs, so its D2 read a few columns of 64 cells
         direct = np.concatenate([block for _, block in rows(np.arange(_DIRECT_ROWS, dtype=np.uint32))])
+        direct = direct.reshape(_DIRECT_ROWS, width).T.ravel()
         high = []
         for a in range(start, hi, _SLICE):
             b = min(a + _SLICE, hi)
             sig, w = d2_side(a, b)
-            prefix = ctx.prefix[a:b]
-            at = sig.astype(np.intp)
-            at *= width
-            at += prefix
+            values, lengths = ctx.runs_in(a, b)
+            at = np.repeat(values.astype(np.intp) * _DIRECT_ROWS, lengths)
             up = np.flatnonzero(sig >= _DIRECT_ROWS)
-            high.append((sig[up], prefix[up], w[up]))
-            at[up] = 0  # cell 0 of every row is 0: these D2 read their rows later
+            high.append((sig[up], at[up] // _DIRECT_ROWS, w[up]))
+            at += sig
+            at[up] = 0  # cell 0, column 0 of row 0, is 0: these D2 read their rows later
             tally(direct[at], w)
         # sorted by their cell, the high D2 read each block of the high rows as
         # it is built: no table of all high rows is held
@@ -520,16 +614,16 @@ def _negative_bits(ctx: ScanContext, bits: int, u: int, v: int) -> np.ndarray:
 
 def _scan_chunk(ctx: ScanContext, bounds: tuple[int, int]):
     lo, hi = bounds
-    pairs_total = int(ctx.prefix[lo:hi].sum())
+    pairs_total = ctx.pair_count(lo, hi)
     # D = 1 heads the table; its pairs are excluded, and its n(D) = 0 weighs them out
-    pairs_excluded = int(ctx.prefix[0]) if lo == 0 < hi else 0
+    pairs_excluded = ctx.pair_count(0, 1) if lo == 0 < hi else 0
 
     # eta = the first q in qmask(D2) with chi_{D1}(q) = -1 (a hit worth q),
     # else n(D2) (a miss, weighted by n(D2))
     hits, misses = _pair_sums(
         ctx,
         bounds,
-        lambda a, b: (ctx.qmask[a:b], ctx.nvals[a:b]),
+        lambda a, b: (ctx.qmask_slice(a, b), ctx.nvals[a:b]),
         partial(_negative_bits, ctx),
         ctx.cache_primes[:32],
     )
@@ -581,7 +675,7 @@ def _audit_chunk(ctx: ScanContext, bounds) -> AuditReport:
     lo, hi = bounds
     entries = ctx.entries
     nvals = ctx.nvals
-    prefix = ctx.prefix
+    prefix = ctx.prefix_slice(lo, hi)
     scan_primes = sieve_primes(max(2, int(nvals[lo:hi].max(initial=0))))
 
     pairs_total = 0
@@ -597,7 +691,7 @@ def _audit_chunk(ctx: ScanContext, bounds) -> AuditReport:
 
     for i2 in range(lo, hi):
         d2 = int(entries[i2])
-        c = int(prefix[i2])
+        c = int(prefix[i2 - lo])
         pairs_total += c
         if d2 == 1:
             pairs_excluded += c
@@ -816,7 +910,7 @@ def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
     # depend on the bit order, and in increasing prime order the primes that
     # divide the most D2 take the bits of the kernel's direct rows.
     pattern = tuple(sorted(pattern))
-    n = max(hi, int(ctx.prefix[lo])) if lo < hi else 0
+    n = max(hi, ctx.pair_count(lo, lo + 1)) if lo < hi else 0
     chis = [_column(ctx, p, n) for p, _ in pattern]
     _, matched = _pair_sums(
         ctx,
@@ -825,7 +919,7 @@ def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
         partial(_pattern_d1, chis, pattern),
         (),
     )
-    return int(ctx.prefix[lo:hi].sum()), matched
+    return ctx.pair_count(lo, hi), matched
 
 
 def density_lt(
@@ -867,7 +961,7 @@ def pair_count_check(x: int, ctx: ScanContext | None = None) -> CountReport:
         raise ValueError(f"x must be >= 2 so the log x reference is nonzero, got {x}")
     ctx = _context(x, ctx)
     # iterate D1, prefix-count the admissible D2 range
-    observed = int(ctx.prefix.sum())
+    observed = ctx.pair_count(0, len(ctx.nvals))
     zeta2 = float((ZETA2_LO + ZETA2_HI) / 2)
     reference = x * log(x) / zeta2**2
     return CountReport(x=x, observed=observed, reference=reference, ratio=observed / reference)

@@ -940,6 +940,22 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--lemma", "2", "--lemma", "3"],
+        ["--pollack", "2", "--lt", "2:+1", "--pollack", "3"],
+        ["--lt", "2:+1", "--lt", "3:0"],
+    ])
+    def test_a_repeated_density_option_is_refused(self, monkeypatch, capsys, argv):
+        # a second --lemma, --pollack or --lt replaced the first unseen
+        def fail(args):
+            raise AssertionError("a handler ran for a refused command line")
+
+        monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, fail))
+        with pytest.raises(SystemExit) as exc:
+            main(["densities", "--x", "1000", *argv])
+        assert exc.value.code == 1
+        assert f"error: {argv[-2]} given more than once" in capsys.readouterr().err
+
     def test_verify_refuses_quick(self):
         # verify runs every criterion; its former --quick is a usage error
         proc = run_module(["verify", "--quick"])
@@ -1038,7 +1054,8 @@ class TestContextDigestTool:
         def altered(x):
             ctx = real(x)
             if x == 50:
-                column = getattr(ctx, part)
+                # ctx.qmask is built on each access: alter the byte it is built from
+                column = getattr(ctx, "qbyte" if part == "qmask" else part)
                 (column[2] if part == "chi" else column)[-1] ^= 1
             return ctx
 
@@ -1070,8 +1087,8 @@ class TestPeakRssTool:
 
 class TestKernelTimeTool:
     """tools/kernel_time.py times build_context and both pair kernels on one
-    context and prints their medians with the kernels' results, and each
-    kernel's tracemalloc peak."""
+    context and prints their medians and quartiles with the kernels' results,
+    and each kernel's tracemalloc peak."""
 
     TOOL = Path(__file__).resolve().parents[1] / "tools" / "kernel_time.py"
 
@@ -1081,7 +1098,7 @@ class TestKernelTimeTool:
         head, *lines = proc.stdout.splitlines()
         ctx = experiments.build_context(2000)
         assert head == f"x 2000  N {len(ctx.entries)}  repeat 2"
-        num = r"median (\S+) s  min (\S+)  max (\S+)"
+        num = r"median (\S+) s  q1 (\S+)  q3 (\S+)"
         peak = r"  peak (\d+\.\d\d) MiB"
         pairs = int(ctx.prefix.sum())
         sum_eta = experiments._scan_chunk(ctx, (0, len(ctx.entries)))[2]
@@ -1101,10 +1118,15 @@ class TestKernelTimeTool:
         for line, (name, mem, result) in zip(lines, expected):
             m = re.fullmatch(re.escape(name) + r" +" + num + mem + "  -> " + re.escape(result), line)
             assert m, line
-            median, low, high = map(float, m.groups()[:3])
-            assert 0 <= low <= median <= high
+            median, q1, q3 = map(float, m.groups()[:3])
+            assert 0 <= q1 <= median <= q3
             # a kernel allocates something, and at x = 2000 far below a MiB
             assert mem == "" or 0 < float(m.group(4)) < 1
+
+    def test_default_is_31_calls(self):
+        proc = run_python([str(self.TOOL), "100"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0].endswith("  repeat 31")
 
     @pytest.mark.parametrize("args", [["0"], ["1.5"], ["100", "--repeat", "0"], ["100", "--lt", "4:+1"],
                                       ["inf"], ["3e9"]])

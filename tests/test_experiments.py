@@ -135,15 +135,19 @@ class TestContext:
         ]
         assert ctx.chi[3] is stored and 1009 not in ctx.chi
 
-    def test_context_is_frozen_at_seven_fields(self):
+    def test_context_is_frozen_at_eight_fields(self):
         ctx = build_context(100)
         assert [f.name for f in fields(ctx)] == [
-            "x", "table", "nvals", "prefix", "qmask", "cache_primes", "chi",
+            "x", "table", "nvals", "runs", "qbyte", "qhigh", "cache_primes", "chi",
         ]
         with pytest.raises(FrozenInstanceError):
             ctx.chi = {}
         with pytest.raises(FrozenInstanceError):
             ctx.x = 1
+        # prefix and qmask are built on each access, never set
+        assert ctx.prefix is not ctx.prefix and ctx.qmask is not ctx.qmask
+        with pytest.raises(FrozenInstanceError):
+            ctx.prefix = ctx.prefix
         # read, never set: the two always-empty mappings are class attributes
         assert dict(ctx.negcum) == dict(ctx.eqcum) == {}
         with pytest.raises(TypeError):
@@ -302,6 +306,103 @@ class TestSlicedPasses:
         assert (density_pollack(2000, 6, ctx), average_nd(2000, ctx)) == whole
 
 
+def reference_prefix(ctx):
+    """#{D1 : |D1| <= x // |D2|} for every entry, by binary search on |D|."""
+    a = np.abs(ctx.entries.astype(np.int64))
+    return np.searchsorted(a, ctx.x // a, side="right")
+
+
+def check_readers(ctx, prefix, qmask, ranges):
+    """The slice readers of ctx against the whole-table prefix and qmask on
+    each range [a, b)."""
+    for a, b in ranges:
+        assert np.array_equal(ctx.prefix_slice(a, b), prefix[a:b]), (ctx.x, a, b)
+        assert ctx.prefix_slice(a, b).dtype == np.int32
+        assert ctx.pair_count(a, b) == int(prefix[a:b].sum()), (ctx.x, a, b)
+        q = ctx.qmask_slice(a, b)
+        assert q.dtype == np.uint32 and np.array_equal(q, qmask[a:b]), (ctx.x, a, b)
+
+
+class TestSliceReaders:
+    """prefix is stored as runs and the qmask as one byte plus the sorted
+    exceptions; the slice readers equal the whole-table arrays."""
+
+    def test_every_x_to_3000(self):
+        # the slices of a tiling of each table, about 8 of a width that moves
+        # with x, plus the empty and the whole range, and at every tenth x the
+        # two entries around each run end; the references are the definitions
+        for x in range(1, 3001):
+            ctx = build_context(x)
+            n = len(ctx.entries)
+            prefix, qmask = reference_prefix(ctx), experiments._signs(ctx.entries)[1]
+            assert np.array_equal(ctx.prefix, prefix) and np.array_equal(ctx.qmask, qmask), x
+            width = n // 8 + 1 + x % 5
+            ranges = [(a, min(n, a + width)) for a in range(0, n, width)]
+            ranges += [(0, n), (n // 2, n // 2)]
+            if x % 10 == 0:
+                ranges += [(int(e) - 1, int(e) + 1) for e in ctx.runs[1][:-1]]
+            check_readers(ctx, prefix, qmask, ranges)
+            # runs: increasing ends up to n, decreasing values (no empty run, no
+            # two equal neighbours); the byte flags the exceptions and only them
+            values, ends = ctx.runs
+            assert ends[-1] == n and (np.diff(ends) > 0).all() and (np.diff(values) < 0).all()
+            at, masks = ctx.qhigh
+            assert np.array_equal(at, np.flatnonzero(qmask >= 64)) and np.array_equal(masks, qmask[at])
+            assert np.array_equal(ctx.qbyte, np.minimum(qmask, 64))
+
+    def test_ranges_at_1e6(self):
+        # ranges straddling r', the kernels' slice edges, run ends and
+        # exception positions
+        ctx = build_context(10**6)
+        n = len(ctx.entries)
+        r = _split(ctx)
+        prefix, qmask = ctx.prefix, ctx.qmask
+        assert np.array_equal(prefix, reference_prefix(ctx))
+        assert np.array_equal(qmask, experiments._signs(ctx.entries)[1])
+        rng = random.Random(24)
+        ends = ctx.runs[1]
+        at = ctx.qhigh[0]
+        ranges = [(r - 1, r + 1), (r - 9, r + experiments._SLICE + 9), (0, r), (r, n), (0, n),
+                  (n - 1, n), (n, n)]
+        ranges += [(a, a + experiments._SLICE) for a in range(r, n - experiments._SLICE, 37_003)]
+        for e in (int(e) for e in rng.sample(list(ends[:-1]), 50)):
+            ranges += [(e - 1, e + 1), (e - 3, e), (e, e + 2), (e, e + 1)]
+        for p in (int(p) for p in [*at[:5], *rng.sample(list(at), 50), *at[-5:]]):
+            ranges += [(p, p + 1), (p - 2, p + 3), (p - 1, p), (p + 1, min(n, p + 700))]
+        check_readers(ctx, prefix, qmask, ranges)
+
+    @pytest.mark.parametrize("x", [3000, 100_000])
+    def test_no_engine_reads_the_whole_table(self, monkeypatch, x):
+        # every engine reads prefix and qmask a slice at a time: with the
+        # whole-table properties raising, each gives the unpatched result
+        def engines(ctx):
+            r, n = _split(ctx), len(ctx.entries)
+            pattern = ((2, 1), (3, -1), (5, 0))
+            return [
+                scan_pairs(x, ctx=ctx, k_terms=120),
+                [experiments._lt_chunk(ctx, pattern, b) for b in ((0, r + 1), (r - 3, n), (r - 1, r + 9))],
+                density_lt(x, pattern, ctx),
+                density_lemma(x, 3, ctx),
+                density_lt(x, [(3, -1), (7, 1)], ctx),  # reads the lemma's stored column
+                density_pollack(x, 4, ctx),
+                average_nd(x, ctx),
+                pair_count_check(x, ctx),
+                decomposition_audit(x, ctx),
+            ]
+
+        want = engines(build_context(x))
+
+        def whole_table(ctx):
+            raise AssertionError("an engine read a whole-table property")
+
+        monkeypatch.setattr(experiments.ScanContext, "prefix", property(whole_table))
+        monkeypatch.setattr(experiments.ScanContext, "qmask", property(whole_table))
+        ctx = build_context(x)
+        with pytest.raises(AssertionError, match="whole-table"):
+            ctx.prefix
+        assert engines(ctx) == want
+
+
 class TestPeakMemory:
     """No pass over the 1e6 table allocates a temporary as long as the table."""
 
@@ -320,10 +421,16 @@ class TestPeakMemory:
 
     def test_build_context_peaks_at_its_context(self):
         # an N-length sign pass peaked at twice the context (19.7 against 10.1 MiB);
-        # |D| is derived, so only the stored arrays count
+        # |D|, prefix and the full qmask are derived, so only the stored parts
+        # count: 3.95 MB, against 8.16 MB when prefix and qmask were stored
         peak, ctx = self.peak(lambda: build_context(10**6))
-        arrays = (ctx.entries, ctx.nvals, ctx.prefix, ctx.qmask, *ctx.chi.values())
-        assert peak <= sum(a.nbytes for a in arrays) + 2 * 10**6
+        n, r = len(ctx.entries), _split(ctx)
+        arrays = (ctx.entries, ctx.nvals, ctx.qbyte, *ctx.runs, *ctx.qhigh)
+        stored = sum(a.nbytes for a in arrays)
+        # six bytes an entry (entries, nvals, the qmask byte), plus the runs
+        # (O(r' + isqrt(x)), 1,066 at 1e6) and the exceptions (2,316 at 1e6)
+        assert stored <= 6 * n + 100 * r
+        assert peak <= stored + sum(a.nbytes for a in ctx.chi.values()) + 2 * 10**6
 
     # density_pollack counts one slice at a time in intp; average_nd sums in place
     @pytest.mark.parametrize("engine, bytes_per_entry", [
@@ -394,7 +501,7 @@ class TestPairKernel:
             for i in range(int(top.prefix[j])):
                 pair = SimpleNamespace(
                     x=top.x, entries=top.entries[[i, j]], nvals=top.nvals[[i, j]],
-                    prefix=np.array([0, 1]),
+                    prefix_slice=lambda a, b: np.array([0, 1])[a:b],
                 )
                 by_product[abs(d[i] * d[j])] += _audit_totals(pair, (1, 2))
         expected = by_product.cumsum(axis=0)

@@ -1,21 +1,23 @@
 """In-process medians of the context build and of the two pair kernels.
 
-    python tools/kernel_time.py X [--lt P:S,...] [--repeat 5]
+    python tools/kernel_time.py X [--lt P:S,...] [--repeat 31]
 
 Imports `eta_lab` from the `src` directory of the checkout holding this file.
 Times `build_context(X)` --repeat times, keeping one context alive at a time,
 then on the last context times the whole-table scan kernel (`_scan_chunk`)
 and the sign-pattern kernel (`_lt_chunk`) for the pattern of --lt (default
-2:+1,3:-1), --repeat times each. Prints the median, minimum and maximum of
-each in seconds, with X, the table size N and the kernels' results, so two
-checkouts can be compared on the same numbers. For each kernel it also prints
-the tracemalloc peak of one more, untimed call, in MiB (2^20 bytes): what the
-kernel allocates above the context. Last, from the context, it prints how many
-D2 take each path of the scan kernel: below r' (the long-prefix walk), the
-direct rows (qmask below 64) and the high rows, with the number of distinct
-high qmasks, one row each. X may be written as 1e7; it is refused, as
-`--x` is, above MAX_X or where the CLI's memory estimate exceeds the memory
-available.
+2:+1,3:-1), --repeat times each. Prints the median and the first and third
+quartiles (inclusive method) of each in seconds, with X, the table size N
+and the kernels' results, so two checkouts can be compared on the same
+numbers; the quartiles show whether two medians differ by more than the
+calls' spread. For each kernel it also prints the tracemalloc peak of one
+more, untimed call, in MiB (2^20 bytes): what the kernel allocates above the
+context. Last, from the context's prefix runs and qmask exceptions, it prints
+how many D2 take each path of the scan kernel: below r' (the long-prefix
+walk), the direct rows (qmask below 64) and the high rows, with the number of
+distinct high qmasks, one row each. X may be written as 1e7; it is refused,
+as `--x` is, above MAX_X or where the CLI's memory estimate exceeds the
+memory available.
 """
 
 from __future__ import annotations
@@ -74,15 +76,16 @@ def _peak_mib(fn) -> float:
 
 def _line(name: str, times: list[float], result, peak: float | None = None) -> str:
     mem = "" if peak is None else f"  peak {peak:.2f} MiB"
+    q1, q3 = statistics.quantiles(times, n=4, method="inclusive")[::2] if len(times) > 1 else times * 2
     return (f"{name:<16} median {statistics.median(times):.4f} s  "
-            f"min {min(times):.4f}  max {max(times):.4f}{mem}  -> {result}")
+            f"q1 {q1:.4f}  q3 {q3:.4f}{mem}  -> {result}")
 
 
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(prog="kernel_time.py", description=__doc__.splitlines()[0])
     p.add_argument("x", type=_bound, metavar="X")
     p.add_argument("--lt", default="2:+1,3:-1", metavar="P:S,...")
-    p.add_argument("--repeat", type=int, default=5)
+    p.add_argument("--repeat", type=int, default=31)
     args = p.parse_args(argv)
     if args.repeat < 1:
         p.error("--repeat must be >= 1")
@@ -94,7 +97,7 @@ def main(argv: list[str]) -> int:
     ctx, times = _timed(lambda: experiments.build_context(args.x), args.repeat)
     whole = (0, len(ctx.entries))
     print(f"x {args.x}  N {len(ctx.entries)}  repeat {args.repeat}")
-    print(_line("build_context", times, f"{int(ctx.prefix.sum())} pairs"))
+    print(_line("build_context", times, f"{ctx.pair_count(*whole)} pairs"))
     scan_kernel = partial(experiments._scan_chunk, ctx, whole)
     scan, times = _timed(scan_kernel, args.repeat)
     print(_line("scan kernel", times, f"sum eta {scan[2]}", _peak_mib(scan_kernel)))
@@ -103,9 +106,9 @@ def main(argv: list[str]) -> int:
     print(_line("pattern kernel", times, f"{lt[1]} matched, {len(pattern)} pattern primes",
                 _peak_mib(lt_kernel)))
     split = ctx.table.count_upto(isqrt(args.x))
-    big = ctx.qmask[split:]
-    high = big[big >= experiments._DIRECT_ROWS]
-    print(f"scan paths       below r' {split}  direct {len(big) - len(high)}  "
+    at, masks = ctx.qhigh  # the D with a qmask >= 64, by position
+    high = masks[at >= split]
+    print(f"scan paths       below r' {split}  direct {len(ctx.entries) - split - len(high)}  "
           f"high {len(high)} ({len(set(high.tolist()))} signatures)")
     return 0
 
