@@ -17,24 +17,23 @@ independent engines cover the pair statistics:
                     a definitional engine: every pair's eta is rescanned
                     prime by prime straight from the sign rule.
 
-The pair kernel splits the D2 at r', the number of D with |D| <= isqrt(x),
-as in Dirichlet's hyperbola method. The few D2 below r' have long D1
-prefixes: each of their signatures walks its longest prefix once, slice by
-slice, and each D2 reads its running total there. Every D2 from r' on has
-|D2| > isqrt(x) and so a prefix of at most r' D1: one walk over these D2 in
-fixed-size slices reads each at column prefix of its signature's cumulative
-row over the first r' D1. The rows of the 64 signatures of bits 0..5 alone
-are built before the walk (99.6% of these D2 at 1e6 and 1e7) and held
-transposed, so that the D2 of one slice, whose prefixes span a few runs,
-read a few columns of 64 cells. The D2 of a
-higher signature are kept, and after the walk read the rows of the distinct
-kept signatures as each block of them is built, so that no table of them all
-is held. The kept D2 are the one kernel temporary that grows with the table,
-0.38% of it at 1e6, 1e7 and 1e8. The sign-pattern count (density_lt) is the
-same kernel with the pattern primes dividing D2 as the signature, in
-increasing prime order, so that the primes dividing the most D2 take the
-direct rows, the D1 mask marking the pattern primes where chi_{D1} misses
-its wanted sign, and a pair matching where the AND is empty.
+The pair kernel reads each D2 once, on one of two paths. Its direct table
+holds the cumulative cells of the 64 signatures of bits 0..5 over the first
+r' D1, r' the number of D with |D| <= isqrt(x) (as in Dirichlet's hyperbola
+method), transposed so that the D2 of one slice, whose prefixes span a few
+runs, read a few rows of 64 cells. One walk over the D2 in fixed-size slices
+reads it for each D2 of such a signature with a prefix of at most r': 99.5%
+of the table at 1e6, 99.6% at 1e7. Every other D2 is kept: the leading runs
+of prefixes above r', and the higher signatures. After the walk the kept
+signatures, longest prefix first, are cut into blocks of rows; each block
+walks D1 over its longest prefix, and each of its D2 reads its running total
+at its own prefix. No table of all kept rows is held: the kept D2 are the
+one kernel temporary that grows with the table, 0.41% of it at 1e7. The
+sign-pattern count (density_lt) is the same kernel with the pattern primes
+dividing D2 as the signature, in increasing prime order, so that the primes
+dividing the most D2 take the direct table's bits, the D1 mask marking the
+pattern primes where chi_{D1} misses its wanted sign, and a pair matching
+where the AND is empty.
 
 Both engines read n(D) (the first p with chi_D(p) = -1) and the qmask
 bits (chi = 0, i.e. p | D, below n(D)) from one function, _signs, run on
@@ -283,7 +282,7 @@ def _signs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Signatures below this, of the wheel primes' bits 0..5 alone, each have a row
-# of the big side's direct table, whether they occur or not. It is also the
+# of the pair kernel's direct table, whether they occur or not. It is also the
 # context's one-byte qmask's flag for a qmask with a higher bit.
 _DIRECT_ROWS = 1 << len(_WHEEL_PRIMES)
 
@@ -480,8 +479,9 @@ def _column(ctx: ScanContext, p: int, n: int) -> np.ndarray:
 # scan_pairs: optimized eta aggregation
 # ---------------------------------------------------------------------------
 
-# D2 per slice of a kernel's walk over the table, D1 per slice of a long
-# prefix, and about the cells per block of the big side's cumulative rows.
+# D2 per slice of the pair kernel's walk over the table, and the cells per D1
+# slice of each of its blocks of rows: a block of k rows walks _SLICE // k D1
+# at a time.
 _SLICE = 1 << 14
 
 
@@ -490,23 +490,7 @@ def _cells(t: np.ndarray, lookup: np.ndarray) -> np.ndarray:
     t is 0."""
     low = t & -t
     low -= 1  # 2^b - 1 has b bits set; 0 wraps to 32 set bits
-    return lookup[np.bitwise_count(low)]
-
-
-def _prefix_totals(cells, ends: np.ndarray) -> np.ndarray:
-    """For each of the non-decreasing positive ends e, the sum of cells(u, v)
-    over D1 [0, e), walking D1 one slice at a time."""
-    out = np.empty(len(ends), dtype=np.int64)
-    total = done = 0
-    last = int(ends[-1])
-    for u in range(0, last, _SLICE):
-        v = min(u + _SLICE, last)
-        cum = np.cumsum(cells(u, v))
-        k = int(np.searchsorted(ends, v, side="right"))
-        out[done:k] = total + cum[ends[done:k] - u - 1]
-        total += int(cum[-1])
-        done = k
-    return out
+    return np.take(lookup, np.bitwise_count(low))
 
 
 def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int, int]:
@@ -520,16 +504,21 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
     misses). A D2 of signature 0 has only misses. d2_side is asked for each
     D2 once.
 
-    The D2 split at r' (see the module docstring). From r' on, a D2 of
-    signature s < _DIRECT_ROWS reads row s of the direct table at column
-    prefix; the others keep (s, prefix, w) and, after the walk, read the
-    rows of their distinct signatures a block at a time. A cell packs a hit
+    A D2 of signature s < _DIRECT_ROWS and prefix at most r' reads cell
+    (prefix, s) of the direct table; every other D2 is kept, and read after
+    the walk by blocks of rows (see the module docstring). A cell packs a hit
     as its value << 32 and a miss as 1. The hits over one D2's prefix are at
     most prefix * |D2| <= x < 2^31, since every value divides D2, so neither
     field overflows.
     """
     lo, hi = bounds
-    split = ctx.table.count_upto(isqrt(ctx.x))
+    if lo >= hi:
+        return 0, 0
+    width = ctx.table.count_upto(isqrt(ctx.x))  # r'
+    # prefix does not increase along the table: the D2 whose prefix exceeds
+    # r' are its leading runs
+    run_values, ends = ctx.runs
+    lead = int(np.diff(ends, prepend=0)[run_values > width].sum())
     lookup = np.zeros(33, dtype=np.int64)
     lookup[: len(values)] = np.array(values, dtype=np.int64) << 32
     lookup[32] = 1
@@ -542,61 +531,70 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
         packed &= 0xFFFFFFFF
         misses += int(np.dot(packed, w))
 
-    mid = min(hi, split)
-    if lo < mid:
-        sig, w = d2_side(lo, mid)
-        c = ctx.prefix_slice(lo, mid)
-        plain = sig == 0
-        misses += int(np.dot(c[plain], w[plain].astype(np.int64)))
-        # a set: np.unique without return_inverse imports numpy.ma (10-15 ms, 1 MiB)
-        for s in set(sig[~plain].tolist()):
-            grp = sig == s
-            # prefixes do not increase along the table: reversed, they are the ends
-            ends = c[grp][::-1]
-            tally(_prefix_totals(lambda u, v: _cells(d1_side(s, u, v) & s, lookup), ends),
-                  w[grp][::-1])
+    def walk(sigs: np.ndarray, n: int):
+        """Yield (u, v, sums) for D1 [0, n) in slices of _SLICE // len(sigs):
+        sums[i, j] sums the cells of signature sigs[i] over D1 [0, u + j], so
+        a D2 of prefix p in (u, v] reads sums[:, p - u - 1]."""
+        bits = int(np.bitwise_or.reduce(sigs))
+        step = _SLICE // len(sigs)
+        total = np.zeros(len(sigs), dtype=np.int64)
+        for u in range(0, n, step):
+            v = min(u + step, n)
+            cells = _cells(d1_side(bits, u, v) & sigs[:, None], lookup)
+            cells[:, 0] += total
+            np.cumsum(cells, axis=1, out=cells)
+            total = cells[:, -1]
+            yield u, v, cells
 
-    start = max(lo, split)
-    if start < hi:
-        width = split + 1
-        step = max(1, _SLICE // width)
+    # transposed, cell (j, s) at j * _DIRECT_ROWS + s: a slice's prefixes
+    # span a few runs, so its D2 read a few rows of 64 cells
+    direct = np.zeros((width + 1, _DIRECT_ROWS), dtype=np.int64)
+    for u, v, sums in walk(np.arange(_DIRECT_ROWS, dtype=np.uint32), width):
+        direct[u + 1 : v + 1] = sums.T
+    direct = direct.ravel()
+    kept = []
+    for a in range(lo, hi, _SLICE):
+        b = min(a + _SLICE, hi)
+        sig, w = d2_side(a, b)
+        n = max(0, min(lead, b) - a)  # the slice's D2 in the leading runs
+        keep = np.concatenate((np.arange(n), n + np.flatnonzero(sig[n:] >= _DIRECT_ROWS)))
+        run_values, lengths = ctx.runs_in(a, b)
+        at = np.repeat(run_values.astype(np.intp) * _DIRECT_ROWS, lengths)
+        kept.append((sig[keep], at[keep] // _DIRECT_ROWS, w[keep]))
+        at += sig
+        at[keep] = 0  # cell 0, over D1 [0, 0), is 0: these D2 are read after the walk
+        tally(direct[at], w)
+    del direct
 
-        def rows(sigs: np.ndarray):
-            """Yield (r, block) for each block of step cumulative rows of sigs
-            from row r on, flat: column j of row i sums the cells of sigs[i]
-            over D1 [0, j)."""
-            t = d1_side(int(np.bitwise_or.reduce(sigs)), 0, split)
-            for r in range(0, len(sigs), step):
-                part = sigs[r : r + step, None]
-                block = np.zeros((len(part), width), dtype=np.int64)
-                np.cumsum(_cells(t & part, lookup), axis=1, out=block[:, 1:])
-                yield r, block.ravel()
-
-        # transposed, cell (j, s) at j * _DIRECT_ROWS + s: a slice's prefixes
-        # span a few runs, so its D2 read a few columns of 64 cells
-        direct = np.concatenate([block for _, block in rows(np.arange(_DIRECT_ROWS, dtype=np.uint32))])
-        direct = direct.reshape(_DIRECT_ROWS, width).T.ravel()
-        high = []
-        for a in range(start, hi, _SLICE):
-            b = min(a + _SLICE, hi)
-            sig, w = d2_side(a, b)
-            values, lengths = ctx.runs_in(a, b)
-            at = np.repeat(values.astype(np.intp) * _DIRECT_ROWS, lengths)
-            up = np.flatnonzero(sig >= _DIRECT_ROWS)
-            high.append((sig[up], at[up] // _DIRECT_ROWS, w[up]))
-            at += sig
-            at[up] = 0  # cell 0, column 0 of row 0, is 0: these D2 read their rows later
-            tally(direct[at], w)
-        # sorted by their cell, the high D2 read each block of the high rows as
-        # it is built: no table of all high rows is held
-        sig, prefix, w = map(np.concatenate, zip(*high))
-        sigs, at = np.unique(sig, return_inverse=True)
-        at = at * width + prefix
-        order = np.argsort(at)
-        at, w = at[order], w[order]
-        cuts = np.searchsorted(at, np.arange(step, len(sigs), step) * width)
-        for (r, block), cells, wt in zip(rows(sigs), np.split(at, cuts), np.split(w, cuts)):
-            tally(block[cells - r * width], wt)
+    sig, prefix, w = map(np.concatenate, zip(*kept))
+    plain = sig == 0  # only misses
+    misses += int(np.dot(prefix[plain], w[plain].astype(np.int64)))
+    sig, prefix, w = (col[~plain] for col in (sig, prefix, w))
+    # the kept signatures, longest prefix first: the kept D2 are in table
+    # order, so a signature's first D2 has its longest prefix
+    sigs, first, row = np.unique(sig, return_index=True, return_inverse=True)
+    by = np.argsort(-prefix[first], kind="stable")
+    sigs, longest = sigs[by], prefix[first[by]]
+    row = np.argsort(by)[row]  # each kept D2's row, its signature's place in sigs
+    starts = [0]  # the first row of each block, then len(sigs)
+    while starts[-1] < len(sigs):
+        rows = _SLICE // min(int(longest[starts[-1]]), _SLICE)
+        starts.append(min(starts[-1] + rows, len(sigs)))
+    starts = np.array(starts)
+    # the D2 of each block, by the block's first row, sorted by prefix
+    block = starts[np.searchsorted(starts, row, side="right") - 1]
+    order = np.lexsort((prefix, block))
+    cuts = np.searchsorted(block[order], starts)
+    for g, h, c, d in zip(starts, starts[1:], cuts, cuts[1:]):
+        mine = order[c:d]
+        p, r = prefix[mine], row[mine] - g
+        out = np.empty(len(mine), dtype=np.int64)
+        done = 0
+        for u, v, sums in walk(sigs[g:h], int(longest[g])):
+            k = int(np.searchsorted(p, v, side="right"))
+            out[done:k] = sums[r[done:k], p[done:k] - u - 1]
+            done = k
+        tally(out, w[mine])
     return hits, misses
 
 
@@ -908,7 +906,7 @@ def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
     # The columns cover the D2 in bounds and their D1 prefixes; a stored one
     # that covers them is read, and none is stored. The count does not
     # depend on the bit order, and in increasing prime order the primes that
-    # divide the most D2 take the bits of the kernel's direct rows.
+    # divide the most D2 take the bits of the kernel's direct table.
     pattern = tuple(sorted(pattern))
     n = max(hi, ctx.pair_count(lo, lo + 1)) if lo < hi else 0
     chis = [_column(ctx, p, n) for p, _ in pattern]

@@ -1108,11 +1108,14 @@ class TestKernelTimeTool:
             ("scan kernel", peak, f"sum eta {sum_eta}"),
             ("pattern kernel", peak, f"{matched} matched, 2 pattern primes"),
         ]
+        # a D2 reads the direct table where its qmask is below 64 and its
+        # prefix at most r'; the others are kept, one row per nonzero qmask
         split = ctx.table.count_upto(44)  # isqrt(2000)
-        high = ctx.qmask[split:][ctx.qmask[split:] >= 64]
-        assert len(high) and lines.pop() == (
-            f"scan paths       below r' {split}  direct {len(ctx.entries) - split - len(high)}  "
-            f"high {len(high)} ({len(set(high.tolist()))} signatures)"
+        kept = (ctx.prefix > split) | (ctx.qmask >= 64)
+        sigs = set(ctx.qmask[kept].tolist()) - {0}
+        assert (ctx.qmask[ctx.prefix <= split] >= 64).any() and lines.pop() == (
+            f"scan paths       direct {len(ctx.entries) - kept.sum()}  "
+            f"kept {kept.sum()} ({len(sigs)} signatures)"
         )
         assert len(lines) == len(expected)
         for line, (name, mem, result) in zip(lines, expected):

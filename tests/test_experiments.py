@@ -441,6 +441,20 @@ class TestPeakMemory:
         engine(ctx6)  # the reference constants are computed once per process
         assert self.peak(lambda: engine(ctx6))[0] < bytes_per_entry * len(ctx6.entries)
 
+    def test_scan_kernel_peaks_at_its_direct_table_and_kept_d2(self, ctx6):
+        # the one kernel temporary that grows with the table is the kept D2:
+        # those in the leading runs (prefix above r') and those with a qmask
+        # from 64 on, 16 bytes each. Besides them the kernel holds the direct
+        # table, 64 int64 cells for each of the r' + 1 prefixes, and per
+        # slice of D2 or of D1 cells at most six int64 arrays of _SLICE
+        # entries. 0.84 MiB at 1e6, against 1.09 MiB for this bound.
+        r = _split(ctx6)
+        kept = int(np.count_nonzero((ctx6.prefix > r) | (ctx6.qmask >= experiments._DIRECT_ROWS)))
+        bound = 8 * experiments._DIRECT_ROWS * (r + 1) + 16 * kept + 6 * 8 * experiments._SLICE
+        whole = (0, len(ctx6.entries))
+        experiments._scan_chunk(ctx6, whole)  # a first call pays the one-time allocations
+        assert self.peak(lambda: experiments._scan_chunk(ctx6, whole))[0] < bound
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_density_lemma_peaks_at_its_column_plus_one_slice(self, ctx6, p):
         ctx = build_context(10**6)  # a context without a cached column at p
@@ -478,7 +492,8 @@ class TestScanPairs:
 
 
 def _split(ctx) -> int:
-    """r': the number of D with |D| <= isqrt(x), where the pair kernels split."""
+    """r': the number of D with |D| <= isqrt(x), the D1 of the pair kernel's
+    direct table; past about r' D2, every prefix is at most r'."""
     return ctx.table.count_upto(isqrt(ctx.x))
 
 
@@ -488,7 +503,8 @@ def _audit_totals(ctx, bounds):
 
 
 class TestPairKernel:
-    """_scan_chunk against the definitional audit, around the split at r'."""
+    """_scan_chunk against the definitional audit, around r', where the D2
+    that read the direct table begin."""
 
     def test_every_x_to_3000_matches_the_audit(self):
         # the audit rescans each pair with |D1*D2| <= 3000 once, as a table
@@ -505,9 +521,9 @@ class TestPairKernel:
                 )
                 by_product[abs(d[i] * d[j])] += _audit_totals(pair, (1, 2))
         expected = by_product.cumsum(axis=0)
-        # the range reaches both kinds of the big side's cumulative rows: at
-        # x = 3000, 9 D2 past r' have a qmask >= 64 and read a high row, from
-        # D2 = -920 = -8 * 5 * 23 on; every other D2 reads direct row qmask
+        # the range reaches both paths of the kernel past r': at x = 3000, 9
+        # D2 there have a qmask >= 64 and are kept, from D2 = -920 = -8 * 5 *
+        # 23 on; every other D2 there reads the direct table at its qmask
         ranked = np.flatnonzero(top.qmask[_split(top):] >= experiments._DIRECT_ROWS)
         assert len(ranked) == 9 and top.entries[_split(top) + ranked[0]] == -920
         for x in range(1, 3001):
@@ -523,13 +539,19 @@ class TestPairKernel:
         for lo, hi in ((0, r), (r, n), (0, r + 1), (r - 1, r + 1), (max(1, r - 7), min(n, r + 9))):
             got = experiments._scan_chunk(ctx, (lo, hi))
             assert got == _audit_totals(ctx, (lo, hi)), (lo, hi)
+        # empty ranges sum to zero, also for a pattern prime with no stored
+        # column, whose column over no D2 is empty
+        assert 1009 not in ctx.chi
+        for a in (0, r, n):
+            assert experiments._scan_chunk(ctx, (a, a)) == _audit_totals(ctx, (a, a)) == (0, 0, 0), a
+            assert experiments._lt_chunk(ctx, ((1009, 1),), (a, a)) == (0, 0), a
 
     @pytest.mark.parametrize("x", [3000, 100_000])
     def test_direct_and_ranked_rows_match_the_audit(self, x):
-        # a big-side D2 whose qmask is below 64 reads direct row qmask; the
-        # others read high rows, one per distinct qmask they carry, after the
-        # walk. Ranges straddling r' with only direct rows and with both; high
-        # rows alone, single D2.
+        # a D2 past r' whose qmask is below 64 reads the direct table at its
+        # qmask; the others are kept and read the rows of their distinct
+        # qmasks after the walk. Ranges straddling r' with only direct reads
+        # past r' and with both; kept D2 alone, single D2.
         ctx = build_context(x)
         r = _split(ctx)
         ranked = r + np.flatnonzero(ctx.qmask[r:] >= experiments._DIRECT_ROWS)
@@ -549,8 +571,8 @@ class TestPairKernel:
     @pytest.mark.parametrize("x", [3000, 100_000])
     def test_each_d2_is_read_once(self, x):
         # _pair_sums asks d2_side for each D2 once: the ranges it asks for
-        # tile the bounds, for the scan and for a pattern whose big side
-        # carries signatures from 64 on
+        # tile the bounds, for the scan and for a pattern whose D2 past r'
+        # carry signatures from 64 on
         ctx = build_context(x)
         r, n = _split(ctx), len(ctx.entries)
         primes = sieve_primes(23)  # nine primes: 17, 19 and 23 take bits 6..8
@@ -577,15 +599,29 @@ class TestPairKernel:
                 starts, ends = [a for a, _ in asked], [b for _, b in asked]
                 assert (starts[0], ends[-1]) == bounds and starts[1:] == ends[:-1], (kind, bounds, asked)
 
-    @pytest.mark.parametrize("x", [3000, 100_000])
-    def test_small_slices_match_the_audit(self, monkeypatch, x):
-        # with 64-entry slices every walk takes many slices, and each block of
-        # high rows holds one row, so that block edges fall between the high
-        # D2; a pattern in decreasing prime order gives 2 the high bit 6, and
-        # so gives the most big-side D2 a high signature
-        monkeypatch.setattr(experiments, "_SLICE", 64)
+    @pytest.mark.parametrize("x, size", [
+        pytest.param(3000, 64, id="3000"),
+        pytest.param(100_000, 64, id="100000"),
+        pytest.param(100_000, 1024, id="100000-slice-1024"),
+    ])
+    def test_small_slices_match_the_audit(self, monkeypatch, x, size):
+        # the kept signatures are cut into blocks of _SLICE // (longest
+        # prefix) rows, at least one. With 64-entry slices the walks take
+        # many slices, and a block holds one row until the longest prefixes
+        # fall to 32, so that block edges fall between the kept D2. With 1024
+        # at 1e5 a kept signature from the leading runs walks several D1
+        # slices alone, while the signatures past r' (prefixes of at most
+        # r' = 196) fill blocks of 5 rows read in one slice, more than one
+        # block of them. A pattern in decreasing prime order gives 2 the high
+        # bit 6, and so gives the most D2 a signature from 64 on.
+        monkeypatch.setattr(experiments, "_SLICE", size)
         ctx = build_context(x)
         r, n = _split(ctx), len(ctx.entries)
+        prefix, qmask = ctx.prefix, ctx.qmask
+        lead = int(np.count_nonzero(prefix > r))  # the leading D2, all kept
+        longest = prefix[np.flatnonzero(qmask[:lead])[0]]
+        high = set(qmask[lead : r + 2000][qmask[lead : r + 2000] >= experiments._DIRECT_ROWS].tolist())
+        assert longest > size and len(high) > max(1, size // r), (longest, len(high))
         for bounds in ((0, r + 1), (r - 3, min(n, r + 2000))):
             assert experiments._scan_chunk(ctx, bounds) == _audit_totals(ctx, bounds), bounds
         pattern = tuple((p, -1) for p in reversed(sieve_primes(17)))
@@ -615,7 +651,7 @@ class TestSampledAudit1e7:
         first = int(np.searchsorted(-ctx7.prefix, -budget))
         rng = random.Random(20221)
         starts = [round(first * (n / first) ** rng.random()) for _ in range(6)]
-        # and one D2 whose prefix spans two D1 slices of the long-prefix walk
+        # and one D2 whose prefix spans two D1 slices of the kept walk
         long = int(np.searchsorted(-ctx7.prefix, -experiments._SLICE)) - 1
         assert 2 * experiments._SLICE > ctx7.prefix[long] > experiments._SLICE
         ranges = [(r - 4, r + 4), (long, long + 1)]
@@ -886,8 +922,8 @@ class TestDensityLT:
     def test_long_pattern_in_either_order_across_the_split(self):
         # nine primes with the signs of the pair (-3, 988), 988 = 4 * 13 * 19,
         # given in decreasing order. _lt_chunk counts in increasing order,
-        # where the D2 moved at 17, 19 or 23 read high rows; the kernel in
-        # the given order, where 2 and 3 take bits 8 and 7, reads more of them
+        # where the D2 moved at 17, 19 or 23 are kept; the kernel in
+        # the given order, where 2 and 3 take bits 8 and 7, keeps more of them
         x = 3000
         ctx = build_context(x)
         ents = ctx.entries.tolist()

@@ -13,11 +13,11 @@ numbers; the quartiles show whether two medians differ by more than the
 calls' spread. For each kernel it also prints the tracemalloc peak of one
 more, untimed call, in MiB (2^20 bytes): what the kernel allocates above the
 context. Last, from the context's prefix runs and qmask exceptions, it prints
-how many D2 take each path of the scan kernel: below r' (the long-prefix
-walk), the direct rows (qmask below 64) and the high rows, with the number of
-distinct high qmasks, one row each. X may be written as 1e7; it is refused,
-as `--x` is, above MAX_X or where the CLI's memory estimate exceeds the
-memory available.
+how many D2 take each path of the scan kernel: the direct table (qmask below
+64 and prefix at most r') and the kept walk (every other D2), with the number
+of distinct nonzero kept qmasks, one row each. X may be written as 1e7; it is
+refused, as `--x` is, above MAX_X or where the CLI's memory estimate exceeds
+the memory available.
 """
 
 from __future__ import annotations
@@ -105,11 +105,16 @@ def main(argv: list[str]) -> int:
     lt, times = _timed(lt_kernel, args.repeat)
     print(_line("pattern kernel", times, f"{lt[1]} matched, {len(pattern)} pattern primes",
                 _peak_mib(lt_kernel)))
-    split = ctx.table.count_upto(isqrt(args.x))
-    at, masks = ctx.qhigh  # the D with a qmask >= 64, by position
-    high = masks[at >= split]
-    print(f"scan paths       below r' {split}  direct {len(ctx.entries) - split - len(high)}  "
-          f"high {len(high)} ({len(set(high.tolist()))} signatures)")
+    # prefix does not increase along the table, so the D2 whose prefix
+    # exceeds r' lead it; after them, those with a qmask >= 64 are kept
+    values, ends = ctx.runs
+    k = int((values > ctx.table.count_upto(isqrt(args.x))).sum())
+    lead = int(ends[k - 1]) if k else 0
+    at, masks = ctx.qhigh
+    high = masks[at >= lead]
+    sigs = set(ctx.qmask_slice(0, lead).tolist()) | set(high.tolist())
+    print(f"scan paths       direct {len(ctx.entries) - lead - len(high)}  "
+          f"kept {lead + len(high)} ({len(sigs - {0})} signatures)")
     return 0
 
 
