@@ -45,8 +45,9 @@ The D it leaves (about 4% at 1e6) walk the primes from 17 to their largest
 over the D still without a -1. The context keeps one store of chi columns,
 ctx.chi: build_context puts there, for each used bit q, chi_{D1}(q) over the
 first max{prefix[D2] : q in qmask(D2)} entries, the part the pair kernel can
-read; density_lemma replaces a column by the whole table's, and a kernel
-that needs more than a stored column covers builds its own and stores none.
+read, and nothing else writes it: a kernel that needs more than a stored
+column covers builds its own and stores none, and density_lemma counts
+chi_D(p) one slice at a time and keeps only its three counts, in ctx.signs.
 average_n1 runs _signs over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
 
 The context stores six bytes per entry: int32 entries, uint8 n(D) (at most
@@ -176,15 +177,15 @@ def _chi_table(p: int) -> np.ndarray:
     return tab
 
 
-def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
-    """chi_D(p) for an array of discriminants and a prime p < DENSITY_PRIME_LIMIT,
-    as int8, one slice at a time."""
-    out = np.empty(len(d), dtype=np.int8)
+def _chi_slices(d: np.ndarray, p: int):
+    """Yield chi_D(p) as int8 for each _TABLE_SLICE of an array of
+    discriminants, p a prime below DENSITY_PRIME_LIMIT: gathered from
+    _chi_table(p) when p == 2 or p <= len(d), else by Euler's criterion."""
     if p == 2 or p <= len(d):
         tab = _chi_table(p)
         for lo in range(0, len(d), _TABLE_SLICE):
-            np.take(tab, _residues(d[lo : lo + _TABLE_SLICE], len(tab)), out=out[lo : lo + _TABLE_SLICE])
-        return out
+            yield np.take(tab, _residues(d[lo : lo + _TABLE_SLICE], len(tab)))
+        return
     # p exceeds the input: Euler's criterion, D^((p-1)/2) mod p in {0, 1, p - 1},
     # by square-and-multiply in int64
     e = (p - 1) // 2
@@ -198,7 +199,15 @@ def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
             if bit == "1":
                 np.multiply(acc, base, out=acc)
                 np.remainder(acc, p, out=acc)
-        out[lo : lo + _TABLE_SLICE] = np.where(acc < 2, acc, -1)
+        yield np.where(acc < 2, acc, -1).astype(np.int8)
+
+
+def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
+    """chi_D(p) for an array of discriminants and a prime p < DENSITY_PRIME_LIMIT,
+    as int8, one slice at a time."""
+    out = np.empty(len(d), dtype=np.int8)
+    for lo, chi in zip(range(0, len(d), _TABLE_SLICE), _chi_slices(d, p)):
+        out[lo : lo + _TABLE_SLICE] = chi
     return out
 
 
@@ -307,10 +316,10 @@ class ScanContext:
     table.abs_values does, and no engine reads them.
 
     chi is the one store of chi columns: chi[q] holds chi_{D1}(q) over a
-    prefix of the table, from build_context the longest prefix the pair
-    kernel reads at q. density_lemma replaces a column by the whole table's;
-    a column is only ever replaced by a longer one. The fields cannot be
-    reassigned, and chi is the only part that changes.
+    prefix of the table, the longest prefix the pair kernel reads at q, and
+    only build_context writes it. signs memoizes density_lemma: signs[p]
+    holds the counts of chi_D(p) = +1, -1 and 0 over the whole table. The
+    fields cannot be reassigned, and signs is the only part that changes.
 
     entries, nvals and qbyte are the only arrays as long as the table, six
     bytes per entry. build_context and every engine that reads the context
@@ -325,6 +334,7 @@ class ScanContext:
     qhigh: tuple[np.ndarray, np.ndarray]  # intp position and uint32 qmask of each flagged entry
     cache_primes: tuple[int, ...]
     chi: dict[int, np.ndarray]            # int8 columns by prime
+    signs: dict[int, tuple[int, int, int]]  # density_lemma's (+1, -1, 0) counts by prime
     # not fields, always empty; kept because the benchmark's context_bytes reads them
     negcum = eqcum = MappingProxyType({})
 
@@ -458,7 +468,7 @@ def build_context(x: int) -> ScanContext:
     primes = tuple(iter_primes(int(nvals.max()) - 1))  # the primes below max n(D)
     ctx = ScanContext(x=x, table=table, nvals=nvals, runs=_prefix_runs(table, x), qbyte=qbyte,
                       qhigh=(np.concatenate(high_at), np.concatenate(high_mask)),
-                      cache_primes=primes, chi={})
+                      cache_primes=primes, chi={}, signs={})
     # the pair kernel reads chi_{D1}(p) only within the prefixes of the D2 with
     # bit p; prefix does not increase along the table, so the first is longest
     # (a D2's pair count is its prefix)
@@ -815,21 +825,25 @@ def density_lemma(x: int, p: int, ctx: ScanContext | None = None) -> DensityRepo
     """Observed vs predicted proportions of chi_D(p) over |D| <= x.
 
     Predictions: p/(2p+2) for +1 and -1, 1/(p+1) for 0; rows sum to one
-    exactly on both sides. A non-prime p is rejected. The whole table's
-    column at p is stored in ctx.chi, replacing a shorter one.
+    exactly on both sides. A non-prime p is rejected. chi_D(p) is counted one
+    slice of the table at a time and no column is stored: the three counts
+    go into ctx.signs, which a second call at p reads.
     """
     check_prime(p)
     ctx = _context(x, ctx)
-    chi = ctx.chi[p] = _column(ctx, p, len(ctx.entries))
-    total = len(chi)
-    # chi takes only -1, 0 and +1, so its sum and its nonzero count give the
-    # three counts, with no temporary as long as the column
-    net, nonzero = int(chi.sum()), int(np.count_nonzero(chi))
-    counts = {1: (nonzero + net) // 2, -1: (nonzero - net) // 2, 0: total - nonzero}
+    total = len(ctx.entries)
+    if p not in ctx.signs:
+        # chi takes only -1, 0 and +1, so its sum and its nonzero count give
+        # the three counts
+        net = nonzero = 0
+        for chi in _chi_slices(ctx.entries, p):
+            net += int(chi.sum())
+            nonzero += int(np.count_nonzero(chi))
+        ctx.signs[p] = ((nonzero + net) // 2, (nonzero - net) // 2, total - nonzero)
     rows = [
         _row(f"chi(p={p})={sign:+d}" if sign else f"chi(p={p})=0",
-             counts[sign], total, sign_probability(p, sign))
-        for sign in (1, -1, 0)
+             count, total, sign_probability(p, sign))
+        for sign, count in zip((1, -1, 0), ctx.signs[p])
     ]
     return DensityReport(x=x, kind="sign-density", rows=rows)
 
@@ -928,6 +942,10 @@ def density_lt(
     """Observed vs predicted proportion of ordered pairs whose coefficient
     sign at each pattern prime equals the requested value.
 
+    The pairs are all ordered pairs with |D1*D2| <= x, the pairs with D2 = 1
+    and the pair (1, 1) among them, unlike scan_pairs, which leaves D2 = 1
+    out. chi_1(p) = +1 at every prime, so a pair with D2 = 1 matches a
+    pattern exactly when all its signs are +1.
     The prediction is the product of 1/(p+1)^2 over zero-sign constraints
     and p(p+2)/(2(p+1)^2) over nonzero ones. Non-prime and repeated primes
     are rejected, as is a pattern of more than 32 primes.

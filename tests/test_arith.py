@@ -2,6 +2,8 @@
 
 import random
 import tracemalloc
+from bisect import bisect_right
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -163,18 +165,43 @@ class TestFundamental:
             assert table.entries.tolist() == brute, x
             assert table.abs_values.tolist() == [abs(d) for d in brute], x
 
-    def test_table_matches_brute_force_at_slice_ends(self):
-        # bound b has 2(b + 1) slots: for each of one and two slice lengths,
-        # slot arrays ending one discriminant short of it, at it and past it
-        s = arith._SLOT_SLICE
-        bounds = [b for n in (s, 2 * s) for b in (n // 2 - 2, n // 2 - 1, n // 2)]
+    def test_table_matches_brute_force_at_slice_ends(self, monkeypatch):
+        # segments are whole from four segments' worth of runs on: bounds
+        # whose runs fall one run short of four and of eight segments, fill
+        # them exactly, and spill one run over
+        monkeypatch.setattr(arith, "_SEGMENT_RUNS", 64)
+        s = 16 * arith._SEGMENT_RUNS
+        bounds = [b for n in (4 * s, 8 * s) for b in (n - 17, n - 1, n + 15)]
         brute = [d for a in range(1, max(bounds) + 1) for d in (-a, a) if is_fundamental(d)]
         for x in bounds:
             assert sieve_fundamental(x).entries.tolist() == [d for d in brute if abs(d) <= x], x
 
+    def test_every_bound_to_3000_with_short_segments(self, monkeypatch):
+        # eight runs (128 values of |D|) a segment: every bound from 496 on
+        # is cut into whole segments, and each smaller one into quarters
+        monkeypatch.setattr(arith, "_SEGMENT_RUNS", 8)
+        brute = [d for a in range(1, 3001) for d in (-a, a) if is_fundamental(d)]
+        ends = [abs(d) for d in brute]
+        for x in range(1, 3001):
+            assert sieve_fundamental(x).entries.tolist() == brute[: bisect_right(ends, x)], x
+
+    def test_moebius_counts_the_table(self):
+        # the table length comes from three Moebius sums before any sieve
+        mu = arith._moebius(200)
+        assert mu.tolist() == [0] + [
+            0 if any(n % (p * p) == 0 for p in range(2, n + 1)) else
+            (-1) ** sum(1 for p in trial_division_primes(n) if n % p == 0)
+            for n in range(1, 201)
+        ]
+        for n in range(0, 2000, 7):
+            odd = sum(1 for k in range(1, n + 1, 2) if all(k % (d * d) for d in range(3, isqrt(k) + 1, 2)))
+            assert arith._odd_squarefree(n, arith._moebius(isqrt(n))) == odd, n
+
     def test_sieve_peaks_at_its_flags_and_table(self):
-        # the int64 positions of every set slot, with two int32 copies, once
-        # peaked at about twice this
+        # the table, allocated once, and one segment's temporaries: under 12
+        # bytes per |D| of a segment (its flags, candidate values and the
+        # int64 positions of the set candidates). 3.15 MB against 3.22 MB
+        # for this bound; the whole-table sieve it replaced peaked at 4.91 MB
         x = 10**6
         tracemalloc.start()
         try:
@@ -182,8 +209,8 @@ class TestFundamental:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        one_slice = 8 * arith._SLOT_SLICE  # int64 positions of a whole slice
-        assert peak < 3 * (x + 1) + 4 * n + 2 * one_slice
+        one_segment = 12 * 16 * arith._SEGMENT_RUNS
+        assert peak < 4 * n + one_segment
 
     def test_table_x1(self):
         assert list(sieve_fundamental(1)) == [1]

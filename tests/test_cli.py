@@ -7,10 +7,12 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -1086,45 +1088,92 @@ class TestPeakRssTool:
 
 
 class TestKernelTimeTool:
-    """tools/kernel_time.py times build_context and both pair kernels on one
-    context and prints their medians and quartiles with the kernels' results,
-    and each kernel's tracemalloc peak."""
+    """tools/kernel_time.py times the sieve, build_context, both pair kernels
+    and density_lemma (at the first --lt prime) on one context and prints
+    their medians and quartiles with their results, and each stage's tracemalloc peak but the build's;
+    with --against it times another checkout's stages in turn and prints
+    both sides and their ratio."""
 
     TOOL = Path(__file__).resolve().parents[1] / "tools" / "kernel_time.py"
+    SPREAD = r"median (\S+) s  q1 (\S+)  q3 (\S+)"
+
+    @staticmethod
+    def expected(x):
+        ctx = experiments.build_context(x)
+        pairs = int(ctx.prefix.sum())
+        sum_eta = experiments._scan_chunk(ctx, (0, len(ctx.entries)))[2]
+        matched = experiments.density_lt(x, [(3, -1), (2, 1)], ctx).rows[0].count
+        lemma = " ".join(str(r.count) for r in experiments.density_lemma(x, 3, ctx).rows)
+        # a D2 reads the direct table where its qmask is below 64 and its
+        # prefix at most r'; the others are kept, one row per nonzero qmask
+        split = ctx.table.count_upto(isqrt(x))
+        kept = (ctx.prefix > split) | (ctx.qmask >= 64)
+        sigs = set(ctx.qmask[kept].tolist()) - {0}
+        assert (ctx.qmask[ctx.prefix <= split] >= 64).any()
+        stages = [
+            ("sieve", True, f"{len(ctx.entries)} entries"),
+            ("build_context", False, f"{pairs} pairs"),
+            ("scan kernel", True, f"sum eta {sum_eta}"),
+            ("pattern kernel", True, f"{matched} matched, 2 pattern primes"),
+            ("density_lemma", True, f"p 3: {lemma}"),
+        ]
+        paths = (f"scan paths       direct {len(ctx.entries) - kept.sum()}  "
+                 f"kept {kept.sum()} ({len(sigs)} signatures)")
+        return len(ctx.entries), stages, paths
 
     def test_times_the_build_and_both_kernels(self):
         proc = run_python([str(self.TOOL), "2e3", "--lt", "3:-1,2:+1", "--repeat", "2"])
         assert proc.returncode == 0, proc.stderr
         head, *lines = proc.stdout.splitlines()
-        ctx = experiments.build_context(2000)
-        assert head == f"x 2000  N {len(ctx.entries)}  repeat 2"
-        num = r"median (\S+) s  q1 (\S+)  q3 (\S+)"
-        peak = r"  peak (\d+\.\d\d) MiB"
-        pairs = int(ctx.prefix.sum())
-        sum_eta = experiments._scan_chunk(ctx, (0, len(ctx.entries)))[2]
-        matched = experiments.density_lt(2000, [(3, -1), (2, 1)], ctx).rows[0].count
-        expected = [
-            ("build_context", "", f"{pairs} pairs"),
-            ("scan kernel", peak, f"sum eta {sum_eta}"),
-            ("pattern kernel", peak, f"{matched} matched, 2 pattern primes"),
-        ]
-        # a D2 reads the direct table where its qmask is below 64 and its
-        # prefix at most r'; the others are kept, one row per nonzero qmask
-        split = ctx.table.count_upto(44)  # isqrt(2000)
-        kept = (ctx.prefix > split) | (ctx.qmask >= 64)
-        sigs = set(ctx.qmask[kept].tolist()) - {0}
-        assert (ctx.qmask[ctx.prefix <= split] >= 64).any() and lines.pop() == (
-            f"scan paths       direct {len(ctx.entries) - kept.sum()}  "
-            f"kept {kept.sum()} ({len(sigs)} signatures)"
-        )
-        assert len(lines) == len(expected)
-        for line, (name, mem, result) in zip(lines, expected):
-            m = re.fullmatch(re.escape(name) + r" +" + num + mem + "  -> " + re.escape(result), line)
+        n, stages, paths = self.expected(2000)
+        assert head == f"x 2000  N {n}  repeat 2"
+        assert lines.pop() == paths
+        assert len(lines) == len(stages)
+        for line, (name, peak, result) in zip(lines, stages):
+            mem = r"  peak (\d+\.\d\d) MiB" if peak else ""
+            m = re.fullmatch(re.escape(name) + r" +" + self.SPREAD + mem + "  -> " + re.escape(result), line)
             assert m, line
             median, q1, q3 = map(float, m.groups()[:3])
             assert 0 <= q1 <= median <= q3
-            # a kernel allocates something, and at x = 2000 far below a MiB
-            assert mem == "" or 0 < float(m.group(4)) < 1
+            # each stage allocates something, and at x = 2000 far below a MiB
+            assert not peak or 0 < float(m.group(4)) < 1
+
+    def test_against_a_checkout_times_both_in_turn(self, tmp_path):
+        # the other checkout is a copy of this one's src: the same results,
+        # and every stage timed on both sides
+        src = Path(__file__).resolve().parents[1] / "src"
+        shutil.copytree(src / "eta_lab", tmp_path / "eta_lab", ignore=shutil.ignore_patterns("__pycache__"))
+        proc = run_python([str(self.TOOL), "2e3", "--lt", "3:-1,2:+1", "--repeat", "3",
+                           "--against", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        head, *lines = proc.stdout.splitlines()
+        n, stages, paths = self.expected(2000)
+        assert head == f"x 2000  N {n}  repeat 3  against {tmp_path.resolve()}"
+        assert lines.pop() == paths
+        assert len(lines) == len(stages)
+        for line, (name, _, result) in zip(lines, stages):
+            m = re.fullmatch(re.escape(name) + r" +" + self.SPREAD + "  against " + self.SPREAD
+                             + r"  ratio (\S+)  -> " + re.escape(result), line)
+            assert m, line
+            mine, theirs = map(float, m.groups()[:3]), map(float, m.groups()[3:6])
+            for median, q1, q3 in (mine, theirs):
+                assert 0 <= q1 <= median <= q3
+            # the ratio of the medians, which are printed to 0.0001 s
+            ratio, mine, theirs = float(m.group(7)), float(m.group(1)), float(m.group(4))
+            assert ratio > 0 and abs(ratio * theirs - mine) <= 0.0001 * (1 + ratio)
+
+    def test_density_lemma_is_timed_from_the_built_context(self):
+        # each timed call starts from the context build_context made: no
+        # counts or columns kept from the one before
+        spec = importlib.util.spec_from_file_location("kernel_time", self.TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        ctx = experiments.build_context(2000)
+        chi = dict(ctx.chi)
+        rep = tool._lemma(experiments, ctx, 2000, 3)
+        assert rep == experiments.density_lemma(2000, 3, experiments.build_context(2000))
+        assert ctx.signs == {} and ctx.chi.keys() == chi.keys()
+        assert all(ctx.chi[q] is col for q, col in chi.items())
 
     def test_default_is_31_calls(self):
         proc = run_python([str(self.TOOL), "100"])
@@ -1132,7 +1181,7 @@ class TestKernelTimeTool:
         assert proc.stdout.splitlines()[0].endswith("  repeat 31")
 
     @pytest.mark.parametrize("args", [["0"], ["1.5"], ["100", "--repeat", "0"], ["100", "--lt", "4:+1"],
-                                      ["inf"], ["3e9"]])
+                                      ["inf"], ["3e9"], ["100", "--against", "no-such-directory"]])
     def test_refuses_bad_arguments(self, args):
         proc = run_python([str(self.TOOL), *args])
         assert proc.returncode != 0

@@ -83,35 +83,42 @@ class TestContext:
             assert len(chi) == int(ctx.prefix[has_bit].max()), q
             assert chi.tolist() == [kronecker(int(d), q) for d in ctx.entries[: len(chi)]], q
 
-    def test_lemma_columns_are_full_length_after_a_scan(self):
-        # the kernels store no column, so density_lemma still finds the
-        # kernel's short columns and replaces them by whole ones
+    def test_lemma_counts_leave_the_chi_store_unchanged(self):
+        # neither the kernels nor density_lemma store a column: after a scan,
+        # a pattern count and density_lemma at the kernel's primes and at 7,
+        # ctx.chi holds build_context's columns, and ctx.signs the counts
         ctx = build_context(2000)
+        before = {q: col.copy() for q, col in ctx.chi.items()}
         scan_pairs(2000, ctx=ctx, k_terms=120)
         density_lt(2000, [(2, 1), (3, -1)], ctx)
         for q in [*ctx.chi, 7]:
-            density_lemma(2000, q, ctx)
-            assert len(ctx.chi[q]) == len(ctx.entries), q
-        assert ctx.chi[2].tolist() == [kronecker(int(d), 2) for d in ctx.entries]
+            rep = density_lemma(2000, q, ctx)
+            chi = [kronecker(int(d), q) for d in ctx.entries]
+            assert ctx.signs[q] == tuple(r.count for r in rep.rows) == tuple(
+                chi.count(sign) for sign in (1, -1, 0)), q
+        assert ctx.chi.keys() == before.keys()
+        assert all(np.array_equal(ctx.chi[q], col) for q, col in before.items())
+        assert ctx.signs.keys() == {*before, 7}
 
-    def test_density_lemma_replaces_the_kernel_column(self):
+    def test_density_lemma_reads_its_memo(self, monkeypatch):
         ctx = build_context(100_000)
         short = ctx.chi[5]
         assert len(short) < len(ctx.entries)
-        density_lemma(100_000, 5, ctx)
-        # one store, holding one column at 5, over the whole table
-        assert [f.name for f in fields(ctx) if isinstance(getattr(ctx, f.name), dict)] == ["chi"]
-        assert len(ctx.chi[5]) == len(ctx.entries)
-        assert np.array_equal(ctx.chi[5], _chi_values(ctx.entries, 5))
-        # the kernel's part of the column is unchanged, and a second call keeps it
-        assert np.array_equal(ctx.chi[5][: len(short)], short)
-        column = ctx.chi[5]
-        density_lemma(100_000, 5, ctx)
-        assert ctx.chi[5] is column
+        rep = density_lemma(100_000, 5, ctx)
+        # one store of columns, unchanged, and one memo of counts
+        assert [f.name for f in fields(ctx) if isinstance(getattr(ctx, f.name), dict)] == ["chi", "signs"]
+        assert ctx.chi[5] is short
+        chi = _chi_values(ctx.entries, 5)
+        assert ctx.signs == {5: tuple(int(np.count_nonzero(chi == sign)) for sign in (1, -1, 0))}
+        # a second call reads the memo: it computes no chi value
+        monkeypatch.setattr(experiments, "_chi_slices", None)
+        assert density_lemma(100_000, 5, ctx) == rep
+        with pytest.raises(TypeError):
+            density_lemma(100_000, 7, ctx)
 
     def test_kernels_read_replaced_columns(self):
-        # after density_lemma at kernel primes, both kernels read the whole
-        # columns, over ranges straddling r', and give a fresh context's results
+        # density_lemma at the kernel's primes replaces no column: over ranges
+        # straddling r', both kernels still give a fresh context's results
         x = 100_000
         fresh, ctx = build_context(x), build_context(x)
         for p in (2, 3, 5, 7):
@@ -135,13 +142,15 @@ class TestContext:
         ]
         assert ctx.chi[3] is stored and 1009 not in ctx.chi
 
-    def test_context_is_frozen_at_eight_fields(self):
+    def test_context_is_frozen_at_nine_fields(self):
         ctx = build_context(100)
         assert [f.name for f in fields(ctx)] == [
-            "x", "table", "nvals", "runs", "qbyte", "qhigh", "cache_primes", "chi",
+            "x", "table", "nvals", "runs", "qbyte", "qhigh", "cache_primes", "chi", "signs",
         ]
         with pytest.raises(FrozenInstanceError):
             ctx.chi = {}
+        with pytest.raises(FrozenInstanceError):
+            ctx.signs = {}
         with pytest.raises(FrozenInstanceError):
             ctx.x = 1
         # prefix and qmask are built on each access, never set
@@ -155,7 +164,7 @@ class TestContext:
 
     def test_kernels_leave_the_context_unchanged(self):
         ctx = build_context(100_000)
-        density_lemma(100_000, 5, ctx)  # one cached full column, which density_lt reads
+        density_lemma(100_000, 5, ctx)  # one memo entry
 
         def snapshot():
             arrays = [ctx.entries, ctx.table.abs_values, ctx.nvals, ctx.prefix, ctx.qmask]
@@ -163,7 +172,7 @@ class TestContext:
             return (
                 [a.copy() for a in arrays],
                 [{k: v.copy() for k, v in d.items()} for d in stores],
-                ctx.cache_primes,
+                (ctx.cache_primes, dict(ctx.signs)),
             )
 
         before = snapshot()
@@ -457,11 +466,11 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_density_lemma_peaks_at_its_column_plus_one_slice(self, ctx6, p):
-        ctx = build_context(10**6)  # a context without a cached column at p
+        # the column is one slice's: density_lemma counts chi_D(p) slice by
+        # slice and stores none, so nothing it holds grows with the table
+        ctx = build_context(10**6)  # a context without counts at p
         density_lemma(10**6, p, ctx6)  # a first call pays the one-time allocations
-        assert self.peak(lambda: density_lemma(10**6, p, ctx))[0] < (
-            len(ctx.entries) + 16 * experiments._TABLE_SLICE
-        )
+        assert self.peak(lambda: density_lemma(10**6, p, ctx))[0] < 16 * experiments._TABLE_SLICE
 
 
 class TestScanPairs:
@@ -765,6 +774,24 @@ class TestDensityLemma:
         # applies Euler's criterion to each entry
         chi = experiments._column(ctx2000, p, len(ctx2000.entries))
         assert [int(c) for c in chi] == [kronecker(int(d), p) for d in ctx2000.entries]
+
+    def test_counts_are_kronecker_counts_at_every_x_to_3000(self, monkeypatch):
+        # slices of 100 entries, so that the counts add up over several; 1009
+        # takes Euler's criterion while the table is shorter than 1009 (x up
+        # to 1654) and the residue table after
+        monkeypatch.setattr(experiments, "_TABLE_SLICE", 100)
+        primes = (2, 3, 5, 7, 1009)
+        table = build_context(3000).table
+        chi = np.array([[kronecker(int(d), p) for d in table.entries] for p in primes])
+        # the counts of +1, -1 and 0 over the first n entries, for each p
+        counts = np.stack([np.cumsum(chi == sign, axis=1) for sign in (1, -1, 0)], axis=2)
+        for x in range(1, 3001):
+            n = table.count_upto(x)  # the table at x is the first n entries
+            ctx = SimpleNamespace(x=x, entries=table.entries[:n], signs={})
+            for k, p in enumerate(primes):
+                rep = density_lemma(x, p, ctx)
+                assert [r.count for r in rep.rows] == counts[k, n - 1].tolist(), (x, p)
+                assert {r.total for r in rep.rows} == {n}
 
     def test_euler_path_spans_slices(self):
         # p beyond the table takes Euler's criterion one slice at a time
