@@ -73,13 +73,15 @@ MAX_L_WORK = 30_000
 # `densities --pollack KMAX` renders KMAX rows of exact rationals of O(KMAX)
 # digits: 0.97 s for `--pollack 2500 --format json` on the same host.
 MAX_POLLACK = 2500
-# Each distinct prime of `densities --lt` builds a full-length int8 chi
-# column for the pattern kernel, 0.61 bytes per unit of x; a `--lemma` prime
-# is counted one slice at a time and keeps three counts, and shares the cap.
-# The costliest 16-prime selection measured, 16 `--lt` primes just below the
-# table length, peaked at 176.5 MB at 1e7, 462.7 MB at 3e7 and 1.46 GB at 1e8
-# (os.wait4, 2-vCPU x86-64 host), within _BYTES_PER_X; 16 such `--lemma`
-# primes peaked at 79.0 MB at 1e7.
+# Each distinct prime p of `densities --lt` gives the pattern kernel an int8
+# chi column cut to the prefix of the first D with p | D, about N/p bytes
+# (N/4 for p = 2), and a residue table of up to p bytes, both held for the
+# call; a `--lemma` prime is counted one slice at a time and keeps three
+# counts, and shares the cap. Peaks at 1e7 (os.wait4, 2-vCPU x86-64 host):
+# the first 16 primes as `--lt` 82.5 MB; 16 `--lt` primes just below the
+# table length, the costliest selection, whose tables are about N bytes
+# each, 170.9 MB, and 445.8 MB at 3e7, within _BYTES_PER_X; 16 such
+# `--lemma` primes 79.1 MB.
 MAX_DENSITY_PRIMES = 16
 # Places after the point of every printed decimal. The enclosures at the
 # default K = 1000 are 1e-304 to 1e-296 wide, so 300 places resolve them.
@@ -134,12 +136,13 @@ def _add_common(p: _Parser) -> None:
 # Peak RSS, measured with os.wait4 in a fresh interpreter (tools/peak_rss.py)
 # on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), in MB (10^6 bytes). The costliest
 # `densities` selection (see MAX_DENSITY_PRIMES) is the worst command: it
-# grows by 14.4, 14.4 and 14.3 bytes per unit of x at 1e7, 3e7 and 1e8 over
-# the 32.1 MB of `scan --x 1`, and peaks at 1.46 GB at 1e8, 14.6 bytes per
-# unit; `scan --x 1e8` peaks at 0.44 GB. The estimate is 71% above the worst
-# of these; it was set at 33% above, when the context stored its prefix and
-# full qmask, and is kept so that the same inputs are refused. Below 21.5 it
-# would accept 1e8 with 2 GiB available.
+# grows by 13.9 and 13.8 bytes per unit of x at 1e7 and 3e7 over the 31.9 MB
+# of `scan --x 1`, and peaks at 445.8 MB at 3e7, 14.9 bytes per unit; before
+# its chi columns were cut it peaked at 1.46 GB at 1e8, and `scan --x 1e8`
+# peaks at 0.44 GB. The estimate is 68% above the worst of these; it was set
+# at 33% above, when the context stored its prefix and full qmask, and is
+# kept so that the same inputs are refused. Below 21.5 it would accept 1e8
+# with 2 GiB available.
 _BYTES_PER_X = 25
 
 
@@ -416,8 +419,8 @@ def _cmd_densities(args) -> int:
     if distinct > MAX_DENSITY_PRIMES:
         raise ValueError(
             f"--lemma and --lt name {distinct} distinct primes, more than "
-            f"{MAX_DENSITY_PRIMES}: each --lt prime builds a chi column of one byte per "
-            "discriminant, and --lemma primes share the cap"
+            f"{MAX_DENSITY_PRIMES}: each --lt prime holds a chi column and a residue "
+            "table for the pattern kernel, and --lemma primes share the cap"
         )
     ctx = build_context(x)
     reports = [density_lemma(x, p, ctx) for p in primes]

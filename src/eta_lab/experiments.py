@@ -42,12 +42,13 @@ one slice of the table at a time. Its first stage is a wheel: every sign at
 residue tables settles each D with n(D) <= 13 and gives qmask bits 0..5.
 The D it leaves (about 4% at 1e6) walk the primes from 17 to their largest
 |D| (n(D) < |D| for fundamental D != 1), each prime computing chi_D(p) only
-over the D still without a -1. The context keeps one store of chi columns,
-ctx.chi: build_context puts there, for each used bit q, chi_{D1}(q) over the
-first max{prefix[D2] : q in qmask(D2)} entries, the part the pair kernel can
-read, and nothing else writes it: a kernel that needs more than a stored
-column covers builds its own and stores none, and density_lemma counts
-chi_D(p) one slice at a time and keeps only its three counts, in ctx.signs.
+over the D still without a -1. Both pair kernels cut a D1 column to the
+longest prefix of a D2 that reads it. The scan kernel's are ctx.chi, written
+only by build_context and read only by the scan kernel: chi_{D1}(q) over the
+first max{prefix[D2] : q in qmask(D2)} entries. The pattern kernel builds its
+own per call, that of p up to the prefix of the first D with p | D, and reads
+chi_{D2}(p) from it where it covers a slice, else through _chi_reader.
+density_lemma counts chi_D(p) by slices and keeps three counts, in ctx.signs.
 average_n1 runs _signs over the p* = +-p = 1 mod 4, since n_1(p) = n(p*).
 
 The context stores six bytes per entry: int32 entries, uint8 n(D) (at most
@@ -177,38 +178,40 @@ def _chi_table(p: int) -> np.ndarray:
     return tab
 
 
-def _chi_slices(d: np.ndarray, p: int):
-    """Yield chi_D(p) as int8 for each _TABLE_SLICE of an array of
-    discriminants, p a prime below DENSITY_PRIME_LIMIT: gathered from
-    _chi_table(p) when p == 2 or p <= len(d), else by Euler's criterion."""
-    if p == 2 or p <= len(d):
-        tab = _chi_table(p)
+def _chi_reader(p: int, n: int):
+    """A function from an array of discriminants to chi_D(p) as int8, for a
+    prime p < DENSITY_PRIME_LIMIT and n entries read in all, one _TABLE_SLICE
+    at a time: a gather from _chi_table(p) when p == 2 or p <= n, else
+    Euler's criterion, D^((p-1)/2) mod p in {0, 1, p - 1}, by
+    square-and-multiply in int64."""
+    tab = _chi_table(p) if p == 2 or p <= n else None
+
+    def read(d: np.ndarray) -> np.ndarray:
+        out = np.empty(len(d), dtype=np.int8)
         for lo in range(0, len(d), _TABLE_SLICE):
-            yield np.take(tab, _residues(d[lo : lo + _TABLE_SLICE], len(tab)))
-        return
-    # p exceeds the input: Euler's criterion, D^((p-1)/2) mod p in {0, 1, p - 1},
-    # by square-and-multiply in int64
-    e = (p - 1) // 2
-    for lo in range(0, len(d), _TABLE_SLICE):
-        base = d[lo : lo + _TABLE_SLICE].astype(np.int64)
-        np.remainder(base, p, out=base)
-        acc = base.copy()
-        for bit in bin(e)[3:]:  # the bits of e after its leading 1
-            np.multiply(acc, acc, out=acc)
-            np.remainder(acc, p, out=acc)
-            if bit == "1":
-                np.multiply(acc, base, out=acc)
+            part = d[lo : lo + _TABLE_SLICE]
+            if tab is not None:
+                out[lo : lo + _TABLE_SLICE] = np.take(tab, _residues(part, len(tab)))
+                continue
+            base = part.astype(np.int64)
+            np.remainder(base, p, out=base)
+            acc = base.copy()
+            for bit in bin((p - 1) // 2)[3:]:  # the exponent's bits after its leading 1
+                np.multiply(acc, acc, out=acc)
                 np.remainder(acc, p, out=acc)
-        yield np.where(acc < 2, acc, -1).astype(np.int8)
+                if bit == "1":
+                    np.multiply(acc, base, out=acc)
+                    np.remainder(acc, p, out=acc)
+            out[lo : lo + _TABLE_SLICE] = np.where(acc < 2, acc, -1)
+        return out
+
+    return read
 
 
 def _chi_values(d: np.ndarray, p: int) -> np.ndarray:
     """chi_D(p) for an array of discriminants and a prime p < DENSITY_PRIME_LIMIT,
     as int8, one slice at a time."""
-    out = np.empty(len(d), dtype=np.int8)
-    for lo, chi in zip(range(0, len(d), _TABLE_SLICE), _chi_slices(d, p)):
-        out[lo : lo + _TABLE_SLICE] = chi
-    return out
+    return _chi_reader(p, len(d))(d)
 
 
 # The residue tables' primes: chi_D(2) depends only on D mod 8 and chi_D(p),
@@ -315,9 +318,9 @@ class ScanContext:
     qmask properties build a new whole-table array on each access, as
     table.abs_values does, and no engine reads them.
 
-    chi is the one store of chi columns: chi[q] holds chi_{D1}(q) over a
-    prefix of the table, the longest prefix the pair kernel reads at q, and
-    only build_context writes it. signs memoizes density_lemma: signs[p]
+    chi is the one store of chi columns: chi[q] holds chi_{D1}(q) over the
+    longest prefix the scan kernel reads at q; build_context writes it, and
+    only the scan kernel reads it. signs memoizes density_lemma: signs[p]
     holds the counts of chi_D(p) = +1, -1 and 0 over the whole table. The
     fields cannot be reassigned, and signs is the only part that changes.
 
@@ -478,13 +481,6 @@ def build_context(x: int) -> ScanContext:
     return ctx
 
 
-def _column(ctx: ScanContext, p: int, n: int) -> np.ndarray:
-    """chi_{D}(p) over at least the first n entries: the stored column if it
-    covers them, else a new column of n entries, not stored."""
-    col = ctx.chi.get(p)
-    return col if col is not None and len(col) >= n else _chi_values(ctx.entries[:n], p)
-
-
 # ---------------------------------------------------------------------------
 # scan_pairs: optimized eta aggregation
 # ---------------------------------------------------------------------------
@@ -608,15 +604,16 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
     return hits, misses
 
 
-def _negative_bits(ctx: ScanContext, bits: int, u: int, v: int) -> np.ndarray:
-    """uint32 over D1 [u, v): bit b set where b is in bits and chi_{D1}(q_b) =
-    -1, within the stored column of q_b (no D2 with bit b reads beyond it).
-    A bit no D2 carries may have no column and then stays clear."""
+def _d1_bits(columns, marks, bits: int, u: int, v: int) -> np.ndarray:
+    """uint32 over D1 [u, v): bit b set where b is in bits and marks[b], a
+    test on int8 chi values, holds for columns[b], chi_{D1} at bit b's prime.
+    A column covers the longest prefix of a D2 with its bit, so past its end
+    the bit stays clear."""
     out = np.zeros(v - u, dtype=np.uint32)
-    for b, q in enumerate(ctx.cache_primes):
-        if bits >> b & 1 and q in ctx.chi:
-            col = ctx.chi[q][u:v]
-            out[: len(col)] |= (col == -1).astype(np.uint32) << np.uint32(b)
+    for b, (col, mark) in enumerate(zip(columns, marks)):
+        if bits >> b & 1:
+            chi = col[u:v]
+            out[: len(chi)] |= mark(chi).astype(np.uint32) << np.uint32(b)
     return out
 
 
@@ -627,13 +624,15 @@ def _scan_chunk(ctx: ScanContext, bounds: tuple[int, int]):
     pairs_excluded = ctx.pair_count(0, 1) if lo == 0 < hi else 0
 
     # eta = the first q in qmask(D2) with chi_{D1}(q) = -1 (a hit worth q),
-    # else n(D2) (a miss, weighted by n(D2))
+    # else n(D2) (a miss, weighted by n(D2)); a bit no D2 carries has no column
+    primes = ctx.cache_primes[:32]
+    columns = [ctx.chi.get(q, np.zeros(0, dtype=np.int8)) for q in primes]
     hits, misses = _pair_sums(
         ctx,
         bounds,
         lambda a, b: (ctx.qmask_slice(a, b), ctx.nvals[a:b]),
-        partial(_negative_bits, ctx),
-        ctx.cache_primes[:32],
+        partial(_d1_bits, columns, [partial(np.equal, -1)] * len(primes)),
+        primes,
     )
     return pairs_total, pairs_excluded, hits + misses
 
@@ -835,8 +834,10 @@ def density_lemma(x: int, p: int, ctx: ScanContext | None = None) -> DensityRepo
     if p not in ctx.signs:
         # chi takes only -1, 0 and +1, so its sum and its nonzero count give
         # the three counts
+        read = _chi_reader(p, total)
         net = nonzero = 0
-        for chi in _chi_slices(ctx.entries, p):
+        for lo in range(0, total, _TABLE_SLICE):
+            chi = read(ctx.entries[lo : lo + _TABLE_SLICE])
             net += int(chi.sum())
             nonzero += int(np.count_nonzero(chi))
         ctx.signs[p] = ((nonzero + net) // 2, (nonzero - net) // 2, total - nonzero)
@@ -885,53 +886,46 @@ def density_pollack(
     )
 
 
-def _pattern_d2(chis, pattern, a: int, b: int):
-    """Signature and weight of the D2 in [a, b): bit k marks pattern prime k
-    dividing D2, which moves its constraint to chi_{D1}; the weight is 1 where
-    every other pattern prime already has its sign at chi_{D2}, else 0, with
-    signature 0."""
-    moved = np.zeros(b - a, dtype=np.uint32)
-    live = np.ones(b - a, dtype=bool)
-    for k, ((_, want), chi) in enumerate(zip(pattern, chis)):
-        chi2 = chi[a:b]
-        zero = chi2 == 0
-        moved |= zero.astype(np.uint32) << np.uint32(k)
-        live &= zero | (chi2 == want)
-    moved *= live  # no D1 matches: signature 0 reads no D1 column
-    return moved, live
+def _pattern_sides(ctx: ScanContext, pattern, bounds):
+    """The pair kernel's d2_side and d1_side for a sign pattern over the D2 in
+    bounds, bit k for pattern prime p_k. The D1 column of p_k covers the
+    longest prefix of a D2 there that p_k divides: at most the first D2's,
+    and the first D's with p_k | D, |D| = 4 for p_k = 2 and p_k otherwise."""
+    lo, hi = bounds
+    top = ctx.pair_count(lo, lo + 1) if lo < hi else 0
+    reads = [_chi_reader(p, max(hi, top)) for p, _ in pattern]
+    columns = [read(ctx.entries[: min(top, ctx.table.count_upto(ctx.x // (4 if p == 2 else p)))])
+               for read, (p, _) in zip(reads, pattern)]
 
+    def d2_side(a: int, b: int):
+        """Signature and weight of the D2 in [a, b): bit k marks p_k dividing
+        D2, which moves its constraint to chi_{D1}; the weight is 1 where
+        every other pattern prime already has its sign at chi_{D2}, else 0,
+        with signature 0. chi_{D2}(p_k) comes from its column where that
+        covers the slice."""
+        moved = np.zeros(b - a, dtype=np.uint32)
+        live = np.ones(b - a, dtype=bool)
+        for k, ((_, want), col, read) in enumerate(zip(pattern, columns, reads)):
+            chi2 = col[a:b] if b <= len(col) else read(ctx.entries[a:b])
+            zero = chi2 == 0
+            moved |= zero.astype(np.uint32) << np.uint32(k)
+            live &= zero | (chi2 == want)
+        moved *= live  # no D1 matches: signature 0 reads no D1 column
+        return moved, live
 
-def _pattern_d1(chis, pattern, bits: int, u: int, v: int) -> np.ndarray:
-    """uint32 over D1 [u, v): bit k set where k is in bits and chi_{D1}(p_k)
-    misses the wanted sign."""
-    out = np.zeros(v - u, dtype=np.uint32)
-    for k, ((_, want), chi) in enumerate(zip(pattern, chis)):
-        if bits >> k & 1:
-            out |= (chi[u:v] != want).astype(np.uint32) << np.uint32(k)
-    return out
+    return d2_side, partial(_d1_bits, columns, [partial(np.not_equal, want) for _, want in pattern])
 
 
 def _lt_chunk(ctx: ScanContext, pattern: tuple[tuple[int, int], ...], bounds):
-    lo, hi = bounds
     # a pattern prime p | D2 moves its constraint to chi_{D1}(p); any other
     # pattern prime fixes the sign at chi_{D2}(p), constant in D1. A pair
     # matches when chi_{D1} has the wanted sign at every moved prime: an
     # empty AND of the two masks, a miss of the pair kernel (no hit values).
-    # The columns cover the D2 in bounds and their D1 prefixes; a stored one
-    # that covers them is read, and none is stored. The count does not
-    # depend on the bit order, and in increasing prime order the primes that
-    # divide the most D2 take the bits of the kernel's direct table.
-    pattern = tuple(sorted(pattern))
-    n = max(hi, ctx.pair_count(lo, lo + 1)) if lo < hi else 0
-    chis = [_column(ctx, p, n) for p, _ in pattern]
-    _, matched = _pair_sums(
-        ctx,
-        bounds,
-        partial(_pattern_d2, chis, pattern),
-        partial(_pattern_d1, chis, pattern),
-        (),
-    )
-    return ctx.pair_count(lo, hi), matched
+    # The count does not depend on the bit order, and in increasing prime
+    # order the primes that divide the most D2 take the bits of the kernel's
+    # direct table.
+    _, matched = _pair_sums(ctx, bounds, *_pattern_sides(ctx, tuple(sorted(pattern)), bounds), ())
+    return ctx.pair_count(*bounds), matched
 
 
 def density_lt(

@@ -326,7 +326,7 @@ def _crit_10_erdos() -> tuple[bool, str]:
     )
 
 
-def _crit_11_determinism() -> tuple[bool, str]:
+def _crit_11_determinism(ctx5: ScanContext) -> tuple[bool, str]:
     import contextlib
     import io
     import tempfile
@@ -346,11 +346,11 @@ def _crit_11_determinism() -> tuple[bool, str]:
                 return False, f"scan x=1e5 exited {rc}"
             runs.append(path.read_bytes() if extra else stdout.getvalue().encode())
     bytes_ok = runs[0] == runs[1] == runs[2]
-    # the pair kernel over the whole table and over eight ranges of D2
-    ctx = build_context(100_000)
-    cuts = [len(ctx.entries) * i // 8 for i in range(9)]
-    parts = [_scan_chunk(ctx, b) for b in zip(cuts, cuts[1:])]
-    split_ok = _scan_chunk(ctx, (0, cuts[-1])) == tuple(map(sum, zip(*parts)))
+    # the pair kernel over the whole table and over eight ranges of D2; no
+    # kernel changes a context, so the shared one serves
+    cuts = [len(ctx5.entries) * i // 8 for i in range(9)]
+    parts = [_scan_chunk(ctx5, b) for b in zip(cuts, cuts[1:])]
+    split_ok = _scan_chunk(ctx5, (0, cuts[-1])) == tuple(map(sum, zip(*parts)))
     return bytes_ok and split_ok, (
         f"scan x=1e5 stdout, --output and rerun byte-identical: {bytes_ok} "
         f"({len(runs[0])} bytes); whole-table and 8-range kernel sums equal: {split_ok}"
@@ -392,7 +392,7 @@ def run_criteria() -> list[CriterionResult]:
         (9, "decomposition audit at x=1e4", lambda: _crit_9_audit(ctx4)),
         (10, "least non-residue average vs erdos", _crit_10_erdos),
         (11, "byte determinism of scan output and range-split kernel sums",
-         _crit_11_determinism),
+         lambda: _crit_11_determinism(ctx5)),
     ]
     for cid, name, fn in plan:
         t0 = time.perf_counter()

@@ -100,8 +100,10 @@ def test_criterion_11_passes_with_eta_lab_only_on_sys_path(tmp_path):
     src = Path(eta_lab.__file__).resolve().parents[1]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from eta_lab.experiments import build_context; "
         "from eta_lab.verify import _crit_11_determinism; "
-        "ok, detail = _crit_11_determinism(); print(detail); sys.exit(0 if ok else 1)"
+        "ok, detail = _crit_11_determinism(build_context(100_000)); "
+        "print(detail); sys.exit(0 if ok else 1)"
     )
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(

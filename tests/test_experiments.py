@@ -111,7 +111,7 @@ class TestContext:
         chi = _chi_values(ctx.entries, 5)
         assert ctx.signs == {5: tuple(int(np.count_nonzero(chi == sign)) for sign in (1, -1, 0))}
         # a second call reads the memo: it computes no chi value
-        monkeypatch.setattr(experiments, "_chi_slices", None)
+        monkeypatch.setattr(experiments, "_chi_reader", None)
         assert density_lemma(100_000, 5, ctx) == rep
         with pytest.raises(TypeError):
             density_lemma(100_000, 7, ctx)
@@ -130,17 +130,6 @@ class TestContext:
             assert (experiments._lt_chunk(ctx, pattern, bounds)
                     == experiments._lt_chunk(fresh, pattern, bounds)), bounds
         assert scan_pairs(x, ctx=ctx, k_terms=120) == scan_pairs(x, ctx=fresh, k_terms=120)
-
-    def test_column_reads_a_covering_column_and_stores_none(self):
-        ctx = build_context(2000)
-        stored = ctx.chi[3]
-        assert experiments._column(ctx, 3, len(stored)) is stored
-        longer = experiments._column(ctx, 3, len(stored) + 1)
-        assert longer.tolist() == [kronecker(int(d), 3) for d in ctx.entries[: len(stored) + 1]]
-        assert experiments._column(ctx, 1009, 10).tolist() == [
-            kronecker(int(d), 1009) for d in ctx.entries[:10]
-        ]
-        assert ctx.chi[3] is stored and 1009 not in ctx.chi
 
     def test_context_is_frozen_at_nine_fields(self):
         ctx = build_context(100)
@@ -392,7 +381,7 @@ class TestSliceReaders:
                 [experiments._lt_chunk(ctx, pattern, b) for b in ((0, r + 1), (r - 3, n), (r - 1, r + 9))],
                 density_lt(x, pattern, ctx),
                 density_lemma(x, 3, ctx),
-                density_lt(x, [(3, -1), (7, 1)], ctx),  # reads the lemma's stored column
+                density_lt(x, [(3, -1), (7, 1)], ctx),  # after the lemma's count at 3
                 density_pollack(x, 4, ctx),
                 average_nd(x, ctx),
                 pair_count_check(x, ctx),
@@ -463,6 +452,28 @@ class TestPeakMemory:
         whole = (0, len(ctx6.entries))
         experiments._scan_chunk(ctx6, whole)  # a first call pays the one-time allocations
         assert self.peak(lambda: experiments._scan_chunk(ctx6, whole))[0] < bound
+
+    def test_pattern_kernel_peaks_at_its_cut_columns(self, ctx6):
+        # the D1 column of pattern prime p covers the prefix of the first D
+        # with p | D, |D| = 4 for p = 2 and p otherwise: about N/4, N/3, N/5,
+        # ..., 0.87 MB over the first 16 primes at 1e6, against 9.7 MB for 16
+        # full-length columns. Besides them the kernel holds the primes'
+        # residue tables and, as the scan kernel does, its direct table, the
+        # kept D2 and per slice at most six int64 arrays of _SLICE entries:
+        # 1.83 MB at 1e6, against 1.98 MB for this bound.
+        r, n = _split(ctx6), len(ctx6.entries)
+        primes = sieve_primes(53)
+        assert len(primes) == 16
+        pattern = tuple((p, 1) for p in primes)
+        cut = sum(ctx6.table.count_upto(10**6 // (4 if p == 2 else p)) for p in primes)
+        tables = sum(8 if p == 2 else p for p in primes)
+        sig = experiments._pattern_sides(ctx6, pattern, (0, n))[0](0, n)[0]
+        kept = int(np.count_nonzero((ctx6.prefix > r) | (sig >= experiments._DIRECT_ROWS)))
+        bound = (cut + tables + 8 * experiments._DIRECT_ROWS * (r + 1) + 16 * kept
+                 + 6 * 8 * experiments._SLICE)
+        assert bound < 16 * n
+        experiments._lt_chunk(ctx6, pattern, (0, n))  # a first call pays the one-time allocations
+        assert self.peak(lambda: experiments._lt_chunk(ctx6, pattern, (0, n)))[0] < bound
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_density_lemma_peaks_at_its_column_plus_one_slice(self, ctx6, p):
@@ -549,7 +560,7 @@ class TestPairKernel:
             got = experiments._scan_chunk(ctx, (lo, hi))
             assert got == _audit_totals(ctx, (lo, hi)), (lo, hi)
         # empty ranges sum to zero, also for a pattern prime with no stored
-        # column, whose column over no D2 is empty
+        # column, which reads no chi value there
         assert 1009 not in ctx.chi
         for a in (0, r, n):
             assert experiments._scan_chunk(ctx, (a, a)) == _audit_totals(ctx, (a, a)) == (0, 0, 0), a
@@ -578,35 +589,41 @@ class TestPairKernel:
                 assert got == _audit_totals(ctx, (lo, hi)), (kind, lo, hi)
 
     @pytest.mark.parametrize("x", [3000, 100_000])
-    def test_each_d2_is_read_once(self, x):
+    def test_each_d2_is_read_once(self, monkeypatch, x):
         # _pair_sums asks d2_side for each D2 once: the ranges it asks for
         # tile the bounds, for the scan and for a pattern whose D2 past r'
         # carry signatures from 64 on
         ctx = build_context(x)
         r, n = _split(ctx), len(ctx.entries)
-        primes = sieve_primes(23)  # nine primes: 17, 19 and 23 take bits 6..8
-        pattern = tuple((p, 1) for p in primes)
-        chis = [experiments._chi_values(ctx.entries, p) for p in primes]
-        sides = {
-            "scan": (lambda a, b: (ctx.qmask[a:b], ctx.nvals[a:b]),
-                     partial(experiments._negative_bits, ctx), ctx.cache_primes[:32]),
-            "pattern": (partial(experiments._pattern_d2, chis, pattern),
-                        partial(experiments._pattern_d1, chis, pattern), ()),
+        # nine primes: 17, 19 and 23 take bits 6..8
+        pattern = tuple((p, 1) for p in sieve_primes(23))
+        asked = []
+        pair_sums = experiments._pair_sums
+
+        def recording(ctx, bounds, d2_side, d1_side, values):
+            def recorded(a, b):
+                side = d2_side(a, b)
+                asked.append((a, b, side[0]))
+                return side
+
+            return pair_sums(ctx, bounds, recorded, d1_side, values)
+
+        monkeypatch.setattr(experiments, "_pair_sums", recording)
+        chunks = {
+            "scan": partial(experiments._scan_chunk, ctx),
+            "pattern": partial(experiments._lt_chunk, ctx, pattern),
         }
-        for kind, (d2_side, d1_side, values) in sides.items():
-            assert np.count_nonzero(d2_side(r, n)[0] >= experiments._DIRECT_ROWS) > 0, kind
+        for kind, chunk in chunks.items():
             for bounds in ((0, n), (r - 1, r + 1), (r - 3, n), (r - 7, min(n, r + experiments._SLICE + 9))):
-                asked = []
-
-                def recorded(a, b):
-                    asked.append((a, b))
-                    return d2_side(a, b)
-
-                experiments._pair_sums(ctx, bounds, recorded, d1_side, values)
-                asked.sort()
-                assert all(a < b for a, b in asked), (kind, bounds, asked)
-                starts, ends = [a for a, _ in asked], [b for _, b in asked]
-                assert (starts[0], ends[-1]) == bounds and starts[1:] == ends[:-1], (kind, bounds, asked)
+                asked.clear()
+                chunk(bounds)
+                asked.sort(key=lambda t: t[:2])
+                assert all(a < b for a, b, _ in asked), (kind, bounds)
+                starts, ends = [a for a, _, _ in asked], [b for _, b, _ in asked]
+                assert (starts[0], ends[-1]) == bounds and starts[1:] == ends[:-1], (kind, bounds)
+                if bounds == (0, n):
+                    sig = np.concatenate([s for _, _, s in asked])
+                    assert np.count_nonzero(sig[r:] >= experiments._DIRECT_ROWS) > 0, kind
 
     @pytest.mark.parametrize("x, size", [
         pytest.param(3000, 64, id="3000"),
@@ -634,13 +651,10 @@ class TestPairKernel:
         for bounds in ((0, r + 1), (r - 3, min(n, r + 2000))):
             assert experiments._scan_chunk(ctx, bounds) == _audit_totals(ctx, bounds), bounds
         pattern = tuple((p, -1) for p in reversed(sieve_primes(17)))
-        chis = [experiments._chi_values(ctx.entries, p) for p, _ in pattern]
-        sig = experiments._pattern_d2(chis, pattern, r, n)[0]
+        d2_side, d1_side = experiments._pattern_sides(ctx, pattern, (0, n))
+        sig = d2_side(r, n)[0]
         assert len(set(sig[sig >= experiments._DIRECT_ROWS].tolist())) > 10
-        _, matched = experiments._pair_sums(
-            ctx, (0, n), partial(experiments._pattern_d2, chis, pattern),
-            partial(experiments._pattern_d1, chis, pattern), (),
-        )
+        _, matched = experiments._pair_sums(ctx, (0, n), d2_side, d1_side, ())
         assert matched == experiments._lt_chunk(ctx, pattern, (0, n))[1] > 0
 
 
@@ -772,7 +786,7 @@ class TestDensityLemma:
     def test_chi_table_matches_kronecker(self, ctx2000, p):
         # p <= len(entries) builds the residue table from squares; larger p
         # applies Euler's criterion to each entry
-        chi = experiments._column(ctx2000, p, len(ctx2000.entries))
+        chi = experiments._chi_reader(p, len(ctx2000.entries))(ctx2000.entries)
         assert [int(c) for c in chi] == [kronecker(int(d), p) for d in ctx2000.entries]
 
     def test_counts_are_kronecker_counts_at_every_x_to_3000(self, monkeypatch):
@@ -873,6 +887,9 @@ class TestDensityLT:
             [(1009, 1)],
             [(1009, -1), (1013, 1)],
             [(1013, 0)],
+            # primes between isqrt(x) and x: their D1 columns are shorter than r'
+            [(101, 0)],
+            [(2, 1), (401, -1)],
         ],
     )
     def test_exact_counts_match_brute_force(self, pattern):
@@ -920,9 +937,11 @@ class TestDensityLT:
         assert sum(two) == pairs
 
     def test_ranges_straddling_the_split(self):
+        # 331 is above isqrt(x) = 316: its D1 column ends before r'
         ctx = build_context(100_000)
-        pattern = ((2, 1), (3, -1), (5, 0))
+        pattern = ((2, 1), (3, -1), (5, 0), (331, -1))
         whole = experiments._lt_chunk(ctx, pattern, (0, len(ctx.entries)))
+        assert whole[1] > 0
         r = _split(ctx)
         cuts = [0, 1, r - 1, r, r + 1, r + 50, len(ctx.entries)]
         parts = [experiments._lt_chunk(ctx, pattern, b) for b in zip(cuts, cuts[1:])]
@@ -960,7 +979,6 @@ class TestDensityLT:
 
         pattern = tuple((p, sign(-3, 988, p)) for p in reversed(sieve_primes(23)))
         increasing = tuple(sorted(pattern))
-        chis = {order: [_chi_values(ctx.entries, p) for p, _ in order] for order in (pattern, increasing)}
         r, n = _split(ctx), len(ents)
         for lo, hi in ((0, n), (r - 5, 700), (r - 1, n)):
             expected = sum(all(sign(ents[i], ents[j], p) == s for p, s in pattern)
@@ -969,16 +987,14 @@ class TestDensityLT:
             got = experiments._lt_chunk(ctx, pattern, (lo, hi))
             assert got == experiments._lt_chunk(ctx, increasing, (lo, hi))
             assert got[1] == expected, (lo, hi)
-            for order, cols in chis.items():
-                _, matched = experiments._pair_sums(
-                    ctx, (lo, hi),
-                    partial(experiments._pattern_d2, cols, order),
-                    partial(experiments._pattern_d1, cols, order),
-                    (),
-                )
+            for order in (pattern, increasing):
+                sides = experiments._pattern_sides(ctx, order, (lo, hi))
+                _, matched = experiments._pair_sums(ctx, (lo, hi), *sides, ())
                 assert matched == expected, (order, lo, hi)
-        high = {order: int(np.count_nonzero(experiments._pattern_d2(cols, order, r, n)[0] >= 64))
-                for order, cols in chis.items()}
+        high = {}
+        for order in (pattern, increasing):
+            d2_side = experiments._pattern_sides(ctx, order, (0, n))[0]
+            high[order] = int(np.count_nonzero(d2_side(r, n)[0] >= 64))
         assert 0 < high[increasing] < high[pattern]
 
     def test_more_than_thirty_two_primes_refused(self):
