@@ -63,30 +63,17 @@ def sieve_primes(limit: int) -> tuple[int, ...]:
 def iter_primes(limit: int):
     """Yield primes <= limit in increasing order, sieving over doubling limits.
 
-    The first round sieves to 256; each later round sieves only the new
-    segment (lo, hi], hi = 2 lo, striking it with the primes found so far,
-    which include every prime <= sqrt(hi) since lo >= sqrt(2 lo). So a walk
-    to p costs one sieve to p. Cheap when the consumer stops early, which is
-    the normal case for first-sign scans.
+    The first round sieves to 256 and each later one to twice the last
+    limit, through sieve_primes, yielding the primes above the last limit.
+    A walk that stops at p has sieved to below 2p (or to 256), about twice
+    the work of one sieve to that limit. Cheap when the consumer stops
+    early, which is the normal case for first-sign scans.
     """
-    if limit < 2:
-        return
-    lo = min(256, limit)
-    base = list(sieve_primes(lo))
-    yield from base
+    lo, hi = 1, min(256, limit)
     while lo < limit:
-        hi = min(2 * lo, limit)
-        segment = bytearray([1]) * (hi - lo)  # segment[i] stands for lo + 1 + i
-        for p in base:
-            if p * p > hi:
-                break
-            start = max(p * p, (lo // p + 1) * p)
-            segment[start - lo - 1 :: p] = bytearray(len(range(start, hi + 1, p)))
-        found = list(compress(range(lo + 1, hi + 1), segment))
-        yield from found
-        if base[-1] <= isqrt(limit):
-            base += found
-        lo = hi
+        primes = sieve_primes(hi)
+        yield from primes[bisect_right(primes, lo) :]
+        lo, hi = hi, min(2 * hi, limit)
 
 
 # Miller-Rabin with the first 12 primes as bases is exact below psi_12, the
@@ -256,11 +243,10 @@ class DiscriminantTable:
 # iff m is squarefree, so y = 16b + 4, 16b + 8 (both signs) and 16b + 12 read m.
 _RUN = ((1, 1), (3, -1), (4, -1), (5, 1), (7, -1), (8, -1), (8, 1), (9, 1), (11, -1),
         (12, 1), (13, 1), (15, -1))
-# Runs per segment of sieve_fundamental (2^16 values of |D|), and at most a
-# quarter of the bound's runs, so that its temporaries, under 12 bytes per
-# |D| of a segment, stay near 3 bytes per unit of the bound or less.
-# Of 2^15, 2^16 and 2^17 values, 2^16 was the fastest at 1e6 and within the
-# noise of 2^17 at 1e7 and 1e8.
+# Runs per segment of sieve_fundamental (2^16 values of |D|); a smaller bound
+# is one segment. Its temporaries, under 12 bytes per |D| of a segment, stay
+# under 0.8 MiB. Of 2^15, 2^16 and 2^17 values, 2^16 was the fastest at 1e6
+# and within the noise of 2^17 at 1e7 and 1e8.
 _SEGMENT_RUNS = 1 << 12
 # The multiples of 4, 9 and 25 are struck once, into a pattern of period 900
 # that each segment copies its flags from.
@@ -351,7 +337,7 @@ def sieve_fundamental(bound: int) -> DiscriminantTable:
     del mu
     squares = np.array(sieve_primes(max(2, root))[3:], dtype=np.int64) ** 2
     runs = bound // 16 + 1
-    step = min(_SEGMENT_RUNS, max(1, runs // 4))
+    step = min(_SEGMENT_RUNS, runs)
     wheel = np.ones(_WHEEL + 16 * step, dtype=bool)
     for q in (4, 9, 25):
         wheel[::q] = False

@@ -30,13 +30,14 @@ Evaluation. All seven enclosures for one K (the five series, combined =
 Theta*(1-beta)+alpha and mu = combined - theta) come from one integer pass:
 
   * theta has its own running product and Theta, alpha, beta share one;
-    at each p_k a group's heads and product factor are written over one
-    denominator, 2(p_k+1)^2 in both groups;
-  * each group is a balanced product tree over unreduced integers: a run
-    of primes carries its product's numerator C and denominator D and, per
+    at each p_k the four heads and both product factors are written over
+    one denominator, 2(p_k+1)^2;
+  * one balanced product tree over unreduced integers: a run of primes
+    carries the numerators C of both products, their denominator D and, per
     series, the numerator N of its partial sum over D, and adjacent runs
-    merge as N = N_l D_r + C_l N_r (C and D multiply). The root's product
-    also feeds the tails; erdos is the integer n <- 2n + p_k over 2^K;
+    merge as N = N_l D_r + C_l N_r with the C of the series' own product
+    (the Cs and D multiply). The root's products also feed the tails;
+    erdos is the integer n <- 2n + p_k over 2^K;
   * every result is reduced to lowest terms once, by Fraction(N, D).
 
 Rationals are unique in lowest terms, so the results are identical to
@@ -132,8 +133,6 @@ _FACTORS = {
 }
 # heads increase with p except beta's, which decreases for p > 1
 _HEAD_INCREASING = {"theta": True, "Theta": True, "alpha": True, "beta": False}
-# series sharing one running product, evaluated together in one pass
-_PRODUCT_GROUPS = ((_factor_theta, ("theta",)), (_factor_shared, ("Theta", "alpha", "beta")))
 
 
 @dataclass(frozen=True)
@@ -206,37 +205,40 @@ class _Evaluation:
     values: dict[str, RigorousValue]    # the seven enclosures; empty if p_K < 25
 
 
-def _tree_pass(ps: tuple[int, ...], factor, names: tuple[str, ...]):
-    """Partial sums of the named series sharing `factor`, and the product.
+def _tree_pass(ps: tuple[int, ...]):
+    """Partial sums of theta, Theta, alpha and beta, and each one's product.
 
-    At each p the heads and f(p) are put over one denominator L = lcm of
-    theirs: 2(p+1)^2 in both groups, so f(p) = c/L and h(p) = a/L. A run of
-    primes carries C = prod c, D = prod L and, per series, the N with the
-    run's partial sum N / D. Adjacent runs merge as
+    At each p the heads and both factors are put over one denominator
+    L = lcm of theirs = 2(p+1)^2, so f(p) = c/L and h(p) = a/L. A run of
+    primes carries D = prod L, per factor C = prod c and, per series, the N
+    with the run's partial sum N / D. Adjacent runs merge as
 
-        C = C_l C_r,  D = D_l D_r,  N = N_l D_r + C_l N_r,
+        C = C_l C_r,  D = D_l D_r,  N = N_l D_r + C_l N_r (C_l of its factor),
 
-    and a balanced tree of merges over unreduced integers yields the whole
-    sum and prod_{k<=K} f(p_k). Each result is reduced once.
+    and a balanced tree of merges over unreduced integers yields the four
+    sums and prod_{k<=K} f(p_k) of both factors. Each result is reduced once.
     """
-    heads = [_HEADS[n] for n in names]
+    factors = (_factor_theta, _factor_shared)
+    own = [factors.index(_FACTORS[name]) for name in _HEADS]
 
     def run(lo: int, hi: int):
-        """(C, D, [N per series]) over ps[lo:hi], depth first, so at most
-        one pending run per level is held."""
+        """([C per factor], D, [N per series]) over ps[lo:hi], depth first,
+        so at most one pending run per level is held."""
         if hi - lo == 1:
-            p = ps[lo]
-            fracs = [factor(p), *(head(p) for head in heads)]
+            fracs = [fn(ps[lo]) for fn in (*factors, *_HEADS.values())]
             den = lcm(*(b for _, b in fracs))
-            c, *ns = [a * (den // b) for a, b in fracs]
-            return c, den, ns
+            nums = [a * (den // b) for a, b in fracs]
+            return nums[:2], den, nums[2:]
         mid = (lo + hi) // 2
-        cl, dl, nsl = run(lo, mid)
-        cr, dr, nsr = run(mid, hi)
-        return cl * cr, dl * dr, [nl * dr + cl * nr for nl, nr in zip(nsl, nsr)]
+        csl, dl, nsl = run(lo, mid)
+        csr, dr, nsr = run(mid, hi)
+        cs = [cl * cr for cl, cr in zip(csl, csr)]
+        return cs, dl * dr, [nl * dr + csl[i] * nr for i, nl, nr in zip(own, nsl, nsr)]
 
-    c, d, ns = run(0, len(ps))
-    return {n: Fraction(num, d) for n, num in zip(names, ns)}, Fraction(c, d)
+    cs, d, ns = run(0, len(ps))
+    products = [Fraction(c, d) for c in cs]
+    sums = {name: Fraction(num, d) for name, num in zip(_HEADS, ns)}
+    return sums, {name: products[i] for name, i in zip(_HEADS, own)}
 
 
 def _tail(name: str, p_K: int, prod: Fraction) -> Fraction:
@@ -253,12 +255,7 @@ def _evaluate(k_terms: int) -> _Evaluation:
     memoised per process on K."""
     ps = default_primes(k_terms)
     p_K = ps[-1]
-    sums: dict[str, Fraction] = {}
-    products: dict[str, Fraction] = {}
-    for factor, names in _PRODUCT_GROUPS:
-        group_sums, prod = _tree_pass(ps, factor, names)
-        sums.update(group_sums)
-        products.update(dict.fromkeys(names, prod))
+    sums, products = _tree_pass(ps)
     erdos = 0
     for p in ps:
         erdos = 2 * erdos + p

@@ -204,33 +204,28 @@ def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _bernoulli_poly(k: int, x: Fraction) -> Fraction:
-    """B_k(x) = sum_i C(k, i) B_i x^(k-i)."""
-    bern = bernoulli_numbers(k)
-    acc = Fraction(0)
-    for i in range(k + 1):
-        acc += comb(k, i) * bern[i] * x ** (k - i)
-    return acc
-
-
 def generalized_bernoulli(k: int, d: int) -> Fraction:
     """B_{k, chi_d} = f^(k-1) sum_{a=1..f} chi_d(a) B_k(a/f), f = |d|.
 
-    For d = 1 this degenerates to B_k(1), so B_{1, chi_1} = +1/2 even
-    though the plain first-convention B_1 is -1/2; downstream L-values
-    only ever use d != 1 at k = 1.
+    Expanding B_k(x) = sum_i C(k, i) B_i x^(k-i) gives
+    sum_i C(k, i) B_i f^(i-1) S_{k-i}, with the integer power sums
+    S_j = sum_a chi_d(a) a^j. For d = 1 this degenerates to B_k(1), so
+    B_{1, chi_1} = +1/2 even though the plain first-convention B_1 is -1/2;
+    downstream L-values only ever use d != 1 at k = 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not is_fundamental(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
     f = abs(d)
-    acc = Fraction(0)
+    sums = [0] * (k + 1)
     for a in range(1, f + 1):
         chi = kronecker(d, a)
         if chi:
-            acc += chi * _bernoulli_poly(k, Fraction(a, f))
-    return f ** (k - 1) * acc
+            for j in range(k + 1):
+                sums[j] += chi * a**j
+    bern = bernoulli_numbers(k)
+    return sum(comb(k, i) * bern[i] * Fraction(f) ** (i - 1) * sums[k - i] for i in range(k + 1))
 
 
 def l_at_negative(k: int, d: int) -> Fraction:

@@ -9,10 +9,9 @@ their report dataclasses, in declaration order, so reordering or renaming a
 field changes the schema just as a CSV column does.
 CSV is ASCII with comma separators, a header row and LF newlines; envelope
 metadata rides along as leading '#' comment lines. JSON carries every exact
-rational as decimal strings of numerator and denominator; oversized
-integers (beyond ~50000 digits) degrade to a sha256-of-hex digest so the
-3.11-era int-to-str guard can never bite. With timestamps suppressed,
-identical configs serialize to identical bytes.
+rational as decimal strings of numerator and denominator, in full at any
+length: the int-to-str guard of Python 3.11 is lifted for each long one.
+With timestamps suppressed, identical configs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ __all__ = [
     "CountReport",
     "AverageReport",
 ]
-
-_MAX_EXACT_DIGITS = 50_000
 
 SCAN_CSV_HEADER = (
     "x,pairs_total,pairs_excluded,sum_eta,avg_eta,ref_theta,ref_combined,"
@@ -160,15 +157,9 @@ def build_envelope(command: str, config: dict, payload, no_timestamp: bool) -> R
 # Exact rationals in JSON
 # ---------------------------------------------------------------------------
 
-def _int_json(n: int):
-    """Decimal string of n, or a digest object when absurdly large."""
+def _int_json(n: int) -> str:
+    """Decimal string of n, whatever its length."""
     digits = int(n.bit_length() * 0.30103) + 1
-    if digits > _MAX_EXACT_DIGITS:
-        # imported here: hashlib loads OpenSSL, a few MiB that no other path needs
-        import hashlib
-
-        h = hashlib.sha256(hex(n).encode()).hexdigest()
-        return {"sha256_of_hex": h, "bit_length": n.bit_length()}
     if digits > 4000:
         old = sys.get_int_max_str_digits()
         try:

@@ -1,8 +1,10 @@
 """Sieves, Kronecker symbols, fundamental discriminants, n_1(p)."""
 
 import random
+import sys
 import tracemalloc
 from bisect import bisect_right
+from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -50,10 +52,23 @@ class TestSievePrimes:
     def test_iter_primes_blocks_match_sieve(self, limit):
         assert list(iter_primes(limit)) == trial_division_primes(limit)
 
-    # each round after the first sieves only its segment (lo, hi]
+    # each round after the first yields only the primes above the last limit
     @pytest.mark.parametrize("limit", [255, 256, 257, 511, 512, 513, 10**5])
     def test_iter_primes_segments_match_sieve_primes(self, limit):
         assert tuple(iter_primes(limit)) == sieve_primes(limit)
+
+    @pytest.mark.parametrize("taken", [1, 54, 55, 97, 98, 1000, 5000])
+    def test_iter_primes_sieves_below_twice_the_last_prime_taken(self, monkeypatch, taken):
+        limits = []
+
+        def recording(limit):
+            limits.append(limit)
+            return sieve_primes(limit)
+
+        monkeypatch.setattr(arith, "sieve_primes", recording)
+        got = list(islice(iter_primes(sys.maxsize), taken))
+        assert got == list(sieve_primes(10**5)[:taken])
+        assert max(limits) <= max(256, 2 * got[-1]), limits
 
 
 class TestIsPrime:
@@ -166,24 +181,42 @@ class TestFundamental:
             assert table.abs_values.tolist() == [abs(d) for d in brute], x
 
     def test_table_matches_brute_force_at_slice_ends(self, monkeypatch):
-        # segments are whole from four segments' worth of runs on: bounds
-        # whose runs fall one run short of four and of eight segments, fill
-        # them exactly, and spill one run over
+        # bounds whose runs fall one run short of one, four and eight whole
+        # segments, fill them exactly, and spill one run over
         monkeypatch.setattr(arith, "_SEGMENT_RUNS", 64)
         s = 16 * arith._SEGMENT_RUNS
-        bounds = [b for n in (4 * s, 8 * s) for b in (n - 17, n - 1, n + 15)]
+        bounds = [b for n in (s, 4 * s, 8 * s) for b in (n - 17, n - 1, n + 15)]
         brute = [d for a in range(1, max(bounds) + 1) for d in (-a, a) if is_fundamental(d)]
         for x in bounds:
             assert sieve_fundamental(x).entries.tolist() == [d for d in brute if abs(d) <= x], x
 
     def test_every_bound_to_3000_with_short_segments(self, monkeypatch):
-        # eight runs (128 values of |D|) a segment: every bound from 496 on
-        # is cut into whole segments, and each smaller one into quarters
+        # eight runs (128 values of |D|) a segment: every bound below 128 is
+        # one segment, and each larger one whole segments and a last one
         monkeypatch.setattr(arith, "_SEGMENT_RUNS", 8)
         brute = [d for a in range(1, 3001) for d in (-a, a) if is_fundamental(d)]
         ends = [abs(d) for d in brute]
         for x in range(1, 3001):
             assert sieve_fundamental(x).entries.tolist() == brute[: bisect_right(ends, x)], x
+
+    def test_bound_under_one_segment_sieves_once(self, monkeypatch):
+        # one segment strikes the flags of its |D| and of their m = |D| / 4
+        calls = []
+        flags = arith._squarefree_flags
+
+        def counting(*args):
+            calls.append(args[:2])
+            return flags(*args)
+
+        monkeypatch.setattr(arith, "_squarefree_flags", counting)
+        s = 16 * arith._SEGMENT_RUNS
+        for x in (64, 65, 255, 1000, 4097, s // 2, s - 1):
+            calls.clear()
+            sieve_fundamental(x)
+            assert len(calls) == 2, (x, calls)
+        calls.clear()
+        sieve_fundamental(s)
+        assert len(calls) == 4, calls
 
     def test_moebius_counts_the_table(self):
         # the table length comes from three Moebius sums before any sieve

@@ -519,7 +519,7 @@ class TestNumpyStaysUnloaded:
 
 
 class TestHashlibStaysUnloaded:
-    """hashlib loads OpenSSL; only the digest of an integer too long to print needs it."""
+    """hashlib loads OpenSSL, a few MiB that no command needs."""
 
     def test_import_and_scan_leave_openssl_unloaded(self):
         code = (
@@ -534,18 +534,6 @@ class TestHashlibStaysUnloaded:
         proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
-
-    def test_oversized_integer_becomes_its_digest(self):
-        import hashlib
-
-        from eta_lab import reports
-
-        n = 10**reports._MAX_EXACT_DIGITS * 3 + 1  # 50,001 digits
-        assert reports._int_json(n) == {
-            "sha256_of_hex": hashlib.sha256(hex(n).encode()).hexdigest(),
-            "bit_length": n.bit_length(),
-        }
-        assert reports._int_json(10**4000) == "1" + "0" * 4000
 
 
 class TestNoProcessPool:
@@ -655,6 +643,27 @@ class TestConstantsCommand:
         lo = rows["Theta"]["lo"]
         hi = rows["Theta"]["hi"]
         assert Fraction(int(lo["num"]), int(lo["den"])) < Fraction(int(hi["num"]), int(hi["den"]))
+
+    def test_json_endpoints_exact_at_max_k(self, tmp_path):
+        # at K = MAX_K the endpoints run to about 75,000 digits, far past the
+        # int-to-str limit of Python 3.11, and still print in full
+        rc, text = run_cli(
+            ["constants", "--K", str(cli.MAX_K), "--format", "json", "--no-timestamp"], tmp_path
+        )
+        assert rc == 0
+        exact = [rigorous_constant(name, cli.MAX_K)
+                 for name in ("theta", "Theta", "alpha", "beta", "erdos")]
+        exact += [combined_constant(cli.MAX_K), mu_constant(cli.MAX_K)]
+        rows = json.loads(text)["payload"]["constants"]
+        assert [r["name"] for r in rows] == [rv.name for rv in exact]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for row, rv in zip(rows, exact):
+                for end, q in (("lo", rv.lo), ("hi", rv.hi)):
+                    assert Fraction(int(row[end]["num"]), int(row[end]["den"])) == q, row["name"]
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_csv_columns_are_outward_rounded(self, tmp_path):
         # at K = 2000 the widths are near 1e-597, below the smallest float

@@ -1,5 +1,6 @@
 """Coefficients, signs, eta, n(D), generalized Bernoulli numbers, q-expansions."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -222,9 +223,25 @@ class TestBernoulliAndL:
         assert generalized_bernoulli(1, 1) == Fraction(1, 2)
 
     def test_against_generating_function_oracle(self):
-        for d in (1, -3, -4, 5, 8, -8, 12, -20, 21):
-            for k in range(1, 7):
+        for d in (d for a in range(1, 61) for d in (-a, a) if is_fundamental(d)):
+            for k in range(1, 11):
                 assert generalized_bernoulli(k, d) == oracle_generalized_bernoulli(k, d), (k, d)
+
+    @pytest.mark.parametrize(
+        "k, d, num_sha",
+        [
+            (1, -29999, "27d0b3a207f58201dd6f4f025d09488745ba1b07bc02165d7d3e211b2739ebe8"),
+            (200, 149, "2c7b1de4c8a2ea043a7ce509dd2e676474e7ddb3a7aafae2f66769de7b18970a"),
+        ],
+    )
+    def test_pinned_at_the_qexp_bounds(self, k, d, num_sha):
+        # |D2| * k at MAX_L_WORK for k = 1 and for k = MAX_L_WEIGHT: SHA-256 of
+        # the decimal numerator and denominator of B_{k, chi_d}
+        b = generalized_bernoulli(k, d)
+        assert hashlib.sha256(str(b.numerator).encode()).hexdigest() == num_sha
+        assert hashlib.sha256(str(b.denominator).encode()).hexdigest() == (
+            "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"  # "1"
+        )
 
     def test_l_values(self):
         assert l_at_negative(1, -4) == Fraction(1, 2)

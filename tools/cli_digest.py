@@ -21,12 +21,17 @@ FORMATS = ("text", "csv", "json")
 DENSITIES = ["densities", "--lemma", "2,3,7,3001", "--pollack", "5", "--lt", "2:+1,3:-1,2999:0"]
 SINGLE = [
     ["constants"],
+    ["constants", "--K", "10"],
+    ["constants", "--K", "6000"],
     ["eta", "5", "-3"],
     ["eta", "5", "1"],
     ["eta", "-4", "5", "--cap", "2"],
     ["sigma", "1", "-4", "3", "3"],
     ["qexp", "1", "-4", "3", "--terms", "8"],
     ["qexp", "5", "-3", "4", "--terms", "12"],
+    # the L-value constant term at both ends of MAX_L_WORK and MAX_L_WEIGHT
+    ["qexp", "1", "-29999", "1", "--terms", "2"],
+    ["qexp", "1", "149", "200", "--terms", "2"],
 ]
 
 
