@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .constants import SERIES_NAMES, combined_constant, mu_constant, rigorous_constant
+from .constants import REFERENCE_K, SERIES_NAMES, combined_constant, mu_constant, rigorous_constant
 from .newform import (
     DEFAULT_ETA_CAP,
     NewformPair,
@@ -271,8 +271,8 @@ def build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", parents=[], help="rigorous limit constants")
-    p.add_argument("--K", type=int, default=1000, dest="k_terms",
-                   help="series truncation index (default 1000)")
+    p.add_argument("--K", type=int, default=REFERENCE_K, dest="k_terms",
+                   help=f"series truncation index (default {REFERENCE_K})")
     _add_digits(p)
     _add_common(p)
 
@@ -299,7 +299,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan", help="average eta over all pairs |D1*D2| <= x")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--workers", type=int, default=1, help=_ONE_PROCESS)
-    p.add_argument("--K", type=int, default=1000, dest="k_terms")
+    p.add_argument("--K", type=int, default=REFERENCE_K, dest="k_terms")
     _add_digits(p)
     _add_common(p)
 

@@ -42,13 +42,23 @@ Theta*(1-beta)+alpha and mu = combined - theta) come from one integer pass:
 
 Rationals are unique in lowest terms, so the results are identical to
 summing series_terms, the per-term definition kept for the tests. A
-truncation is fixed by K alone: the pass sieves the first K primes itself,
-is memoised per process keyed by K, and the public functions read from it;
-nothing is computed at import time.
+truncation is fixed by K alone: the pass sieves the first K primes itself.
+
+Serving. The enclosures at the reference truncation REFERENCE_K = 1000,
+which every command and experiment uses by default, ship with the package
+as one exact table, reference_enclosures.txt beside this module: each of
+the seven enclosures as the hex numerator and denominator of lo and of hi.
+It is written only from the exact pass (tools/reference_table.py) and the
+tests hold the file to a fresh encoding of the pass. Decoding it takes a
+few milliseconds against about 16 ms for the pass. Every other K runs the
+pass. Either way the result is memoised per process keyed by K, and the
+public functions read from it. Nothing is read or computed at import time;
+a missing or malformed table raises rather than falling back to the pass.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +69,7 @@ from math import ceil, floor, lcm, log
 from .arith import iter_primes
 
 __all__ = [
+    "REFERENCE_K",
     "SERIES_NAMES",
     "RigorousValue",
     "default_primes",
@@ -79,6 +90,12 @@ __all__ = [
 ]
 
 SERIES_NAMES = ("theta", "Theta", "alpha", "beta", "erdos")
+# The truncation every reference enclosure uses unless a K is given, and the
+# one whose enclosures ship as a table.
+REFERENCE_K = 1000
+REFERENCE_TABLE = os.path.join(os.path.dirname(__file__), "reference_enclosures.txt")
+# the order of the table's lines: the five series, then combined and mu
+_TABLE_NAMES = (*SERIES_NAMES, "combined", "mu")
 
 # 30-decimal-digit enclosure of zeta(2) = pi^2/6, used only for reference
 # columns in experiment reports; no pass/fail logic compares against it.
@@ -249,10 +266,9 @@ def _tail(name: str, p_K: int, prod: Fraction) -> Fraction:
     return _ratio(_HEADS[name](head_arg)) * prod / (1 - ratio)
 
 
-@lru_cache(maxsize=16)
-def _evaluate(k_terms: int) -> _Evaluation:
+def _exact_pass(k_terms: int) -> _Evaluation:
     """The partial sums and enclosures through the first k_terms primes,
-    memoised per process on K."""
+    from the one integer pass."""
     ps = default_primes(k_terms)
     p_K = ps[-1]
     sums, products = _tree_pass(ps)
@@ -286,6 +302,56 @@ def _evaluate(k_terms: int) -> _Evaluation:
     return _Evaluation(sums=sums, values=values)
 
 
+def _encode(ev: _Evaluation) -> bytes:
+    """The table of an evaluation's enclosures: a line 'K <k>', then one line
+    '<name> <lo num> <lo den> <hi num> <hi den>' per enclosure, in hex,
+    which decodes in linear time and is not subject to int_max_str_digits.
+    The partial sums are the series' lo and are not written again."""
+    (k_terms,) = {v.k_terms for v in ev.values.values()}
+    lines = [f"K {k_terms}"]
+    for name in _TABLE_NAMES:
+        v = ev.values[name]
+        ends = (v.lo.numerator, v.lo.denominator, v.hi.numerator, v.hi.denominator)
+        lines.append(" ".join((name, *(format(n, "x") for n in ends))))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _decode(data: bytes, k_terms: int) -> _Evaluation:
+    """The evaluation whose table at k_terms is exactly `data`.
+
+    Anything else, even an equal value spelled otherwise, raises
+    RuntimeError: the table is never served in part.
+    """
+    try:
+        rows = data.decode("ascii").split("\n")[1:-1]
+        values = {}
+        for name, row in zip(_TABLE_NAMES, rows, strict=True):
+            a, b, c, d = (int(e, 16) for e in row.split(" ")[1:])
+            values[name] = RigorousValue(name, k_terms, Fraction(a, b), Fraction(c, d))
+        ev = _Evaluation(sums={name: values[name].lo for name in SERIES_NAMES}, values=values)
+        canonical = _encode(ev) == data
+    except (ValueError, ZeroDivisionError):
+        canonical = False
+    if not canonical:
+        raise RuntimeError(
+            f"{REFERENCE_TABLE} is not the table of the enclosures at K = {k_terms}; "
+            "tools/reference_table.py rewrites it from the exact pass"
+        )
+    return ev
+
+
+@lru_cache(maxsize=16)
+def _evaluate(k_terms: int) -> _Evaluation:
+    """The evaluation for K = k_terms, memoised per process on K: decoded
+    from the packaged table at REFERENCE_K, the exact pass at any other K.
+    The table is read on the first REFERENCE_K request; a missing file
+    raises OSError."""
+    if k_terms != REFERENCE_K:
+        return _exact_pass(k_terms)
+    with open(REFERENCE_TABLE, "rb") as f:
+        return _decode(f.read(), k_terms)
+
+
 def _evaluation(k_terms: int, tail: bool = True) -> _Evaluation:
     """The memoised evaluation for K = k_terms.
 
@@ -315,18 +381,18 @@ def tail_bound(name: str, k_terms: int) -> Fraction:
     return _evaluation(k_terms).values[name].width
 
 
-def rigorous_constant(name: str, k_terms: int = 1000) -> RigorousValue:
+def rigorous_constant(name: str, k_terms: int = REFERENCE_K) -> RigorousValue:
     """[partial_sum, partial_sum + tail_bound] for the named constant."""
     _check_name(name)
     return _evaluation(k_terms).values[name]
 
 
-def combined_constant(k_terms: int = 1000) -> RigorousValue:
+def combined_constant(k_terms: int = REFERENCE_K) -> RigorousValue:
     """Enclosure of Theta*(1-beta)+alpha by interval arithmetic."""
     return _evaluation(k_terms).values["combined"]
 
 
-def mu_constant(k_terms: int = 1000) -> RigorousValue:
+def mu_constant(k_terms: int = REFERENCE_K) -> RigorousValue:
     """Enclosure of mu = (Theta*(1-beta)+alpha) - theta, the part of the
     eta average contributed by unboundedly large primes."""
     return _evaluation(k_terms).values["mu"]

@@ -93,6 +93,7 @@ from .arith import (
     sieve_primes,
 )
 from .constants import (
+    REFERENCE_K,
     ZETA2_HI,
     ZETA2_LO,
     RigorousValue,
@@ -641,7 +642,7 @@ def scan_pairs(
     x: int,
     workers: int = 1,
     ctx: ScanContext | None = None,
-    k_terms: int = 1000,
+    k_terms: int = REFERENCE_K,
 ) -> PairScanReport:
     """Sum eta(D1, D2) over ordered pairs with |D1*D2| <= x, D2 != 1.
 
@@ -680,10 +681,16 @@ def _audit_chunk(ctx: ScanContext, bounds) -> AuditReport:
     """The audit of the D2 at table positions [lo, hi). Every eta is at most
     n(D2), so the sign scan walks the primes up to the largest n(D2) there."""
     lo, hi = bounds
-    entries = ctx.entries
-    nvals = ctx.nvals
-    prefix = ctx.prefix_slice(lo, hi)
-    scan_primes = sieve_primes(max(2, int(nvals[lo:hi].max(initial=0))))
+    scan_primes = sieve_primes(max(2, int(ctx.nvals[lo:hi].max(initial=0))))
+
+    def ints(a: int, b: int) -> tuple[list[int], list[int]]:
+        return ctx.entries[a:b].tolist(), ctx.nvals[a:b].tolist()
+
+    # Python ints, at most a table slice of them at a time: the D2 by slices,
+    # and each D2's D1 by slices of [0, prefix). The first D1 slice, the
+    # whole table below about x = 1e5, is read once per call, up to the
+    # longest prefix, prefix(lo) (none for an empty range).
+    head = ints(0, min(int(ctx.prefix_slice(lo, min(lo + 1, hi)).sum()), _TABLE_SLICE))
 
     pairs_total = 0
     pairs_excluded = 0
@@ -696,41 +703,54 @@ def _audit_chunk(ctx: ScanContext, bounds) -> AuditReport:
     mismatches = 0
     examples: list[tuple[int, int, int, MismatchExample]] = []
 
-    for i2 in range(lo, hi):
-        d2 = int(entries[i2])
-        c = int(prefix[i2 - lo])
-        pairs_total += c
-        if d2 == 1:
-            pairs_excluded += c
-            continue
-        n2 = int(nvals[i2])
-        for i1 in range(c):
-            d1 = int(entries[i1])
-            eta_p = 0
+    for a in range(lo, hi, _TABLE_SLICE):
+        b = min(a + _TABLE_SLICE, hi)
+        for i2, d2, n2, c in zip(range(a, b), *ints(a, b), ctx.prefix_slice(a, b).tolist()):
+            pairs_total += c
+            if d2 == 1:
+                pairs_excluded += c
+                continue
+            # chi_{D2}(p) once per D2: the sign at p is chi_{D1}(p) for p | D2
+            # and chi_{D2}(p) otherwise, so a pair's scan reads chi_{D1} at the
+            # p | D2 below the first p with chi_{D2}(p) = -1, and ends there at
+            # the latest (0 if no scan prime has it)
+            divisors = []
+            last = 0
             for p in scan_primes:
-                s = kronecker(d1, p) if d2 % p == 0 else kronecker(d2, p)
-                if s == -1:
-                    eta_p = p
+                if d2 % p == 0:
+                    divisors.append(p)
+                elif kronecker(d2, p) == -1:
+                    last = p
                     break
-            assert eta_p, f"sign scan failed for ({d1}, {d2})"
-            lhs += eta_p
-            rhs_n_d2 += n2
-            if d2 % eta_p == 0:
-                hit_pairs += 1
-                n1 = int(nvals[i1])
-                rhs_hit_n_d1 += n1
-                rhs_hit_n_d2 += n2
-                if eta_p != n1:
-                    mismatches += 1
-                    key = abs(d1 * d2)
-                    if len(examples) < 10 or (key, i2, i1) < examples[-1][:3]:
-                        examples.append(
-                            (key, i2, i1, MismatchExample(d1=d1, d2=d2, eta=eta_p, n_d1=n1))
-                        )
-                        examples.sort(key=lambda t: t[:3])
-                        del examples[10:]
-            elif eta_p != n2:
-                violations += 1
+            rhs_n_d2 += c * n2
+            for s in range(0, c, _TABLE_SLICE):
+                d1s, n1s = head if s == 0 else ints(s, min(c, s + _TABLE_SLICE))
+                for j in range(min(c - s, _TABLE_SLICE)):
+                    d1 = d1s[j]
+                    for p in divisors:
+                        if kronecker(d1, p) == -1:
+                            eta_p = p
+                            break
+                    else:
+                        eta_p = last
+                    assert eta_p, f"sign scan failed for ({d1}, {d2})"
+                    lhs += eta_p
+                    if d2 % eta_p == 0:
+                        hit_pairs += 1
+                        n1 = n1s[j]
+                        rhs_hit_n_d1 += n1
+                        rhs_hit_n_d2 += n2
+                        if eta_p != n1:
+                            mismatches += 1
+                            key, i1 = abs(d1 * d2), s + j
+                            if len(examples) < 10 or (key, i2, i1) < examples[-1][:3]:
+                                examples.append(
+                                    (key, i2, i1, MismatchExample(d1=d1, d2=d2, eta=eta_p, n_d1=n1))
+                                )
+                                examples.sort(key=lambda t: t[:3])
+                                del examples[10:]
+                    elif eta_p != n2:
+                        violations += 1
     return AuditReport(
         x=ctx.x,
         pairs_total=pairs_total,
@@ -993,7 +1013,7 @@ def average_nd(x: int, ctx: ScanContext | None = None) -> AverageReport:
     count = len(ctx.nvals) - 1
     if count == 0:
         raise ValueError(f"no fundamental discriminant D != 1 with |D| <= {x}")
-    return _average(x, "n(D)", int(ctx.nvals.sum()), count, rigorous_constant("Theta", 1000))
+    return _average(x, "n(D)", int(ctx.nvals.sum()), count, rigorous_constant("Theta", REFERENCE_K))
 
 
 def average_n1(x: int) -> AverageReport:
@@ -1016,4 +1036,4 @@ def average_n1(x: int) -> AverageReport:
     # p* = +-p = 1 mod 4 is a fundamental discriminant and, by quadratic
     # reciprocity (with (2/p) set by p mod 8), n(p*) = n_1(p)
     n1 = _signs(np.where(odd % 4 == 1, odd, -odd))[0]
-    return _average(x, "n_1(p)", int(n1.sum()), len(n1), rigorous_constant("erdos", 1000))
+    return _average(x, "n_1(p)", int(n1.sum()), len(n1), rigorous_constant("erdos", REFERENCE_K))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from .arith import is_fundamental, iter_primes, kronecker
 
@@ -195,12 +195,16 @@ def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     """B_0..B_n as exact Fractions, first convention (B_1 = -1/2)."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    # B_m = -sum_{j<m} C(m+1, j) B_j / (m+1), each sum taken over the lcm L
+    # of the denominators so far and reduced once
     out = [Fraction(1)]
+    den = 1
     for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += comb(m + 1, j) * out[j]
-        out.append(-acc / (m + 1))
+        den = lcm(den, out[-1].denominator)
+        acc = sum(
+            comb(m + 1, j) * b.numerator * (den // b.denominator) for j, b in enumerate(out) if b
+        )
+        out.append(Fraction(-acc, den * (m + 1)))
     return tuple(out)
 
 

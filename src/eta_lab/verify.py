@@ -37,9 +37,11 @@ from .arith import (
     sieve_primes,
 )
 from .constants import (
+    REFERENCE_K,
     ZETA2_HI,
     ZETA2_LO,
-    combined_constant,
+    _evaluate,
+    _exact_pass,
     least_negative_density,
     render_decimal,
     rigorous_constant,
@@ -109,24 +111,28 @@ def brute_force_pair_sum(x: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 def _crit_1_constants() -> tuple[bool, str]:
+    # the enclosures from the exact pass itself, not the served table, which
+    # must equal them
     t0 = time.perf_counter()
-    th = rigorous_constant("theta", 1000)
-    big = rigorous_constant("Theta", 1000)
-    comb = combined_constant(1000)
+    ev = _exact_pass(REFERENCE_K)
     elapsed = time.perf_counter() - t0
+    th, big, comb = ev.values["theta"], ev.values["Theta"], ev.values["combined"]
     th_s = render_decimal(th, 10)
     big_s = render_decimal(big, 10)
     comb_s = render_decimal(comb, 14)
+    served = _evaluate(REFERENCE_K) == ev
     ok = (
         th_s == "3.9750223902"
         and big_s == "4.9809473396"
         and comb_s == "4.63255603509332"
         and comb.width < Fraction(1, 10**14)
         and elapsed < 30.0
+        and served
     )
     return ok, (
         f"theta={th_s} Theta={big_s} combined={comb_s} "
-        f"width={float(comb.width):.1e} in {elapsed:.2f}s (bound 30 s)"
+        f"width={float(comb.width):.1e} in {elapsed:.2f}s (bound 30 s), "
+        f"served table {'equals' if served else 'differs from'} the pass"
     )
 
 
@@ -314,7 +320,7 @@ def _crit_9_audit(ctx4: ScanContext) -> tuple[bool, str]:
 
 def _crit_10_erdos() -> tuple[bool, str]:
     rep = average_n1(1_000_000)
-    mid = rigorous_constant("erdos", 1000).midpoint
+    mid = rigorous_constant("erdos", REFERENCE_K).midpoint
     rel = abs(rep.average - mid) / mid
     golden_ok, gnote = _golden_check(
         {"average_n1_x1000000": {"total": rep.total, "count": rep.count}}

@@ -1,14 +1,25 @@
 """Exact partial sums, proven tails, enclosures, decimal rendering."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eta_lab
+from eta_lab import constants
 from eta_lab.arith import sieve_primes
 from eta_lab.constants import (
+    REFERENCE_K,
+    REFERENCE_TABLE,
     SERIES_NAMES,
+    _decode,
+    _encode,
     _evaluate,
+    _exact_pass,
     ZETA2_HI,
     ZETA2_LO,
     RigorousValue,
@@ -142,6 +153,109 @@ class TestOnePassExactness:
     def test_argument_errors_survive(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+class TestReferenceTable:
+    """The enclosures at REFERENCE_K are decoded from the packaged table,
+    which must be exactly the encoding of the exact pass."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        with open(REFERENCE_TABLE, "rb") as f:
+            return f.read()
+
+    def test_served_equals_the_pass(self):
+        served, ev = _evaluate(REFERENCE_K), _exact_pass(REFERENCE_K)
+        names = (*SERIES_NAMES, "combined", "mu")
+        assert sorted(served.values) == sorted(ev.values) == sorted(names)
+        for name in names:
+            got, want = served.values[name], ev.values[name]
+            assert (got.name, got.k_terms, got.lo, got.hi) == (name, REFERENCE_K, want.lo, want.hi)
+        assert sorted(served.sums) == sorted(SERIES_NAMES)
+        for name in SERIES_NAMES:
+            assert served.sums[name] == ev.sums[name] == served.values[name].lo
+        assert served == ev
+
+    def test_committed_bytes_are_the_encoding_of_a_fresh_pass(self, table):
+        # the table is read beside the imported module, so this holds for an
+        # installed package and for one imported from a checkout alike
+        assert Path(REFERENCE_TABLE).parent == Path(constants.__file__).parent
+        assert table == _encode(_exact_pass(REFERENCE_K))
+
+    def test_import_reads_and_computes_nothing(self, tmp_path):
+        src = Path(eta_lab.__file__).resolve().parents[1]
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import eta_lab.cli; "
+            "from eta_lab.constants import _evaluate; "
+            "print(_evaluate.cache_info().currsize)"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(src)],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The K of each exact pass run while the test runs."""
+        ks = []
+
+        def recording(k_terms):
+            ks.append(k_terms)
+            return _exact_pass(k_terms)
+
+        monkeypatch.setattr(constants, "_exact_pass", recording)
+        return ks
+
+    def test_only_the_reference_k_is_served(self, passes):
+        assert _evaluate.__wrapped__(REFERENCE_K) == _exact_pass(REFERENCE_K)
+        assert passes == []
+        for k in (REFERENCE_K - 1, REFERENCE_K + 1, 10):
+            assert _evaluate.__wrapped__(k) == _exact_pass(k)
+        assert passes == [REFERENCE_K - 1, REFERENCE_K + 1, 10]
+
+    def test_missing_table_raises(self, monkeypatch, tmp_path, passes):
+        monkeypatch.setattr(constants, "REFERENCE_TABLE", str(tmp_path / "missing.txt"))
+        with pytest.raises(FileNotFoundError):
+            _evaluate.__wrapped__(REFERENCE_K)
+        assert passes == []  # no fallback to the pass
+
+    @staticmethod
+    def _corruptions(table):
+        head, *rows, end = table.split(b"\n")
+        assert end == b"" and len(rows) == 7
+        name, *ends = rows[0].split(b" ")
+        num, den = int(ends[0], 16), int(ends[1], 16)
+        unreduced = b" ".join((name, b"%x" % (2 * num), b"%x" % (2 * den), *ends[2:]))
+        swapped = b" ".join((name, ends[2], ends[3], ends[0], ends[1]))  # lo > hi
+        return {
+            "empty": b"",
+            "truncated": table[: len(table) // 2],
+            "no final newline": table[:-1],
+            "extra line": table + b"x 1 1 1 1\n",
+            "other k": table.replace(b"K 1000", b"K 999", 1),
+            "rows swapped": b"\n".join((head, rows[1], rows[0], *rows[2:], b"")),
+            "non-hex digit": table.replace(ends[0][:8], b"g" + ends[0][1:8], 1),
+            "upper case": table.replace(ends[0], ends[0].upper(), 1),
+            "unreduced": table.replace(rows[0], unreduced, 1),
+            "lo above hi": table.replace(rows[0], swapped, 1),
+            "zero denominator": table.replace(ends[1], b"0", 1),
+            "not ascii": table.replace(b"theta", b"th\xe9ta", 1),
+        }
+
+    def test_corrupt_table_raises(self, monkeypatch, tmp_path, table, passes):
+        corrupt = tmp_path / "corrupt.txt"
+        monkeypatch.setattr(constants, "REFERENCE_TABLE", str(corrupt))
+        for what, data in self._corruptions(table).items():
+            assert data != table, what
+            with pytest.raises(RuntimeError, match="not the table of the enclosures"):
+                _decode(data, REFERENCE_K)
+            corrupt.write_bytes(data)
+            with pytest.raises(RuntimeError):
+                _evaluate.__wrapped__(REFERENCE_K)
+        assert passes == []  # no fallback to the pass
 
 
 class TestTailBounds:

@@ -750,6 +750,17 @@ class TestAudit:
             (m.d1, m.d2, m.eta, m.n_d1) == (5, -15, 3, 2) for m in a.mismatch_examples
         )
 
+    @pytest.mark.parametrize("size", [1, 7, 100])
+    def test_reads_the_table_a_slice_at_a_time(self, monkeypatch, ctx2000, size):
+        # the audit holds at most a table slice of D2 and of D1 as Python
+        # ints; slices far shorter than the table take every path of that
+        # reading, including a D2 whose D1 span several slices
+        n = len(ctx2000.entries)
+        bounds = [(0, n), (1, 11), (11, n // 3), (n // 3, n), (5, 5), (n, n)]
+        want = [experiments._audit_chunk(ctx2000, b) for b in bounds]
+        monkeypatch.setattr(experiments, "_TABLE_SLICE", size)
+        assert [experiments._audit_chunk(ctx2000, b) for b in bounds] == want
+
     def test_range_split_independence(self, ctx2000):
         # the reports of (lo, hi) ranges of D2 add up, field by field, to the
         # whole-table audit, and their examples merge into its 10

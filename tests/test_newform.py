@@ -3,13 +3,14 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from eta_lab.arith import is_fundamental, kronecker, sieve_fundamental, sieve_primes
 from eta_lab.newform import (
     NewformPair,
+    bernoulli_numbers,
     eta,
     eta_sign_trace,
     generalized_bernoulli,
@@ -216,7 +217,27 @@ def oracle_generalized_bernoulli(k: int, d: int) -> Fraction:
     return out[k]
 
 
+def reference_bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0..B_n by the recurrence B_m = -sum_{j<m} C(m+1, j) B_j / (m+1),
+    adding one Fraction at a time."""
+    out = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += comb(m + 1, j) * out[j]
+        out.append(-acc / (m + 1))
+    return out
+
+
 class TestBernoulliAndL:
+    def test_bernoulli_numbers_match_the_recurrence(self):
+        want = reference_bernoulli_numbers(200)
+        assert want[:4] == [1, Fraction(-1, 2), Fraction(1, 6), 0]
+        for n in range(201):
+            assert bernoulli_numbers.__wrapped__(n) == tuple(want[: n + 1]), n
+        with pytest.raises(ValueError):
+            bernoulli_numbers(-1)
+
     def test_examples(self):
         assert generalized_bernoulli(1, -4) == Fraction(-1, 2)
         assert generalized_bernoulli(3, -4) == Fraction(3, 2)
