@@ -46,11 +46,12 @@ from .reports import build_envelope, serialize
 # their handlers; the others start without numpy.
 
 MAX_X = 10**8
-# The exact series pass still grows about quadratically in K, through the
-# gcd that reduces each result once: 0.02, 0.05, 0.2, 0.9 and 1.3 s at
-# K = 1000, 2000, 4000, 8000 and 10000 (in process, 2-vCPU x86-64 host,
-# Python 3.11). The JSON of `constants` prints each enclosure's endpoints in
-# full: up to 75,121 digits an integer and 0.99 MB in all at K = 10000.
+# The exact series pass grows about quadratically in K, through the gcd that
+# reduces each result once: 0.02, 0.05, 0.2, 0.9 and 1.3 s at K = 1000, 2000,
+# 4000, 8000 and 10000 (in process, 2-vCPU x86-64 host, Python 3.11).
+# `constants --K 10000` takes 1.6-1.9 s in text and CSV, and 2.5-2.6 s in
+# JSON, which alone converts the 14 endpoints to decimal in full: up to 75,121
+# digits an integer, 0.99 MB in all (fresh interpreter, same host).
 MAX_K = 10_000
 # The tail bounds need p_K >= 25 (Nagura's prime gaps), and p_10 = 29 is the
 # first such prime.
@@ -338,8 +339,9 @@ def _cmd_constants(args) -> int:
 def _cmd_eta(args) -> int:
     pair = _check_pair(args.d1, args.d2)
     res, trace = eta_sign_trace(pair, args.cap)
-    payload = {"d1": args.d1, "d2": args.d2, "cap": args.cap, "result": res, "trace": trace}
-    _emit(args, {"d1": args.d1, "d2": args.d2, "cap": args.cap}, payload)
+    config = {"d1": args.d1, "d2": args.d2, "cap": args.cap}
+    trace = [{"p": p, "sign": s} for p, s in trace]
+    _emit(args, config, {**config, "status": res.status, "eta": res.prime, "trace": trace})
     return 2 if res.status == "cap_exceeded" else 0
 
 
@@ -352,7 +354,7 @@ def _cmd_sigma(args) -> int:
     pair = _check_pair(args.d1, args.d2)
     value = sigma_coefficient(pair, args.k, args.n)
     config = {"d1": args.d1, "d2": args.d2, "k": args.k, "n": args.n}
-    _emit(args, config, {**config, "value": value})
+    _emit(args, config, {"kind": "sigma", **config, "value": value})
     return 0
 
 
@@ -377,8 +379,7 @@ def _cmd_scan(args) -> int:
     report = scan_pairs(x, workers=args.workers, k_terms=k)
     # the ignored worker count is left out of the echo, so the bytes are the
     # same for any --workers
-    config = {"x": x, "K": k}
-    _emit(args, config, report)
+    _emit(args, {"x": x, "K": k}, report)
     return 0
 
 
@@ -434,7 +435,7 @@ def _cmd_densities(args) -> int:
     if pattern is not None:
         reports.append(density_lt(x, pattern, ctx))
         config["lt"] = args.lt
-    _emit(args, config, reports)
+    _emit(args, config, {"reports": reports})
     return 0
 
 
@@ -455,7 +456,7 @@ def _cmd_verify(args) -> int:
         {"id": r.cid, "name": r.name, "status": r.status, "seconds": r.seconds, "detail": r.detail}
         for r in results
     ]
-    _emit(args, {}, criteria)
+    _emit(args, {}, {"kind": "verify", "criteria": criteria})
     return 0 if all(r.status != "fail" for r in results) else 2
 
 

@@ -3,10 +3,16 @@
 It is the only layer that renders: the engines hand it integers, exact
 rationals and RigorousValue enclosures, so one report serializes at any digits.
 
-CSV schemas are frozen; changing a column set is a breaking version bump.
-The scan, audit and density JSON and the audit CSV columns are the fields of
-their report dataclasses, in declaration order, so reordering or renaming a
-field changes the schema just as a CSV column does.
+Each format is rendered only when asked for: text and CSV by the table of
+the command, JSON by its document. CSV schemas are frozen; changing a column
+set is a breaking version bump. A command's JSON is its payload in
+declaration order: the fields of a report dataclass (scan, audit, each
+density report), or the keys of the dict that `cli` builds already in the
+JSON's shape (densities, sigma, verify, eta). So reordering or renaming a
+field changes the schema just as a CSV column does; the audit CSV columns are
+its fields too. `constants` and `qexp` are the two exceptions: their JSON
+holds values rendered here, each constant's decimal and float width and the
+coefficients as strings.
 CSV is ASCII with comma separators, a header row and LF newlines; envelope
 metadata rides along as leading '#' comment lines. JSON carries every exact
 rational as decimal strings of numerator and denominator, in full at any
@@ -27,7 +33,7 @@ from math import ceil, floor
 
 from . import __version__
 from .constants import RigorousValue, format_fixed, format_sci, render_decimal
-from .newform import EtaResult, QExpansion
+from .newform import QExpansion
 
 __all__ = [
     "ReportEnvelope",
@@ -191,13 +197,43 @@ def _exact_json(value, digits: int):
     return value
 
 
+def _constants_json(values: list[RigorousValue], digits: int) -> dict:
+    return {
+        "constants": [
+            {
+                "name": rv.name,
+                "k_terms": rv.k_terms,
+                "lo": _frac_json(rv.lo),
+                "hi": _frac_json(rv.hi),
+                "rendered": render_decimal(rv, digits),
+                "width_float": float(rv.hi - rv.lo),
+            }
+            for rv in values
+        ]
+    }
+
+
+def _qexp_json(payload: dict, digits: int) -> dict:
+    q: QExpansion = payload["expansion"]
+    return {
+        "d1": payload["d1"],
+        "d2": payload["d2"],
+        "k": q.weight,
+        "constant_term": _frac_json(q.constant_term),
+        "coefficients": [str(a) for a in q.coefficients],
+    }
+
+
+# the two commands whose JSON is not their payload (see the module docstring)
+_DOCUMENTS = {"constants": _constants_json, "qexp": _qexp_json}
+
+
 # ---------------------------------------------------------------------------
-# Per-payload tables: (csv_header, csv_rows, text_lines, json_dict)
+# Per-command tables for text and CSV: (csv_header, csv_rows, text_lines)
 # ---------------------------------------------------------------------------
 
 def _scan_table(r: PairScanReport, digits: int):
-    js = _exact_json(r, digits)
-    refs = js["refs"]
+    refs = {name: render_decimal(rv, digits) for name, rv in r.refs.items()}
     avg = format_fixed(r.avg_eta, digits)
     deltas = {name: format_fixed(d, digits, plus=True) for name, d in r.deltas.items()}
     row = [r.x, r.pairs_total, r.pairs_excluded, r.sum_eta, avg]
@@ -212,7 +248,7 @@ def _scan_table(r: PairScanReport, digits: int):
         f"  vs Theta*(1-beta)+alpha  {refs['combined']}  (delta {deltas['combined']})",
         f"  vs Theta             {refs['Theta']}  (delta {deltas['Theta']})",
     ]
-    return SCAN_CSV_HEADER.split(","), [row], text, js
+    return SCAN_CSV_HEADER.split(","), [row], text
 
 
 def _audit_table(r: AuditReport, digits: int):
@@ -235,14 +271,14 @@ def _audit_table(r: AuditReport, digits: int):
         text.append(
             f"    (D1, D2) = ({m.d1}, {m.d2}): eta = {m.eta}, n(D1) = {m.n_d1}"
         )
-    return header, [row], text, _exact_json(r, digits)
+    return header, [row], text
 
 
-def _density_table(reports: list[DensityReport], digits: int):
+def _density_table(payload: dict, digits: int):
     header = ["kind", "x", "label", "count", "total", "observed", "predicted", "relative_error"]
     rows = []
     text = []
-    for rep in reports:
+    for rep in payload["reports"]:
         text.append(f"{rep.kind}, |D| or |D1*D2| <= {rep.x}"
                     + (f" (excluded: {rep.excluded})" if rep.excluded else ""))
         for row in rep.rows:
@@ -266,66 +302,38 @@ def _density_table(reports: list[DensityReport], digits: int):
             )
         for w in rep.warnings:
             text.append(f"  warning: {w}")
-    return header, rows, text, {"reports": _exact_json(reports, digits)}
+    return header, rows, text
 
 
 def _constants_table(values: list[RigorousValue], digits: int):
     header = ["name", "k_terms", "lo", "hi", "value", "width"]
     rows = []
     text = [f"rigorous series constants (k_terms as shown, outward-rounded)"]
-    js_rows = []
     for rv in values:
         rendered = render_decimal(rv, digits)
-        width = rv.hi - rv.lo
-        wtxt = format_sci(width, 3)
+        wtxt = format_sci(rv.hi - rv.lo, 3)
         lo_s = format_fixed(rv.lo, digits + 2, floor)
         hi_s = format_fixed(rv.hi, digits + 2, ceil)
         rows.append([rv.name, rv.k_terms, lo_s, hi_s, rendered, wtxt])
         text.append(f"  {rv.name:10s} = {rendered}   (width {wtxt}, K = {rv.k_terms})")
-        js_rows.append(
-            {
-                "name": rv.name,
-                "k_terms": rv.k_terms,
-                "lo": _frac_json(rv.lo),
-                "hi": _frac_json(rv.hi),
-                "rendered": rendered,
-                "width_float": float(width),
-            }
-        )
-    return header, rows, text, {"constants": js_rows}
+    return header, rows, text
 
 
 def _eta_table(payload: dict, digits: int):
-    res: EtaResult = payload["result"]
-    trace = payload["trace"]
     header = ["d1", "d2", "cap", "status", "eta", "trace"]
-    packed = ";".join(f"{p}:{s:+d}" for p, s in trace)
-    row = [
-        payload["d1"],
-        payload["d2"],
-        payload["cap"],
-        res.status,
-        res.prime if res.is_found else "",
-        packed,
-    ]
+    found = payload["status"] == "found"
+    packed = ";".join(f"{t['p']}:{t['sign']:+d}" for t in payload["trace"])
+    row = [payload[name] for name in header[:4]] + [payload["eta"] if found else "", packed]
     text = [f"eta({payload['d1']}, {payload['d2']}) with cap {payload['cap']}:"]
-    for p, s in trace:
-        text.append(f"  sign at {p:6d} = {s:+d}")
-    if res.is_found:
-        text.append(f"  eta = {res.prime}")
-    elif res.status == "never":
+    for t in payload["trace"]:
+        text.append(f"  sign at {t['p']:6d} = {t['sign']:+d}")
+    if found:
+        text.append(f"  eta = {payload['eta']}")
+    elif payload["status"] == "never":
         text.append("  eta = never (D2 = 1: the sign is +1 at every prime)")
     else:
-        text.append(f"  cap {res.cap} exceeded")
-    js = {
-        "d1": payload["d1"],
-        "d2": payload["d2"],
-        "cap": payload["cap"],
-        "status": res.status,
-        "eta": res.prime,
-        "trace": [{"p": p, "sign": s} for p, s in trace],
-    }
-    return header, [row], text, js
+        text.append(f"  cap {payload['cap']} exceeded")
+    return header, [row], text
 
 
 def _sigma_table(payload: dict, digits: int):
@@ -335,7 +343,7 @@ def _sigma_table(payload: dict, digits: int):
         f"sigma(D1={payload['d1']}, D2={payload['d2']}, k={payload['k']}, "
         f"n={payload['n']}) = {payload['value']}"
     ]
-    return header, [row], text, {"kind": "sigma", **payload}
+    return header, [row], text
 
 
 def _qexp_table(payload: dict, digits: int):
@@ -355,30 +363,22 @@ def _qexp_table(payload: dict, digits: int):
         f"  constant term = {const}",
         f"  a_1..a_{len(q.coefficients)} = {', '.join(str(a) for a in q.coefficients)}",
     ]
-    js = {
-        "d1": payload["d1"],
-        "d2": payload["d2"],
-        "k": q.weight,
-        "constant_term": _frac_json(q.constant_term),
-        "coefficients": [str(a) for a in q.coefficients],
-    }
-    return header, [row], text, js
+    return header, [row], text
 
 
-def _verify_table(criteria: list[dict], digits: int):
+def _verify_table(payload: dict, digits: int):
     header = ["id", "name", "status", "seconds", "detail"]
     rows = []
     text = []
-    for c in criteria:
+    for c in payload["criteria"]:
         rows.append([c["id"], c["name"], c["status"], f"{c['seconds']:.2f}", c["detail"]])
         text.append(f"[{c['status'].upper():4s}] {c['id']:>2} {c['name']}: {c['detail']}")
-    npass = sum(1 for c in criteria if c["status"] == "pass")
-    nfail = sum(1 for c in criteria if c["status"] == "fail")
-    text.append(f"{npass} passed, {nfail} failed")
-    return header, rows, text, {"kind": "verify", "criteria": criteria}
+    statuses = [c["status"] for c in payload["criteria"]]
+    text.append(f"{statuses.count('pass')} passed, {statuses.count('fail')} failed")
+    return header, rows, text
 
 
-# the table that renders each command's payload
+# the table that renders each command's payload as text and CSV
 _TABLES = {
     "constants": _constants_table,
     "eta": _eta_table,
@@ -392,11 +392,24 @@ _TABLES = {
 
 
 def serialize(env: ReportEnvelope, fmt: str, digits: int = 12) -> str:
-    """Render an envelope to 'text', 'csv' or 'json', by the table of its
-    command."""
+    """Render an envelope to 'text' or 'csv' by the table of its command, or
+    to 'json' by its document; only the format asked for is rendered."""
+    if fmt not in ("text", "csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
     if env.command not in _TABLES:
         raise ValueError(f"no renderer for command {env.command!r}")
-    header, rows, text, js = _TABLES[env.command](env.payload, digits)
+    if fmt == "json":
+        doc = {
+            "tool": env.tool,
+            "version": env.version,
+            "command": env.command,
+            "config": env.config,
+        }
+        if env.timestamp is not None:
+            doc["timestamp"] = env.timestamp
+        doc["payload"] = _DOCUMENTS.get(env.command, _exact_json)(env.payload, digits)
+        return json.dumps(doc, indent=2, ensure_ascii=True, sort_keys=False) + "\n"
+    header, rows, text = _TABLES[env.command](env.payload, digits)
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(f"# {env.tool} {env.version} {env.command}\n")
@@ -408,21 +421,7 @@ def serialize(env: ReportEnvelope, fmt: str, digits: int = 12) -> str:
         writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue()
-    if fmt == "json":
-        doc = {
-            "tool": env.tool,
-            "version": env.version,
-            "command": env.command,
-            "config": env.config,
-        }
-        if env.timestamp is not None:
-            doc["timestamp"] = env.timestamp
-        doc["payload"] = js
-        return json.dumps(doc, indent=2, ensure_ascii=True, sort_keys=False) + "\n"
-    if fmt == "text":
-        head = f"{env.tool} {env.version} | {env.command}"
-        if env.timestamp is not None:
-            head += f" | {env.timestamp}"
-        lines = [head] + text
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    head = f"{env.tool} {env.version} | {env.command}"
+    if env.timestamp is not None:
+        head += f" | {env.timestamp}"
+    return "\n".join([head, *text]) + "\n"

@@ -896,12 +896,73 @@ class TestOptionSurface:
 
 
 class TestRendererTable:
-    """`serialize` renders an envelope by the table of its command."""
+    """`serialize` renders an envelope by the table of its command for text
+    and CSV, and by its document for JSON, and only the format asked for."""
 
-    def test_every_command_has_a_table(self):
+    ARGV = [
+        ["constants"],
+        ["eta", "5", "-3"],
+        ["sigma", "1", "-4", "3", "3"],
+        ["qexp", "1", "-4", "3", "--terms", "4"],
+        ["scan", "--x", "1000"],
+        ["densities", "--x", "1000", "--lemma", "3", "--pollack", "2", "--lt", "2:+1"],
+        ["audit", "--x", "1000"],
+        ["verify"],
+    ]
+
+    @pytest.fixture(scope="class")
+    def rendered(self):
+        """Each command's envelope, as `cli` builds it, and its output in
+        every format."""
+        envelopes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "run_criteria",
+                       lambda: [verify.CriterionResult(1, "first", "pass", "fine", 0.5)])
+            mp.setattr(cli, "serialize", lambda env, fmt, digits: envelopes.append(env) or "")
+            for argv in self.ARGV:
+                assert main([*argv, "--no-timestamp"]) == 0
+        return [(env, {fmt: serialize(env, fmt) for fmt in ("text", "csv", "json")})
+                for env in envelopes]
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("a renderer of another format was called")
+
+    def test_every_command_has_a_table(self, rendered):
         from eta_lab import reports
 
         assert set(reports._TABLES) == set(cli._HANDLERS)
+        assert set(reports._DOCUMENTS) <= set(cli._HANDLERS)
+        assert [env.command for env, _ in rendered] == list(cli._HANDLERS)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_text_and_csv_render_no_json(self, monkeypatch, rendered, fmt):
+        from eta_lab import reports
+
+        monkeypatch.setattr(reports, "_exact_json", self.refuse)
+        for command in reports._DOCUMENTS:
+            monkeypatch.setitem(reports._DOCUMENTS, command, self.refuse)
+        for env, out in rendered:
+            assert serialize(env, fmt) == out[fmt]
+
+    def test_json_renders_no_table(self, monkeypatch, rendered):
+        from eta_lab import reports
+
+        for command in reports._TABLES:
+            monkeypatch.setitem(reports._TABLES, command, self.refuse)
+        for env, out in rendered:
+            assert serialize(env, "json") == out["json"]
+
+    def test_unknown_format_is_refused_before_rendering(self, monkeypatch, rendered):
+        from eta_lab import reports
+
+        monkeypatch.setattr(reports, "_exact_json", self.refuse)
+        for table in (reports._TABLES, reports._DOCUMENTS):
+            for command in table:
+                monkeypatch.setitem(table, command, self.refuse)
+        for env, _ in rendered:
+            with pytest.raises(ValueError, match="unknown format 'xml'"):
+                serialize(env, "xml")
 
     def test_unknown_command_is_named(self):
         env = build_envelope("frobnicate", {}, [], True)
@@ -1008,6 +1069,53 @@ class TestTimestamps:
         assert rc == 0
         head = text.splitlines()[0]
         assert head == "eta-lab 0.1.0 | sigma"
+
+
+class TestInstalledPackage:
+    """The package as setuptools builds it from pyproject.toml, imported from
+    outside the checkout with no `src` on the path, prints what `src` prints:
+    a module or data file left out of the build fails here."""
+
+    CHILD = """
+import contextlib, io, json, sys
+from pathlib import Path
+import eta_lab
+from eta_lab import cli, verify
+lib = Path(sys.argv[1]).resolve()
+assert Path(eta_lab.__file__).resolve().is_relative_to(lib), eta_lab.__file__
+out = []
+for argv in (["constants"], ["scan", "--x", "1000", "--format", "json"]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        out.append(cli.main([*argv, "--no-timestamp"]))
+    out.append(buf.getvalue())
+out.append(verify.load_golden())
+print(json.dumps(out))
+"""
+
+    def run_child(self, lib: Path, cwd: Path):
+        env = dict(os.environ, PYTHONPATH=str(lib))
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, str(lib)],
+                              env=env, cwd=cwd, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_built_package_prints_what_src_prints(self, tmp_path):
+        checkout = Path(__file__).resolve().parents[1]
+        # the build writes into tmp_path only: --egg-base moves the egg-info
+        # out of the checkout
+        setup = [sys.executable, "-c", "import setuptools; setuptools.setup()"]
+        proc = subprocess.run(
+            [*setup, "egg_info", "--egg-base", str(tmp_path),
+             "build_py", "--build-lib", str(tmp_path / "lib")],
+            cwd=checkout, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        built = self.run_child(tmp_path / "lib", cwd)
+        assert built == self.run_child(checkout / "src", cwd)
+        assert built[0] == built[2] == 0
 
 
 class TestDigestTool:
