@@ -24,16 +24,17 @@ method), transposed so that the D2 of one slice, whose prefixes span a few
 runs, read a few rows of 64 cells. One walk over the D2 in fixed-size slices
 reads it for each D2 of such a signature with a prefix of at most r': 99.5%
 of the table at 1e6, 99.6% at 1e7. Every other D2 is kept: the leading runs
-of prefixes above r', and the higher signatures. After the walk the kept
-signatures, longest prefix first, are cut into blocks of rows; each block
-walks D1 over its longest prefix, and each of its D2 reads its running total
-at its own prefix. No table of all kept rows is held: the kept D2 are the
-one kernel temporary that grows with the table, 0.41% of it at 1e7. The
-sign-pattern count (density_lt) is the same kernel with the pattern primes
-dividing D2 as the signature, in increasing prime order, so that the primes
-dividing the most D2 take the direct table's bits, the D1 mask marking the
-pattern primes where chi_{D1} misses its wanted sign, and a pair matching
-where the AND is empty.
+of prefixes above r', and the higher signatures. Then one walk over D1
+serves every kept signature, one row each: a step from D1 u, where
+the k rows of longest prefix above u are active, covers _SLICE // k D1, and
+sums its cells only between the distinct prefixes its kept D2 end at. No
+table of all kept rows is held: the kept D2 are the one kernel temporary
+that grows with the table, 0.41% of it at 1e7. The sign-pattern count
+(density_lt) is the same kernel with the pattern primes dividing D2 as the
+signature, in increasing prime order, so that the primes dividing the most
+D2 take the direct table's bits, the D1 mask marking the pattern primes
+where chi_{D1} misses its wanted sign, and a pair matching where the AND is
+empty.
 
 Both engines read n(D) (the first p with chi_D(p) = -1) and the qmask
 bits (chi = 0, i.e. p | D, below n(D)) from one function, _signs, run on
@@ -486,9 +487,8 @@ def build_context(x: int) -> ScanContext:
 # scan_pairs: optimized eta aggregation
 # ---------------------------------------------------------------------------
 
-# D2 per slice of the pair kernel's walk over the table, and the cells per D1
-# slice of each of its blocks of rows: a block of k rows walks _SLICE // k D1
-# at a time.
+# D2 per slice of the pair kernel's walk over the table, and cells per step of
+# its walks over D1: a step of k rows covers _SLICE // k D1.
 _SLICE = 1 << 14
 
 
@@ -503,20 +503,21 @@ def _cells(t: np.ndarray, lookup: np.ndarray) -> np.ndarray:
 def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int, int]:
     """Sum one cell per pair over the D2 in bounds and the D1 in each prefix.
 
-    d2_side(a, b) gives, for the D2 in [a, b), a signature bitmask s and an
-    integer weight w; d1_side(bits, u, v) gives a uint32 bitmask t for the D1
-    in [u, v), exact at the bits in `bits` that some D2 carries. The pair's
-    cell is a hit worth values[b] at the lowest bit b of t & s, or a miss
-    where t & s is 0. Returns (sum of hits, sum over D2 of w times its
-    misses). A D2 of signature 0 has only misses. d2_side is asked for each
-    D2 once.
+    d2_side(a, b) gives, for the D2 in [a, b), a signature bitmask s, an
+    integer weight w, and the increasing positions in [0, b - a) of the D2
+    whose s is at least _DIRECT_ROWS; d1_side(bits, u, v) gives a uint32
+    bitmask t for the D1 in [u, v), exact at the bits in `bits` that some D2
+    carries. The pair's cell is a hit worth values[b] at the lowest bit b of
+    t & s, or a miss where t & s is 0. Returns (sum of hits, sum over D2 of w
+    times its misses). A D2 of signature 0 has only misses. d2_side is asked
+    for each D2 once.
 
     A D2 of signature s < _DIRECT_ROWS and prefix at most r' reads cell
     (prefix, s) of the direct table; every other D2 is kept, and read after
-    the walk by blocks of rows (see the module docstring). A cell packs a hit
-    as its value << 32 and a miss as 1. The hits over one D2's prefix are at
-    most prefix * |D2| <= x < 2^31, since every value divides D2, so neither
-    field overflows.
+    the table walk by one walk over D1 (see the module docstring). A cell
+    packs a hit as its value << 32 and a miss as 1. The hits over one D2's
+    prefix are at most prefix * |D2| <= x < 2^31, since every value divides
+    D2, so neither field overflows.
     """
     lo, hi = bounds
     if lo >= hi:
@@ -534,40 +535,31 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
     def tally(packed: np.ndarray, w: np.ndarray) -> None:
         """Add the hits and the w-weighted misses of the packed sums, in place."""
         nonlocal hits, misses
-        hits += int((packed >> 32).sum())
-        packed &= 0xFFFFFFFF
+        if len(values):  # else no cell holds a hit
+            hits += int((packed >> 32).sum())
+            packed &= 0xFFFFFFFF
         misses += int(np.dot(packed, w))
 
-    def walk(sigs: np.ndarray, n: int):
-        """Yield (u, v, sums) for D1 [0, n) in slices of _SLICE // len(sigs):
-        sums[i, j] sums the cells of signature sigs[i] over D1 [0, u + j], so
-        a D2 of prefix p in (u, v] reads sums[:, p - u - 1]."""
-        bits = int(np.bitwise_or.reduce(sigs))
-        step = _SLICE // len(sigs)
-        total = np.zeros(len(sigs), dtype=np.int64)
-        for u in range(0, n, step):
-            v = min(u + step, n)
-            cells = _cells(d1_side(bits, u, v) & sigs[:, None], lookup)
-            cells[:, 0] += total
-            np.cumsum(cells, axis=1, out=cells)
-            total = cells[:, -1]
-            yield u, v, cells
-
-    # transposed, cell (j, s) at j * _DIRECT_ROWS + s: a slice's prefixes
-    # span a few runs, so its D2 read a few rows of 64 cells
+    # cell (j, s), at j * _DIRECT_ROWS + s, sums signature s over D1 [0, j): a
+    # slice's prefixes span a few runs, so its D2 read a few rows of 64 cells
     direct = np.zeros((width + 1, _DIRECT_ROWS), dtype=np.int64)
-    for u, v, sums in walk(np.arange(_DIRECT_ROWS, dtype=np.uint32), width):
-        direct[u + 1 : v + 1] = sums.T
+    rows, step = np.arange(_DIRECT_ROWS, dtype=np.uint32), max(1, _SLICE // _DIRECT_ROWS)
+    for u in range(0, width, step):
+        v = min(u + step, width)
+        cells = _cells(d1_side(_DIRECT_ROWS - 1, u, v) & rows[:, None], lookup)
+        cells[:, 0] += direct[u]
+        np.cumsum(cells, axis=1, out=cells)
+        direct[u + 1 : v + 1] = cells.T
     direct = direct.ravel()
     kept = []
     for a in range(lo, hi, _SLICE):
         b = min(a + _SLICE, hi)
-        sig, w = d2_side(a, b)
+        sig, w, high = d2_side(a, b)
         n = max(0, min(lead, b) - a)  # the slice's D2 in the leading runs
-        keep = np.concatenate((np.arange(n), n + np.flatnonzero(sig[n:] >= _DIRECT_ROWS)))
+        keep = np.concatenate((np.arange(n), high[np.searchsorted(high, n) :]))
         run_values, lengths = ctx.runs_in(a, b)
         at = np.repeat(run_values.astype(np.intp) * _DIRECT_ROWS, lengths)
-        kept.append((sig[keep], at[keep] // _DIRECT_ROWS, w[keep]))
+        kept.append((sig[keep], (at[keep] // _DIRECT_ROWS).astype(np.int32), w[keep]))
         at += sig
         at[keep] = 0  # cell 0, over D1 [0, 0), is 0: these D2 are read after the walk
         tally(direct[at], w)
@@ -581,27 +573,30 @@ def _pair_sums(ctx: ScanContext, bounds, d2_side, d1_side, values) -> tuple[int,
     # order, so a signature's first D2 has its longest prefix
     sigs, first, row = np.unique(sig, return_index=True, return_inverse=True)
     by = np.argsort(-prefix[first], kind="stable")
-    sigs, longest = sigs[by], prefix[first[by]]
+    sigs, longest = sigs[by], prefix[first[by]].tolist()
     row = np.argsort(by)[row]  # each kept D2's row, its signature's place in sigs
-    starts = [0]  # the first row of each block, then len(sigs)
-    while starts[-1] < len(sigs):
-        rows = _SLICE // min(int(longest[starts[-1]]), _SLICE)
-        starts.append(min(starts[-1] + rows, len(sigs)))
-    starts = np.array(starts)
-    # the D2 of each block, by the block's first row, sorted by prefix
-    block = starts[np.searchsorted(starts, row, side="right") - 1]
-    order = np.lexsort((prefix, block))
-    cuts = np.searchsorted(block[order], starts)
-    for g, h, c, d in zip(starts, starts[1:], cuts, cuts[1:]):
-        mine = order[c:d]
-        p, r = prefix[mine], row[mine] - g
-        out = np.empty(len(mine), dtype=np.int64)
-        done = 0
-        for u, v, sums in walk(sigs[g:h], int(longest[g])):
-            k = int(np.searchsorted(p, v, side="right"))
-            out[done:k] = sums[r[done:k], p[done:k] - u - 1]
-            done = k
-        tally(out, w[mine])
+    bits = np.bitwise_or.accumulate(sigs).tolist()  # bits[k - 1]: of the first k rows
+    prefix, row, w = (col[::-1].copy() for col in (prefix, row, w))  # reversed: increasing prefix
+    out = np.empty(len(prefix), dtype=np.int64)
+    total = np.zeros(len(sigs), dtype=np.int64)  # each row's sum over D1 [0, u)
+    k, done, u, top = len(sigs), 0, 0, int(prefix.max(initial=0))
+    while u < top:
+        while longest[k - 1] <= u:
+            k -= 1  # the rows active at u: those whose longest prefix exceeds u
+        v = min(u + max(1, _SLICE // k), top)
+        cells = _cells(d1_side(bits[k - 1], u, v) & sigs[:k, None], lookup)
+        # the D2 of prefix p in (u, v] read sums over D1 [0, p): the cells are
+        # summed between the distinct p and v (np.unique's first call: 15 ms)
+        end = int(np.searchsorted(prefix, v, side="right"))
+        p = prefix[done:end] - u
+        cuts = np.append(p, v - u)
+        cuts = cuts[np.append(cuts[1:] != cuts[:-1], True)]  # distinct, as p is sorted
+        sums = np.add.reduceat(cells, np.concatenate(([0], cuts[:-1])), axis=1)
+        sums[:, 0] += total[:k]
+        np.cumsum(sums, axis=1, out=sums)
+        out[done:end] = sums[row[done:end], np.searchsorted(cuts, p)]
+        total, done, u = sums[:, -1], end, v
+    tally(out, w)
     return hits, misses
 
 
@@ -628,10 +623,16 @@ def _scan_chunk(ctx: ScanContext, bounds: tuple[int, int]):
     # else n(D2) (a miss, weighted by n(D2)); a bit no D2 carries has no column
     primes = ctx.cache_primes[:32]
     columns = [ctx.chi.get(q, np.zeros(0, dtype=np.int8)) for q in primes]
+    high = ctx.qhigh[0]  # the positions of the qmasks from _DIRECT_ROWS on
+
+    def d2_side(a: int, b: int):
+        i, j = np.searchsorted(high, (a, b))
+        return ctx.qmask_slice(a, b), ctx.nvals[a:b], high[i:j] - a
+
     hits, misses = _pair_sums(
         ctx,
         bounds,
-        lambda a, b: (ctx.qmask_slice(a, b), ctx.nvals[a:b]),
+        d2_side,
         partial(_d1_bits, columns, [partial(np.equal, -1)] * len(primes)),
         primes,
     )
@@ -918,11 +919,11 @@ def _pattern_sides(ctx: ScanContext, pattern, bounds):
                for read, (p, _) in zip(reads, pattern)]
 
     def d2_side(a: int, b: int):
-        """Signature and weight of the D2 in [a, b): bit k marks p_k dividing
-        D2, which moves its constraint to chi_{D1}; the weight is 1 where
-        every other pattern prime already has its sign at chi_{D2}, else 0,
-        with signature 0. chi_{D2}(p_k) comes from its column where that
-        covers the slice."""
+        """Signature, weight and high positions of the D2 in [a, b): bit k
+        marks p_k dividing D2, which moves its constraint to chi_{D1}; the
+        weight is 1 where every other pattern prime already has its sign at
+        chi_{D2}, else 0, with signature 0. chi_{D2}(p_k) comes from its
+        column where that covers the slice."""
         moved = np.zeros(b - a, dtype=np.uint32)
         live = np.ones(b - a, dtype=bool)
         for k, ((_, want), col, read) in enumerate(zip(pattern, columns, reads)):
@@ -931,7 +932,8 @@ def _pattern_sides(ctx: ScanContext, pattern, bounds):
             moved |= zero.astype(np.uint32) << np.uint32(k)
             live &= zero | (chi2 == want)
         moved *= live  # no D1 matches: signature 0 reads no D1 column
-        return moved, live
+        # with six pattern primes or fewer no signature reaches _DIRECT_ROWS
+        return moved, live, np.flatnonzero(len(pattern) > 6 and moved >= _DIRECT_ROWS)
 
     return d2_side, partial(_d1_bits, columns, [partial(np.not_equal, want) for _, want in pattern])
 
@@ -1024,16 +1026,24 @@ def average_n1(x: int) -> AverageReport:
     same residue-table gather and sign pass that build n(D), not from
     arith.least_nonresidue, which the tests keep as the scalar oracle.
     """
-    if x < 3:
-        raise ValueError("x must be >= 3 so at least one odd prime enters")
-    # slot i stands for the odd number 2i + 1; strike the odd multiples of
-    # each odd p <= sqrt(x) from p^2 on, a step of 2p
-    slots = np.ones((x + 1) // 2, dtype=bool)
-    slots[0] = False
-    for p in sieve_primes(max(2, isqrt(x)))[1:]:
-        slots[p * p // 2 :: p] = False
-    odd = 2 * np.flatnonzero(slots) + 1
-    # p* = +-p = 1 mod 4 is a fundamental discriminant and, by quadratic
-    # reciprocity (with (2/p) set by p mod 8), n(p*) = n_1(p)
-    n1 = _signs(np.where(odd % 4 == 1, odd, -odd))[0]
-    return _average(x, "n_1(p)", int(n1.sum()), len(n1), rigorous_constant("erdos", REFERENCE_K))
+    if not 3 <= x < 2**31:  # the odd numbers are int32, as the table's entries
+        raise ValueError(f"x must be >= 3, so that an odd prime enters, and below 2^31, got {x}")
+    # slot i is the odd number 2i + 1, in segments of 4 * _TABLE_SLICE slots
+    # (2^16 and 2^17 took longer at 1e6); odd p <= sqrt(x) strikes every p-th
+    # slot from p^2 // 2, its odd multiples from p^2
+    primes = sieve_primes(max(2, isqrt(x)))[1:]
+    slots, total, count = (x + 1) // 2, 0, 0
+    for lo in range(0, slots, 4 * _TABLE_SLICE):
+        flags = np.ones(min(4 * _TABLE_SLICE, slots - lo), dtype=bool)
+        flags[0] = lo > 0  # slot 0 is 1, not a prime
+        for p in primes:
+            at = p * p // 2 - lo
+            if at >= len(flags):
+                break
+            flags[max(at, at % p) :: p] = False  # at % p: the first strike past lo
+        odd = np.flatnonzero(flags).astype(np.int32) * 2 + (2 * lo + 1)
+        # p* = +-p = 1 mod 4 is a fundamental discriminant and, by quadratic
+        # reciprocity (with (2/p) set by p mod 8), n(p*) = n_1(p)
+        n1 = _signs(np.where(odd % 4 == 1, odd, -odd))[0]
+        total, count = total + int(n1.sum()), count + len(n1)
+    return _average(x, "n_1(p)", total, count, rigorous_constant("erdos", REFERENCE_K))

@@ -631,15 +631,14 @@ class TestPairKernel:
         pytest.param(100_000, 1024, id="100000-slice-1024"),
     ])
     def test_small_slices_match_the_audit(self, monkeypatch, x, size):
-        # the kept signatures are cut into blocks of _SLICE // (longest
-        # prefix) rows, at least one. With 64-entry slices the walks take
-        # many slices, and a block holds one row until the longest prefixes
-        # fall to 32, so that block edges fall between the kept D2. With 1024
-        # at 1e5 a kept signature from the leading runs walks several D1
-        # slices alone, while the signatures past r' (prefixes of at most
-        # r' = 196) fill blocks of 5 rows read in one slice, more than one
-        # block of them. A pattern in decreasing prime order gives 2 the high
-        # bit 6, and so gives the most D2 a signature from 64 on.
+        # the kept walk covers _SLICE // k D1 a step (at least one) while k
+        # rows are active. With 64-entry slices the walks take many steps,
+        # and steps of one D1 until fewer than 64 rows are active. With 1024
+        # at 1e5 a kept signature from the leading runs is walked alone for
+        # several steps, after the signatures past r' (prefixes of at most
+        # r' = 196), more than 1024 // 196 of them, share steps. A pattern
+        # in decreasing prime order gives 2 the high bit 6, and so gives the
+        # most D2 a signature from 64 on.
         monkeypatch.setattr(experiments, "_SLICE", size)
         ctx = build_context(x)
         r, n = _split(ctx), len(ctx.entries)
@@ -656,6 +655,117 @@ class TestPairKernel:
         assert len(set(sig[sig >= experiments._DIRECT_ROWS].tolist())) > 10
         _, matched = experiments._pair_sums(ctx, (0, n), d2_side, d1_side, ())
         assert matched == experiments._lt_chunk(ctx, pattern, (0, n))[1] > 0
+
+
+class TestKeptWalk:
+    """The one walk over D1 that reads every kept D2, with _SLICE at 2^5: it
+    takes many steps of a few D1, rows drop out mid-walk, and kept prefixes
+    land on step ends. The scan kernel is checked against the audit, the
+    sign-pattern kernel against the sign rule."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """_SLICE at 2^5, and the kept walk's steps (u, v) of each _pair_sums
+        call: its d1_side calls after its last d2_side call."""
+        monkeypatch.setattr(experiments, "_SLICE", 1 << 5)
+        calls = []
+        pair_sums = experiments._pair_sums
+
+        def recording(ctx, bounds, d2_side, d1_side, values):
+            log = []
+
+            def d2(a, b):
+                log.clear()  # the direct table's steps come before the D2
+                return d2_side(a, b)
+
+            def d1(bits, u, v):
+                log.append((u, v))
+                return d1_side(bits, u, v)
+
+            result = pair_sums(ctx, bounds, d2, d1, values)
+            calls.append(log)
+            return result
+
+        monkeypatch.setattr(experiments, "_pair_sums", recording)
+        return calls
+
+    @staticmethod
+    def check_walk(walk, prefixes):
+        """The steps tile D1 from 0, many of them, widening as rows drop out,
+        and some kept prefix is a step's end."""
+        assert len(walk) > 20 and walk[0][0] == 0
+        assert all(v == u for (_, v), (u, _) in zip(walk, walk[1:]))
+        widths = [v - u for u, v in walk][:-1]  # the last step ends at the longest prefix
+        assert widths == sorted(widths) and widths[0] < widths[-1] == 1 << 5, widths
+        assert {v for _, v in walk} & set(prefixes.tolist())
+
+    @staticmethod
+    def sign(d1, d2, p):
+        return kronecker(d1, p) if d2 % p == 0 else kronecker(d2, p)
+
+    def pattern_count(self, ctx, pattern, bounds):
+        ents = ctx.entries.tolist()
+        return sum(all(self.sign(ents[i], ents[j], p) == s for p, s in pattern)
+                   for j in range(*bounds) for i in range(int(ctx.prefix[j])))
+
+    @pytest.mark.parametrize("x", [3000, 100_000])
+    def test_scan_kernel_matches_the_audit(self, steps, x):
+        ctx = build_context(x)
+        r, n = _split(ctx), len(ctx.entries)
+        prefix, qmask = ctx.prefix, ctx.qmask
+        kept = ((prefix > r) | (qmask >= experiments._DIRECT_ROWS)) & (qmask != 0)
+        ranges = [(0, n)] if x == 3000 else [(0, r + 1), (r - 3, r + 2000), (r - 40, r + 40)]
+        for lo, hi in ranges:
+            steps.clear()
+            assert experiments._scan_chunk(ctx, (lo, hi)) == _audit_totals(ctx, (lo, hi)), (lo, hi)
+            if lo == 0:
+                self.check_walk(steps[0], prefix[lo:hi][kept[lo:hi]])
+
+    def test_pattern_kernel_matches_the_sign_rule_at_3000(self, steps):
+        ctx = build_context(3000)
+        r, n = _split(ctx), len(ctx.entries)
+        # nine primes with the signs of the pair (-3, 988), 988 = 4 * 13 * 19:
+        # 17, 19 and 23 take bits 6..8, and the D2 moved at them are kept
+        nine = tuple((p, self.sign(-3, 988, p)) for p in sieve_primes(23))
+        for pattern in (((2, 1), (3, -1)), nine):
+            sig, _, high = experiments._pattern_sides(ctx, pattern, (0, n))[0](0, n)
+            assert np.array_equal(high, np.flatnonzero(sig >= experiments._DIRECT_ROWS))
+            assert len(high) > 0 if pattern == nine else len(high) == 0
+            for bounds in ((r - 5, 700), (0, n)):
+                steps.clear()
+                expected = self.pattern_count(ctx, pattern, bounds)
+                assert expected > 0
+                got = experiments._lt_chunk(ctx, pattern, bounds)
+                assert got == (ctx.pair_count(*bounds), expected), (pattern, bounds)
+            if pattern != nine:  # nine signs leave few leading D2 a weight, and a short walk
+                kept = ((ctx.prefix > r) | (sig >= experiments._DIRECT_ROWS)) & (sig != 0)
+                self.check_walk(steps[0], ctx.prefix[kept])
+
+    def test_pattern_kernel_straddling_the_split_at_1e5(self, steps):
+        # the one D2 with prefix r' = 196 is 316 = 4 * 79. With 79 as the
+        # seventh pattern prime, bit 6, and the signs of 316 at the other odd
+        # primes, its signature is 65, so it is kept and read at a prefix of
+        # exactly r'
+        ctx = build_context(100_000)
+        r = _split(ctx)
+        at = int(np.flatnonzero(ctx.prefix == r)[0])
+        assert (ctx.entries[at], r) == (316, 196)
+        seven = tuple((p, self.sign(316, 316, p)) for p in (2, 3, 5, 7, 11, 13, 79))
+        sig, _, high = experiments._pattern_sides(ctx, seven, (at, at + 1))[0](at, at + 1)
+        assert (sig.tolist(), high.tolist()) == ([65], [0])
+        for pattern in (((3, 1), (5, -1)), seven):
+            for bounds in ((r - 3, r + 300), (at, at + 1), (0, r + 1)):
+                steps.clear()
+                expected = self.pattern_count(ctx, pattern, bounds)
+                assert expected > 0 or pattern != seven  # 316 misses 5:-1: chi_316(5) = +1
+                got = experiments._lt_chunk(ctx, pattern, bounds)
+                assert got == (ctx.pair_count(*bounds), expected), (pattern, bounds)
+                if bounds == (at, at + 1) and pattern == seven:
+                    # 316 alone: the walk's last step ends at its prefix
+                    assert len(steps[0]) == -(-r // (1 << 5)) and steps[0][-1][1] == r
+            if pattern != seven:
+                sig = experiments._pattern_sides(ctx, pattern, (0, r + 1))[0](0, r + 1)[0]
+                self.check_walk(steps[0], ctx.prefix[: r + 1][sig != 0])
 
 
 class TestSampledAudit1e7:
@@ -1034,11 +1144,12 @@ class TestCountsAndHarmonic:
 
 @pytest.mark.parametrize(
     "fn,x",
-    [(average_nd, 1), (average_nd, 2), (pair_count_check, 1)],
-    ids=["average_nd-1", "average_nd-2", "pair_count_check-1"],
+    [(average_nd, 1), (average_nd, 2), (pair_count_check, 1), (average_n1, 2), (average_n1, 2**31)],
+    ids=["average_nd-1", "average_nd-2", "pair_count_check-1", "average_n1-2", "average_n1-2^31"],
 )
 def test_small_x_is_refused(fn, x):
-    # no D != 1 to average over, or a log x reference of 0
+    # no D != 1 to average over, a log x reference of 0, no odd prime, or
+    # odd numbers past int32
     with pytest.raises(ValueError):
         fn(x)
 
@@ -1083,6 +1194,24 @@ class TestAverages:
         n1 = [least_nonresidue(p) for p in odd]
         xs = list(range(3, 200)) + list(range(200, 20000, 911)) + [19997, 20000]
         for x in xs:
+            count = sum(1 for p in odd if p <= x)
+            rep = average_n1(x)
+            assert (rep.total, rep.count) == (sum(n1[:count]), count), x
+
+    def test_average_n1_peaks_at_one_segment(self):
+        # the odd numbers are sieved by segments of 4 * _TABLE_SLICE slots,
+        # so the peak does not grow with x: 1.22 MB at 1e6 and at 1e7,
+        # against 3.0 and 25.6 MB for one pass over every odd number to x
+        average_n1(10**6)  # a first call pays the one-time allocations
+        assert TestPeakMemory.peak(lambda: average_n1(10**7))[0] < 2 * 10**6
+
+    def test_average_n1_across_segments(self, monkeypatch):
+        # segments of 4 * 16 = 64 slots: their edges fall at the odd numbers
+        # 129, 257, ..., and each prime's strikes carry across them
+        monkeypatch.setattr(experiments, "_TABLE_SLICE", 16)
+        odd = sieve_primes(5000)[1:]
+        n1 = [least_nonresidue(p) for p in odd]
+        for x in [*range(3, 400), 4095, 4097, 4999, 5000]:
             count = sum(1 for p in odd if p <= x)
             rep = average_n1(x)
             assert (rep.total, rep.count) == (sum(n1[:count]), count), x
